@@ -20,16 +20,20 @@
 //      10^6 bindings through a warm context (cache hits, zero rebuilds).
 //
 // Wall times live in the timed sections: per-tuple insert loop vs one
-// InsertFlat call at 10^6, the 10^6-row radix build, and the warm join.
+// InsertFlat call at 10^6, the 10^6-row radix build, the warm join, and
+// the text reader and writer at 10^5 tuples (seconds per rep / 10^5 is
+// their per-row cost).
 
 #include <cstddef>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "cq/parser.h"
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
+#include "relation/text_io.h"
 #include "relation/trie_index.h"
 
 namespace cqbounds {
@@ -75,6 +79,30 @@ Query& ChainQ() {
 EvalContext& ChainCtx() {
   static EvalContext ctx(ChainDb());
   return ctx;
+}
+
+constexpr std::size_t kTextRows = 100000;
+
+/// The successor cycle over kTextRows vertices as database text: every
+/// spelling occurs twice, so the reader interns half its tokens as hits.
+const std::string& CycleText() {
+  static const std::string text = [] {
+    std::string t = "relation E 2\n";
+    for (std::size_t i = 0; i < kTextRows; ++i) {
+      t += "E " + std::to_string(i) + " " +
+           std::to_string((i + 1) % kTextRows) + "\n";
+    }
+    return t;
+  }();
+  return text;
+}
+const Database& CycleTextDb() {
+  static const Database db = [] {
+    Database d;
+    CQB_CHECK(ReadDatabaseTextFromString(CycleText(), &d).ok());
+    return d;
+  }();
+  return db;
 }
 
 void PrintTables() {
@@ -183,6 +211,10 @@ void PrintTables() {
   }
   join_table.Print();
 
+  // Build the text fixtures now, so the text1e5 timers time only the
+  // reader and the writer.
+  CycleTextDb();
+
   std::cout << "\nShape check: ingestion adds exactly half its fed rows at "
                "every scale\n(the dup pass), both trie builds keep the "
                "materialization tripwire at\nzero, and the warm join serves "
@@ -218,6 +250,19 @@ CQB_BENCH_TIMED("chain1M/warm-join", [] {
   EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kGenericJoin, &ChainCtx(),
                 nullptr)
       .ValueOrDie();
+})
+
+// Text ingestion (tokenize, intern through the pool, one InsertFlat) and
+// rendering of the same 10^5-tuple file; the render must reproduce it.
+CQB_BENCH_TIMED("text1e5/read", [] {
+  Database db;
+  CQB_CHECK(ReadDatabaseTextFromString(CycleText(), &db).ok());
+  CQB_CHECK(db.Find("E")->size() == kTextRows);
+})
+
+CQB_BENCH_TIMED("text1e5/write", [] {
+  CQB_CHECK(WriteDatabaseTextToString(CycleTextDb()).ValueOrDie() ==
+            CycleText());
 })
 
 void BM_ColumnarIngest(benchmark::State& state) {

@@ -4,14 +4,48 @@
 
 namespace cqbounds {
 
-std::uint32_t ValueDictionary::Intern(Value v) {
-  auto [it, inserted] =
-      codes_.emplace(v, static_cast<std::uint32_t>(values_.size()));
-  if (inserted) {
-    CQB_CHECK(values_.size() < kNoCode);
-    values_.push_back(v);
+namespace {
+
+std::size_t HashValue(Value v) {
+  // Fibonacci multiply, then fold the well-mixed high half into the low
+  // bits the slot mask keeps: dense or strided ids spread evenly.
+  const std::uint64_t h =
+      static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+}  // namespace
+
+std::size_t ValueDictionary::ProbeSlot(Value v) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = HashValue(v) & mask;
+  while (slots_[slot] != kNoCode && values_[slots_[slot]] != v) {
+    slot = (slot + 1) & mask;
   }
-  return it->second;
+  return slot;
+}
+
+void ValueDictionary::Grow() {
+  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kNoCode);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t code = 0; code < values_.size(); ++code) {
+    // Values are distinct: probe straight to the first free slot.
+    std::size_t slot = HashValue(values_[code]) & mask;
+    while (slots_[slot] != kNoCode) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(code);
+  }
+}
+
+std::uint32_t ValueDictionary::Intern(Value v) {
+  // Keep the load factor under 1/2 counting the value about to land.
+  if ((values_.size() + 1) * 2 > slots_.size()) Grow();
+  const std::size_t slot = ProbeSlot(v);
+  if (slots_[slot] != kNoCode) return slots_[slot];
+  CQB_CHECK(values_.size() < kNoCode);
+  const auto code = static_cast<std::uint32_t>(values_.size());
+  slots_[slot] = code;
+  values_.push_back(v);
+  return code;
 }
 
 ColumnStore::ColumnStore(int arity) : arity_(arity) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "relation/tuple.h"
@@ -24,10 +23,15 @@ struct ColumnStats {
 /// codes in first-seen order. One dictionary is shared by all columns of a
 /// ColumnStore so that intra-tuple equality (repeated query variables such
 /// as R(X,X)) reduces to code equality across columns.
+///
+/// Storage is flat, like the row index: the values in code order plus a
+/// power-of-two table of codes (load factor below 1/2, linear probing), so
+/// an intern hit allocates nothing.
 class ValueDictionary {
  public:
-  /// Sentinel returned by CodeOf for values never interned. Doubles as the
-  /// hard capacity limit: a store holds fewer than 2^32 - 1 distinct values.
+  /// Sentinel returned by CodeOf for values never interned, and the empty
+  /// slot marker. Doubles as the hard capacity limit: a store holds fewer
+  /// than 2^32 - 1 distinct values.
   static constexpr std::uint32_t kNoCode = 0xFFFFFFFFu;
 
   /// Code for `v`, minting the next dense code on first sight.
@@ -35,16 +39,22 @@ class ValueDictionary {
 
   /// Code for `v`, or kNoCode if `v` was never interned.
   std::uint32_t CodeOf(Value v) const {
-    auto it = codes_.find(v);
-    return it == codes_.end() ? kNoCode : it->second;
+    return slots_.empty() ? kNoCode : slots_[ProbeSlot(v)];
   }
 
   Value ValueOf(std::uint32_t code) const { return values_[code]; }
   std::size_t size() const { return values_.size(); }
 
  private:
+  /// Slot holding the code of `v`, or the empty slot where it would go.
+  /// Requires a non-empty slot table.
+  std::size_t ProbeSlot(Value v) const;
+  /// Doubles the slot table and re-inserts every code.
+  void Grow();
+
   std::vector<Value> values_;
-  std::unordered_map<Value, std::uint32_t> codes_;
+  /// slot -> code, kNoCode when free.
+  std::vector<std::uint32_t> slots_;
 };
 
 /// Dictionary-encoded columnar tuple storage with set semantics: `arity`

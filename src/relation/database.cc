@@ -1,20 +1,57 @@
 #include "relation/database.h"
 
+#include <functional>
+
 namespace cqbounds {
 
-Value ValuePool::Intern(const std::string& spelling) {
-  auto it = ids_.find(spelling);
-  if (it != ids_.end()) return it->second;
-  Value id = static_cast<Value>(spellings_.size());
-  ids_.emplace(spelling, id);
-  spellings_.push_back(spelling);
-  return id;
+namespace {
+
+std::size_t HashSpelling(std::string_view spelling) {
+  return std::hash<std::string_view>{}(spelling);
+}
+
+}  // namespace
+
+std::size_t ValuePool::ProbeSlot(std::string_view spelling) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = HashSpelling(spelling) & mask;
+  while (slots_[slot] != kEmptySlot && spellings_[slots_[slot]] != spelling) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void ValuePool::Grow() {
+  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kEmptySlot);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t id = 0; id < spellings_.size(); ++id) {
+    // Spellings are distinct: probe straight to the first free slot.
+    std::size_t slot = HashSpelling(spellings_[id]) & mask;
+    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(id);
+  }
+}
+
+Value ValuePool::Intern(std::string_view spelling) {
+  // Keep the load factor under 1/2 counting the spelling about to land.
+  if ((spellings_.size() + 1) * 2 > slots_.size()) Grow();
+  const std::size_t slot = ProbeSlot(spelling);
+  if (slots_[slot] != kEmptySlot) return static_cast<Value>(slots_[slot]);
+  CQB_CHECK(!full());
+  slots_[slot] = static_cast<std::uint32_t>(spellings_.size());
+  spellings_.emplace_back(spelling);
+  return static_cast<Value>(spellings_.size() - 1);
 }
 
 std::string ValuePool::Spelling(Value id) const {
   if (id < 0 || id >= static_cast<Value>(spellings_.size())) {
     return "?" + std::to_string(id);
   }
+  return spellings_[static_cast<std::size_t>(id)];
+}
+
+std::string_view ValuePool::SpellingView(Value id) const {
+  CQB_CHECK(id >= 0 && id < static_cast<Value>(spellings_.size()));
   return spellings_[static_cast<std::size_t>(id)];
 }
 

@@ -1,8 +1,11 @@
 #ifndef CQBOUNDS_RELATION_DATABASE_H_
 #define CQBOUNDS_RELATION_DATABASE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cq/query.h"
@@ -11,20 +14,44 @@
 
 namespace cqbounds {
 
-/// Interns arbitrary string spellings as Value ids. Used by generators whose
-/// natural value space is structured (e.g. the color-index vectors of the
-/// Proposition 4.5 product construction, or Shamir shares tagged by group).
+/// Interns arbitrary string spellings as Value ids, dense and in first-seen
+/// order. Used by the text reader and by generators whose natural value
+/// space is structured (e.g. the color-index vectors of the Proposition 4.5
+/// product construction, or Shamir shares tagged by group).
+///
+/// Storage is flat: the spellings in id order plus a power-of-two table of
+/// uint32_t ids (load factor below 1/2, linear probing), so an intern hit
+/// allocates nothing and a miss appends one string.
 class ValuePool {
  public:
-  /// Returns the id of `spelling`, interning it on first use.
-  Value Intern(const std::string& spelling);
+  /// Capacity limit: ids are uint32_t slots and the all-ones slot marks an
+  /// empty one, so a pool holds at most 2^32 - 1 spellings.
+  static constexpr std::size_t kMaxSpellings = 0xFFFFFFFFu;
+
+  /// Returns the id of `spelling`, interning it on first use. Aborts when a
+  /// new spelling would exceed kMaxSpellings; callers loading untrusted
+  /// input check full() first.
+  Value Intern(std::string_view spelling);
   /// Reverse lookup; returns "?<id>" if the id was never interned.
   std::string Spelling(Value id) const;
+  /// The spelling of an interned id, without a copy. Requires
+  /// 0 <= id < size().
+  std::string_view SpellingView(Value id) const;
   std::size_t size() const { return spellings_.size(); }
+  bool full() const { return spellings_.size() >= kMaxSpellings; }
 
  private:
-  std::map<std::string, Value> ids_;
+  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+  /// Slot holding the id of `spelling`, or the empty slot where it would
+  /// go. Requires a non-empty slot table.
+  std::size_t ProbeSlot(std::string_view spelling) const;
+  /// Doubles the slot table and re-inserts every id.
+  void Grow();
+
   std::vector<std::string> spellings_;
+  /// slot -> id, kEmptySlot when free.
+  std::vector<std::uint32_t> slots_;
 };
 
 /// A database instance D = (U_D, R_1, ..., R_n): named relations over a

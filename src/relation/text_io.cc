@@ -1,11 +1,11 @@
 #include "relation/text_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstring>
-#include <iterator>
-#include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace cqbounds {
@@ -21,27 +21,31 @@ bool NeedsEscape(char c) {
   return c == '%' || c == '#' || std::isspace(u) || std::iscntrl(u);
 }
 
-/// Percent-encodes `spelling` so it survives as one whitespace-delimited
-/// token: unsafe bytes become %XX (uppercase hex), and the empty spelling
-/// -- which would otherwise vanish between separators -- becomes the bare
-/// token "%". Safe spellings pass through unchanged, so files of ordinary
-/// integer values look exactly as before.
-std::string EscapeToken(const std::string& spelling) {
-  if (spelling.empty()) return "%";
+/// Appends `spelling` to `out` as one whitespace-delimited token:
+/// unsafe bytes become %XX (uppercase hex), and the empty spelling -- which
+/// would otherwise vanish between separators -- becomes the bare token "%".
+/// Safe spellings pass through unchanged, so files of ordinary integer
+/// values look exactly as before.
+void AppendToken(std::string_view spelling, std::string* out) {
+  if (spelling.empty()) {
+    *out += '%';
+    return;
+  }
+  if (std::none_of(spelling.begin(), spelling.end(), NeedsEscape)) {
+    out->append(spelling);
+    return;
+  }
   static const char kHex[] = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(spelling.size());
   for (char c : spelling) {
     if (NeedsEscape(c)) {
       const unsigned char u = static_cast<unsigned char>(c);
-      out += '%';
-      out += kHex[u >> 4];
-      out += kHex[u & 0xF];
+      *out += '%';
+      *out += kHex[u >> 4];
+      *out += kHex[u & 0xF];
     } else {
-      out += c;
+      *out += c;
     }
   }
-  return out;
 }
 
 int HexDigit(char c) {
@@ -51,30 +55,30 @@ int HexDigit(char c) {
   return -1;
 }
 
-/// Inverse of EscapeToken over a buffer slice, decoding into the caller's
-/// reused scratch string (the streamed reader parses 10^5+ tokens; a fresh
-/// std::string per token would dominate the parse). Escape-free tokens --
-/// the overwhelmingly common case for ordinary integer values -- take a
-/// single assign. A malformed escape (stray '%' not followed by two hex
-/// digits) is a parse error, not silently passed through -- a file
-/// containing one was not produced by WriteDatabaseText and guessing at
-/// its intent would corrupt the value space silently.
-Status UnescapeTokenInto(const char* tok, const char* end, int line_number,
-                         std::string* out) {
-  if (end - tok == 1 && *tok == '%') {
-    out->clear();
+/// Inverse of AppendToken over a buffer slice. Escape-free tokens -- the
+/// overwhelmingly common case for ordinary integer values -- come back as
+/// the slice itself, with no copy; only a token holding a '%' decodes, into
+/// the caller's reused scratch string (the reader parses 10^5+ tokens; a
+/// fresh std::string per token would dominate the parse). A malformed
+/// escape (stray '%' not followed by two hex digits) is a parse error, not
+/// silently passed through -- a file containing one was not produced by
+/// WriteDatabaseText and guessing at its intent would corrupt the value
+/// space silently.
+Status DecodeToken(const char* tok, const char* end, int line_number,
+                   std::string* scratch, std::string_view* out) {
+  const std::size_t len = static_cast<std::size_t>(end - tok);
+  if (len == 1 && *tok == '%') {
+    *out = std::string_view();
     return Status::OK();
   }
-  const char* pct = static_cast<const char*>(
-      std::memchr(tok, '%', static_cast<std::size_t>(end - tok)));
-  if (pct == nullptr) {
-    out->assign(tok, static_cast<std::size_t>(end - tok));
+  if (std::memchr(tok, '%', len) == nullptr) {
+    *out = std::string_view(tok, len);
     return Status::OK();
   }
-  out->clear();
+  scratch->clear();
   for (const char* c = tok; c < end; ++c) {
     if (*c != '%') {
-      *out += *c;
+      *scratch += *c;
       continue;
     }
     if (c + 2 >= end) {
@@ -89,9 +93,10 @@ Status UnescapeTokenInto(const char* tok, const char* end, int line_number,
                                 ": invalid %XX escape in token '" +
                                 std::string(tok, end) + "'");
     }
-    *out += static_cast<char>((hi << 4) | lo);
+    *scratch += static_cast<char>((hi << 4) | lo);
     c += 2;
   }
+  *out = *scratch;
   return Status::OK();
 }
 
@@ -120,35 +125,32 @@ Status CheckWritableRelationName(const std::string& name) {
   return Status::OK();
 }
 
-}  // namespace
-
-Status ReadDatabaseText(std::istream& in, Database* db) {
-  // Streamed bulk ingestion. The whole input is slurped into one flat
-  // buffer and tokenized in place with pointer scans -- no per-line stream
-  // extraction and no per-token string construction (one scratch spelling
-  // is reused across all tokens; the previous getline + istringstream loop
-  // allocated several strings per line). Tuple lines are parsed into
-  // per-relation flat column builders (row-major values, one vector per
-  // relation) and flushed in one InsertFlat batch per relation at end of
-  // input -- a single dedup pass over the appended block instead of a
-  // per-tuple hash insert. Arity and escape errors still carry their line
-  // numbers (checked during the parse); on error nothing is flushed.
+/// The reader proper, over the whole input in one flat buffer. Tokenized
+/// in place with pointer scans -- no per-line stream extraction and no
+/// per-token string construction: escape-free tokens intern straight from
+/// their buffer slice. Tuple lines are parsed into per-relation flat column
+/// builders (row-major values, one vector per relation) and flushed in one
+/// InsertFlat batch per relation at end of input -- a single dedup pass
+/// over the appended block instead of a per-tuple hash insert. Arity,
+/// escape and capacity errors carry their line numbers (checked during the
+/// parse); on error nothing is flushed.
+Status ParseDatabaseText(std::string_view buf, Database* db) {
   struct PendingRows {
     Relation* rel = nullptr;
     std::vector<Value> flat;
     std::size_t rows = 0;
   };
-  std::vector<PendingRows> pending;  // in first-tuple-seen relation order
-  std::map<Relation*, std::size_t> pending_index;
+  // In first-tuple-seen relation order. Files declare a handful of
+  // relations, so a linear scan finds a relation's slot.
+  std::vector<PendingRows> pending;
+  ValuePool* pool = db->value_pool();
 
-  const std::string buf{std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>()};
   const char* p = buf.data();
   const char* const buf_end = p + buf.size();
   int line_number = 0;
   std::string scratch;
   // Tuple files cluster lines by relation, so one cached (name -> pending
-  // slot) pair short-circuits nearly every map lookup. An index, not a
+  // slot) pair short-circuits nearly every relation lookup. An index, not a
   // pointer: pending reallocates as new relations appear.
   std::string last_name;
   std::size_t last_slot = static_cast<std::size_t>(-1);
@@ -215,12 +217,12 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
                                   ": tuple for undeclared relation '" +
                                   scratch + "'");
       }
-      const auto [it, inserted] = pending_index.emplace(rel, pending.size());
-      if (inserted) {
+      slot = 0;
+      while (slot < pending.size() && pending[slot].rel != rel) ++slot;
+      if (slot == pending.size()) {
         pending.emplace_back();
         pending.back().rel = rel;
       }
-      slot = it->second;
       last_name.assign(first, first_len);
       last_slot = slot;
     }
@@ -230,9 +232,17 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
     for (;;) {
       const auto [tok, tok_end] = next_token();
       if (tok == tok_end) break;
+      std::string_view spelling;
       CQB_RETURN_NOT_OK(
-          UnescapeTokenInto(tok, tok_end, line_number, &scratch));
-      rows.flat.push_back(db->value_pool()->Intern(scratch));
+          DecodeToken(tok, tok_end, line_number, &scratch, &spelling));
+      // A full pool would abort in Intern; untrusted input gets a Status.
+      if (pool->full()) {
+        return Status::ResourceExhausted(
+            "line " + std::to_string(line_number) +
+            ": value pool is full (" +
+            std::to_string(ValuePool::kMaxSpellings) + " spellings)");
+      }
+      rows.flat.push_back(pool->Intern(spelling));
       ++width;
     }
     if (static_cast<int>(width) != rows.rel->arity()) {
@@ -250,21 +260,46 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
   return Status::OK();
 }
 
+}  // namespace
+
+Status ReadDatabaseText(std::istream& in, Database* db) {
+  // Slurp the stream in large chunks straight from its buffer.
+  constexpr std::streamsize kChunk = 1 << 16;
+  std::string buf;
+  if (std::streambuf* const sb = in.rdbuf()) {
+    for (;;) {
+      const std::size_t used = buf.size();
+      buf.resize(used + kChunk);
+      const std::streamsize got = sb->sgetn(buf.data() + used, kChunk);
+      buf.resize(used + static_cast<std::size_t>(got));
+      if (got < kChunk) break;
+    }
+  }
+  return ParseDatabaseText(buf, db);
+}
+
 Status ReadDatabaseTextFromString(const std::string& text, Database* db) {
-  std::istringstream in(text);
-  return ReadDatabaseText(in, db);
+  return ParseDatabaseText(text, db);
 }
 
 Status WriteDatabaseText(const Database& db, std::ostream& out) {
   const ValuePool& pool = db.value_pool();
   const Value pool_size = static_cast<Value>(pool.size());
+  // Each relation renders into this one reused buffer and leaves in a
+  // single write.
+  std::string text;
   for (const auto& [name, rel] : db.relations()) {
     CQB_RETURN_NOT_OK(CheckWritableRelationName(name));
-    out << "relation " << name << " " << rel.arity() << "\n";
+    text.clear();
+    text += "relation ";
+    text += name;
+    text += ' ';
+    text += std::to_string(rel.arity());
+    text += '\n';
     const ColumnStore& store = rel.store();
     for (std::size_t row = 0; row < store.size(); ++row) {
       if (!store.IsLive(row)) continue;
-      out << name;
+      text += name;
       for (int c = 0; c < rel.arity(); ++c) {
         const Value v = store.ValueAt(row, c);
         if (v < 0 || v >= pool_size) {
@@ -275,10 +310,12 @@ Status WriteDatabaseText(const Database& db, std::ostream& out) {
               "relation '" + name + "' holds value id " + std::to_string(v) +
               " that was never interned in the database's pool");
         }
-        out << " " << EscapeToken(pool.Spelling(v));
+        text += ' ';
+        AppendToken(pool.SpellingView(v), &text);
       }
-      out << "\n";
+      text += '\n';
     }
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
   }
   return Status::OK();
 }

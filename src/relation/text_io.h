@@ -41,9 +41,10 @@ Status ReadDatabaseTextFromString(const std::string& text, Database* db);
 /// the "?<id>" fallback spelling) or when a relation *name* cannot be
 /// represented: names appear unescaped in the format, so an empty name, the
 /// literal name "relation", or a name containing whitespace/'#'/'%'/control
-/// characters is unwritable. Output written before the error is detected is
-/// left in `out` (callers writing to a file should write to a string
-/// first).
+/// characters is unwritable. Each relation reaches `out` in one write once
+/// it has rendered completely; relations written before the error is
+/// detected are left in `out` (callers writing to a file should write to a
+/// string first).
 Status WriteDatabaseText(const Database& db, std::ostream& out);
 Result<std::string> WriteDatabaseTextToString(const Database& db);
 

@@ -78,6 +78,9 @@ class [[nodiscard]] Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
   static Status ParseError(std::string msg) {
     return Status(StatusCode::kParseError, std::move(msg));
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -30,6 +31,37 @@ TEST(ValueDictionaryTest, InternsInFirstSeenOrderAndRoundTrips) {
   EXPECT_EQ(dict.ValueOf(0), 42);
   EXPECT_EQ(dict.ValueOf(1), -7);
   EXPECT_EQ(dict.ValueOf(2), 0);
+}
+
+TEST(ValueDictionaryTest, ExtremeValuesAndGrowth) {
+  ValueDictionary dict;
+  const std::vector<Value> extremes = {
+      std::numeric_limits<Value>::min(), std::numeric_limits<Value>::max(),
+      -1, 0, -2, std::numeric_limits<Value>::min() + 1};
+  for (std::size_t i = 0; i < extremes.size(); ++i) {
+    EXPECT_EQ(dict.Intern(extremes[i]), i);
+  }
+  // Strided values (multiples of 2^20) through several table doublings.
+  constexpr std::uint32_t kN = 50000;
+  const std::uint32_t base = static_cast<std::uint32_t>(extremes.size());
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(dict.Intern(Value{i + 1} << 20), base + i);
+  }
+  ASSERT_EQ(dict.size(), static_cast<std::size_t>(base + kN));
+  for (std::size_t i = 0; i < extremes.size(); ++i) {
+    EXPECT_EQ(dict.CodeOf(extremes[i]), i);
+    EXPECT_EQ(dict.ValueOf(static_cast<std::uint32_t>(i)), extremes[i]);
+  }
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(dict.CodeOf(Value{i + 1} << 20), base + i);
+    ASSERT_EQ(dict.ValueOf(base + i), Value{i + 1} << 20);
+  }
+  // Absent values, after growth, are still kNoCode and mint nothing.
+  EXPECT_EQ(dict.CodeOf(1), ValueDictionary::kNoCode);
+  EXPECT_EQ(dict.CodeOf((Value{kN} + 1) << 20), ValueDictionary::kNoCode);
+  EXPECT_EQ(dict.CodeOf(std::numeric_limits<Value>::max() - 1),
+            ValueDictionary::kNoCode);
+  EXPECT_EQ(dict.size(), static_cast<std::size_t>(base + kN));
 }
 
 // --- ColumnStore round trips ----------------------------------------------

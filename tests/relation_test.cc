@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "cq/parser.h"
 #include "relation/database.h"
 #include "relation/evaluate.h"
@@ -185,6 +188,48 @@ TEST(ValuePoolTest, InternStable) {
   EXPECT_EQ(pool.Intern("alpha"), a);
   EXPECT_EQ(pool.Spelling(a), "alpha");
   EXPECT_EQ(pool.Spelling(999), "?999");
+  EXPECT_EQ(pool.Spelling(-1), "?-1");
+  EXPECT_EQ(pool.SpellingView(b), "beta");
+}
+
+TEST(ValuePoolTest, DenseFirstSeenIdsAcrossGrowth) {
+  // 10^5 distinct spellings take ids 0..n-1 in first-seen order through
+  // many table doublings; re-interning all of them finds every id and
+  // mints none.
+  constexpr int kN = 100000;
+  ValuePool pool;
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(pool.Intern("s" + std::to_string(i)), Value{i});
+  }
+  ASSERT_EQ(pool.size(), static_cast<std::size_t>(kN));
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(pool.Intern("s" + std::to_string(i)), Value{i});
+  }
+  EXPECT_EQ(pool.size(), static_cast<std::size_t>(kN));
+  EXPECT_EQ(pool.Spelling(kN - 1), "s" + std::to_string(kN - 1));
+  EXPECT_EQ(pool.Spelling(kN), "?" + std::to_string(kN));
+}
+
+TEST(ValuePoolTest, EmptyNulAndSliceSpellings) {
+  ValuePool pool;
+  const Value empty = pool.Intern("");
+  EXPECT_EQ(pool.Intern(std::string()), empty);
+  EXPECT_EQ(pool.Spelling(empty), "");
+
+  // An embedded NUL is part of the spelling, not a terminator.
+  const std::string with_nul("a\0b", 3);
+  const Value a_nul_b = pool.Intern(with_nul);
+  const Value a = pool.Intern("a");
+  EXPECT_NE(a_nul_b, a);
+  EXPECT_EQ(pool.Spelling(a_nul_b), with_nul);
+  EXPECT_EQ(pool.Intern(with_nul), a_nul_b);
+
+  // A slice of a larger buffer interns as the equal std::string does.
+  const std::string buffer = "xxalphaxx";
+  const Value from_slice = pool.Intern(std::string_view(buffer).substr(2, 5));
+  EXPECT_EQ(from_slice, pool.Intern(std::string("alpha")));
+  EXPECT_EQ(pool.Spelling(from_slice), "alpha");
+  EXPECT_EQ(pool.size(), 4u);
 }
 
 Database CartesianExample() {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,68 @@ TEST(TextIoTest, HostileSpellingsRoundTrip) {
   auto rendered_again = WriteDatabaseTextToString(again);
   ASSERT_TRUE(rendered_again.ok()) << rendered_again.status();
   EXPECT_EQ(*rendered_again, *rendered);
+}
+
+TEST(TextIoTest, WriterBytesMatchFixedExpectation) {
+  // The exact bytes: relations sorted by name, tuples in insertion order,
+  // unsafe bytes as uppercase %XX, the empty spelling as the bare "%", and
+  // safe spellings verbatim.
+  Database db;
+  ValuePool* pool = db.value_pool();
+  Relation* s = db.AddRelation("S", 1);
+  Relation* r = db.AddRelation("R", 2);
+  r->Insert({pool->Intern("a b"), pool->Intern("")});
+  r->Insert({pool->Intern("50%"), pool->Intern("plain")});
+  s->Insert({pool->Intern("x#y")});
+  s->Insert({pool->Intern(std::string("\x01\x7f", 2))});
+  s->Insert({pool->Intern("-17")});
+  auto rendered = WriteDatabaseTextToString(db);
+  ASSERT_TRUE(rendered.ok()) << rendered.status();
+  EXPECT_EQ(*rendered,
+            "relation R 2\n"
+            "R a%20b %\n"
+            "R 50%25 plain\n"
+            "relation S 1\n"
+            "S x%23y\n"
+            "S %01%7F\n"
+            "S -17\n");
+}
+
+TEST(TextIoTest, StreamReadSpansManyChunksWithLineNumbers) {
+  // ReadDatabaseText slurps its stream in chunks: an input several chunks
+  // long must load exactly as the same text handed over as a string, and
+  // an error past the first chunk still names its line.
+  std::string text = "relation E 2\n";
+  constexpr int kRows = 40000;  // ~0.5 MB of text
+  for (int i = 0; i < kRows; ++i) {
+    text += "E v" + std::to_string(i) + " v" + std::to_string(i % 97) + "\n";
+  }
+  Database from_string;
+  ASSERT_TRUE(ReadDatabaseTextFromString(text, &from_string).ok());
+  std::istringstream in(text);
+  Database from_stream;
+  ASSERT_TRUE(ReadDatabaseText(in, &from_stream).ok());
+  EXPECT_EQ(from_stream.Find("E")->size(), static_cast<std::size_t>(kRows));
+  auto a = WriteDatabaseTextToString(from_string);
+  auto b = WriteDatabaseTextToString(from_stream);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(*a, *b);
+
+  std::istringstream bad(text + "E lonely\n");
+  Database rejected;
+  const Status status = ReadDatabaseText(bad, &rejected);
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("line " + std::to_string(kRows + 2) + ":"),
+            std::string::npos)
+      << status;
+  // Nothing is flushed on error.
+  EXPECT_EQ(rejected.Find("E")->size(), 0u);
+
+  // A stream without a buffer reads as empty input.
+  std::istream no_buffer(nullptr);
+  Database empty;
+  EXPECT_TRUE(ReadDatabaseText(no_buffer, &empty).ok());
+  EXPECT_TRUE(empty.relations().empty());
 }
 
 TEST(TextIoTest, WriteRejectsUninternedValueIds) {
