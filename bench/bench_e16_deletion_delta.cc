@@ -21,6 +21,7 @@
 
 #include <deque>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,12 +100,81 @@ EvalContext& ChCtx() {
   return ctx;
 }
 
+/// The isolated delta-pass timers' instance: a 10^5-row dangling chain
+/// R(i,i) for every i < 10^5 and S(i,i) for even i, so half of R dangles.
+/// Each timer owns one, so one timer's growth never reaches another's.
+/// `boolean_q` is the chain query with an empty head: it shares the plan
+/// entry (and so the semi-join state) of the full query, while its
+/// enumeration is a single existence check -- what it times is the pass.
+constexpr int kDanglingRows = 100000;
+
+struct DanglingChain {
+  Query boolean_q;
+  Database db;
+  std::unique_ptr<EvalContext> ctx;
+  /// Keys of the R rows the last rep appended dangling, awaiting support.
+  std::vector<Value> pending;
+  int rep = 0;
+
+  DanglingChain() : boolean_q(ChainQuery()) {
+    boolean_q.SetHead(boolean_q.head_relation(), {});
+    std::vector<Value> r_rows;
+    std::vector<Value> s_rows;
+    for (int i = 0; i < kDanglingRows; ++i) {
+      r_rows.insert(r_rows.end(), {i, i});
+      if (i % 2 == 0) s_rows.insert(s_rows.end(), {i, i});
+    }
+    db.AddRelation("R", 2)->InsertFlat(r_rows, kDanglingRows);
+    db.AddRelation("S", 2)->InsertFlat(s_rows, kDanglingRows / 2);
+    ctx = std::make_unique<EvalContext>(db);
+    EvaluateQuery(ChainQuery(), db, PlanKind::kHybridYannakakis, ctx.get(),
+                  nullptr)
+        .ValueOrDie();
+  }
+
+  /// One δ-row window, appends only so no rep ever compacts: even reps
+  /// append δ fresh dangling R rows, odd reps append the S rows that
+  /// revive them.
+  void Mutate(int delta) {
+    std::vector<Tuple> batch;
+    if (rep++ % 2 == 0) {
+      pending.clear();
+      for (int i = 0; i < delta; ++i) {
+        pending.push_back(FreshVertex());
+        batch.push_back({pending.back(), pending.back()});
+      }
+      db.FindMutable("R")->InsertBatch(batch);
+    } else {
+      for (const Value v : pending) batch.push_back({v, v});
+      db.FindMutable("S")->InsertBatch(batch);
+    }
+  }
+};
+
+DanglingChain& Dangling(int which) {
+  static std::deque<DanglingChain> chains(4);
+  return chains[static_cast<std::size_t>(which)];
+}
+
+/// Mutates chain `which` by a δ-row window and re-reduces it through its
+/// warm context -- the counting delta pass plus the survivor-view upkeep.
+void DeltaPassRep(int which, int delta) {
+  DanglingChain& c = Dangling(which);
+  c.Mutate(delta);
+  EvalStats stats;
+  EvaluateQuery(c.boolean_q, c.db, PlanKind::kHybridYannakakis, c.ctx.get(),
+                &stats)
+      .ValueOrDie();
+  CQB_CHECK(stats.semijoin_delta_pass);
+}
+
 void PrepareTimerFixtures() {
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
       .ValueOrDie();
   EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
                 nullptr)
       .ValueOrDie();
+  for (int which = 0; which < 4; ++which) Dangling(which);
 }
 
 void PrintTables() {
@@ -353,6 +423,26 @@ CQB_BENCH_TIMED("chain10k/remove1+full-reduce", [] {
   }
   EvalContext cold(ChDb());
   EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &cold,
+                nullptr)
+      .ValueOrDie();
+})
+
+// The hybrid's semi-join maintenance alone, at growing window sizes, on
+// the 10^5-row dangling chain: mutate by δ rows, then evaluate the
+// boolean-head copy through the warm context (the counting delta pass,
+// survivor-view upkeep and an existence check; no enumeration).
+CQB_BENCH_TIMED("dangling1e5/delta1-pass", [] { DeltaPassRep(0, 1); })
+CQB_BENCH_TIMED("dangling1e5/delta100-pass", [] { DeltaPassRep(1, 100); })
+CQB_BENCH_TIMED("dangling1e5/delta10000-pass",
+                [] { DeltaPassRep(2, 10000); })
+
+// Contrast: the same 1-row window re-reduced from nothing by a cold
+// context (full pass, survivor and trie builds, existence check).
+CQB_BENCH_TIMED("dangling1e5/delta1-full-reduce", [] {
+  DanglingChain& c = Dangling(3);
+  c.Mutate(1);
+  EvalContext cold(c.db);
+  EvaluateQuery(c.boolean_q, c.db, PlanKind::kHybridYannakakis, &cold,
                 nullptr)
       .ValueOrDie();
 })

@@ -11,6 +11,9 @@
 // Queries use the parser syntax, e.g.
 //   "Q(X,Z) :- R(X,Y), S(Y,Z). key S: 1."
 
+#include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -31,6 +34,13 @@ int Usage() {
       << "usage: cqbounds_cli <analyze|bound|chase|increase|preserve|plan|worstcase>"
          " \"<query>\" [M]\n";
   return 2;
+}
+
+/// Parses all of `arg` as a base-10 int64; false on junk or overflow.
+bool ParseInt64(const char* arg, std::int64_t* out) {
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, *out);
+  return ec == std::errc() && ptr == end && ptr != arg;
 }
 
 }  // namespace
@@ -118,7 +128,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "worstcase") {
-    std::int64_t m = argc > 3 ? std::stoll(argv[3]) : 3;
+    std::int64_t m = 3;
+    if (argc > 3 && !ParseInt64(argv[3], &m)) return Usage();
     Query chased = Chase(q);
     auto bound = ComputeSizeBound(q);
     if (!bound.ok()) {

@@ -6,6 +6,9 @@
 //
 //   $ ./worst_case_db "Q(X,Z) :- R(X,Y), S(Y,Z)." 3
 
+#include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -14,12 +17,27 @@
 #include "cq/parser.h"
 #include "relation/evaluate.h"
 
+namespace {
+
+/// Parses all of `arg` as a base-10 int64; false on junk or overflow.
+bool ParseInt64(const char* arg, std::int64_t* out) {
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, *out);
+  return ec == std::errc() && ptr == end && ptr != arg;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace cqbounds;
 
   std::string text =
       argc > 1 ? argv[1] : "Q(X,Z) :- R(X,Y), S(Y,Z).";
-  std::int64_t m = argc > 2 ? std::stoll(argv[2]) : 3;
+  std::int64_t m = 3;
+  if (argc > 2 && !ParseInt64(argv[2], &m)) {
+    std::cerr << "usage: worst_case_db [\"<query>\"] [M]  (M: an integer)\n";
+    return 2;
+  }
 
   auto parsed = ParseQuery(text);
   if (!parsed.ok()) {

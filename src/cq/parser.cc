@@ -1,6 +1,7 @@
 #include "cq/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <vector>
 
 namespace cqbounds {
@@ -86,7 +87,13 @@ class Parser {
       return Status::ParseError("expected number at offset " +
                                 std::to_string(pos_));
     }
-    return std::stoi(text_.substr(start, pos_ - start));
+    int value = 0;
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, value).ec !=
+        std::errc()) {
+      return Status::ParseError("number out of range at offset " +
+                                std::to_string(start));
+    }
+    return value;
   }
 
   /// relation(var, var, ...) -- interning variables into `query`.

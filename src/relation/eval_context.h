@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,10 +58,11 @@ struct LowWidthProbe {
 ///  2. a **plan tier**: the ProbeLowWidthStructure result (certified width,
 ///     decomposition, binding order) keyed by the *query shape* (atom
 ///     relation names + variable layout), so a warm hybrid run performs
-///     zero TreewidthExact calls. Each plan entry also records the
-///     relation generations observed after a semi-join reduction pass that
-///     dropped nothing, letting EvaluateHybridYannakakis skip the pass
-///     entirely when nothing changed since.
+///     zero TreewidthExact calls. Each plan entry also keeps the state of
+///     its last semi-join reduction pass (SemijoinState), keyed by the
+///     relation generations it observed, so EvaluateHybridYannakakis skips
+///     the pass when nothing changed since and runs it in delta form when
+///     the journal can name what did.
 ///
 /// Invalidation: trie entries snapshot Relation::generation() at build time
 /// and are refreshed (counted as a miss) when the relation mutated since.
@@ -120,21 +120,98 @@ class EvalContext {
  public:
   explicit EvalContext(const Database& db) : db_(&db) {}
 
-  /// Cached outcome of one semi-join reduction pass under a plan: the
-  /// survivor views (per-atom survivor tries for atoms that lost tuples),
-  /// the per-step semi-join key *support counts* plus per-atom
-  /// survivor/dropped row sets (the counting delta pass's working state),
-  /// and the generation vector that keys it all. Maintained by
-  /// EvaluateHybridYannakakis; every field is guarded by CachedPlan's
-  /// `skip_mu`.
+  /// One schedule step's semi-join keys: a flat open-addressing table over
+  /// decoded key tuples of `width` Values each. Keys are values, not
+  /// codes, because the step's source and target atoms read different
+  /// stores (different dictionaries). The layout is the one ColumnStore's
+  /// row index and ValueDictionary use: entries live in dense arrays (keys
+  /// inline in one arena), and a power-of-two slot table of entry indices
+  /// (load factor below 1/2, linear probing) finds them -- no per-key heap
+  /// node.
+  ///
+  /// Each entry carries the key's *support count* (how many of the source
+  /// atom's rows alive at this step project onto it) and the head of an
+  /// intrusive *chain* through the target atom's rows carrying the key:
+  /// `next_row(row)` continues the chain, so a key's target rows are found
+  /// without scanning the target. An entry outlives its support: a key at
+  /// count zero stays in the table, because its chain still names the
+  /// target rows the step dropped for lacking it.
+  class StepKeys {
+   public:
+    /// End-of-chain marker and "no such entry" result.
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+    /// Empties the table, sets the key width (>= 1), and sizes it for
+    /// `expected_keys` keys chained through target rows [0, target_rows)
+    /// without regrowing. Keeps the buffers' capacity.
+    void Reset(std::size_t width, std::size_t expected_keys,
+               std::size_t target_rows);
+    std::size_t width() const { return width_; }
+    /// Number of distinct keys ever inserted since the last Reset.
+    std::size_t size() const { return counts_.size(); }
+
+    /// Entry holding `key` (`width()` values), or kNone.
+    std::uint32_t Find(const Value* key) const;
+    /// Entry holding `key`, inserted with count zero and an empty chain
+    /// when new.
+    std::uint32_t FindOrInsert(const Value* key);
+
+    std::uint32_t& count(std::uint32_t entry) { return counts_[entry]; }
+    std::uint32_t count(std::uint32_t entry) const { return counts_[entry]; }
+
+    /// Prepends target row `row` to `entry`'s chain. A row is linked at
+    /// most once per Reset.
+    void Link(std::uint32_t entry, std::uint32_t row);
+    /// First row of `entry`'s chain, or kNone.
+    std::uint32_t head(std::uint32_t entry) const { return heads_[entry]; }
+    /// The row after `row` in its chain, or kNone.
+    std::uint32_t next_row(std::uint32_t row) const { return next_[row]; }
+
+   private:
+    /// Slot holding `key`'s entry, or the empty slot where it would go.
+    /// Requires a prior Reset (which allocates the slot table).
+    std::size_t ProbeSlot(const Value* key) const;
+    /// Resizes the slot table to `capacity` (a power of two) and
+    /// re-inserts every entry.
+    void Rehash(std::size_t capacity);
+
+    std::size_t width_ = 0;
+    /// Entry e's key is keys_[e * width_, (e + 1) * width_).
+    std::vector<Value> keys_;
+    std::vector<std::uint32_t> counts_;
+    std::vector<std::uint32_t> heads_;
+    /// slot -> entry, kNone when free.
+    std::vector<std::uint32_t> slots_;
+    /// Target row -> next row of its chain (kNone ends it), indexed by
+    /// physical row id of the target's store.
+    std::vector<std::uint32_t> next_;
+  };
+
+  /// Cached outcome of one semi-join reduction pass under a plan -- the
+  /// working state of the counting delta pass -- keyed by the generation
+  /// vector it was computed at. Maintained by EvaluateHybridYannakakis;
+  /// every field is guarded by CachedPlan's `skip_mu`.
+  ///
+  /// Cost model: a full pass reads every live self-consistent row's key
+  /// once per schedule step it takes part in. A delta pass reads the keys
+  /// of the delta's rows, then walks only the chains of keys whose support
+  /// crossed zero; every per-row book it consults is an array read. Its
+  /// work is O(delta + rows sharing a changed key), never a scan of an
+  /// atom (EvalStats::semijoin_rows_visited counts it).
   struct SemijoinState {
+    /// drop_step value of a row that survived every step.
+    static constexpr std::uint32_t kSurvives = 0xFFFFFFFFu;
+    /// drop_step value of a row the pass does not track: tombstoned, or
+    /// failing the atom's repeated-variable filter.
+    static constexpr std::uint32_t kAbsent = 0xFFFFFFFEu;
+
     /// Atom i's relation generation observed when this state was computed
     /// -- the survivor-view cache key. A run whose generation vector
     /// matches reuses the survivor views outright (skipping the pass); a
     /// partial bump invalidates (delta pass or full re-pass).
     std::vector<std::uint64_t> generations;
     /// Per atom: true iff every live tuple of its relation survived the
-    /// pass (no drops on record for that atom).
+    /// pass (dangling[i] == 0).
     std::vector<bool> all_survive;
     /// Per atom with !all_survive[i]: the survivor trie (the zero-copy
     /// filtered view, already keyed by the plan's layout for that atom);
@@ -143,23 +220,22 @@ class EvalContext {
     /// never the pointee.
     std::vector<std::shared_ptr<const TrieIndex>> survivor_tries;
     /// Per schedule step (the deterministic up+down filter order derived
-    /// from the decomposition): how many of the source atom's surviving
-    /// rows project onto each semi-join key. Counts -- not sets -- are what
-    /// make removals O(delta): a source row leaving decrements its key, a
-    /// key hitting zero kills dependent target tuples, and a key coming
-    /// back from zero *revives* target tuples dropped at exactly that step,
-    /// all without re-scanning the database. Populated by every full pass
-    /// and maintained by every delta pass, clean or dirty.
-    std::vector<std::unordered_map<Tuple, std::uint32_t, TupleHash>>
-        step_counts;
-    /// Per atom: the surviving row ids, sorted ascending. The delta pass
-    /// edits this row set in place (merge appends, drop kills) and
-    /// re-derives the survivor trie from the old one.
-    std::vector<std::vector<std::uint32_t>> survivors;
-    /// Per atom: rows the pass dropped, as (row id, first schedule step
-    /// whose key set rejected it), sorted by row id. The recorded step is
-    /// what lets a key-reappearance revive exactly the rows it dangled.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> dropped;
+    /// from the decomposition): the step's key table with support counts
+    /// and per-key chains through the target atom's rows. Counts -- not
+    /// sets -- make removals O(delta): a source row leaving decrements its
+    /// key, a key hitting zero kills the target rows on its chain, and a
+    /// key coming back from zero *revives* the chain's rows dropped at
+    /// exactly this step. Every self-consistent target row present at the
+    /// last full pass or appended since sits on its key's chain, whatever
+    /// its fate; removed rows stay linked until the next compaction (which
+    /// forces a full pass) and are filtered out by their kAbsent drop step.
+    std::vector<StepKeys> steps;
+    /// Per atom, per physical row of its store: the first schedule step
+    /// that dropped the row, kSurvives, or kAbsent. Rows appended after
+    /// the state was computed lie past the end.
+    std::vector<std::vector<std::uint32_t>> drop_step;
+    /// Per atom: how many rows carry a drop step (the dangling census).
+    std::vector<std::size_t> dangling;
   };
 
   /// One plan-tier entry. `probe` is filled exactly once (concurrent
@@ -211,9 +287,8 @@ class EvalContext {
   /// in `stats->treewidth_probe_runs` of whichever caller executed it).
   /// Warm calls are a keyed map lookup under a short lock: zero graph
   /// builds, zero treewidth probes. The returned reference stays valid
-  /// until Clear() or context destruction; only its skip state
-  /// (reduction_clean / clean_generations, under skip_mu) may be updated in
-  /// place by the hybrid executor.
+  /// until Clear() or context destruction; only its semi-join state
+  /// (under skip_mu) may be updated in place by the hybrid executor.
   CachedPlan& GetPlan(const Query& query, EvalStats* stats);
 
   /// True iff `rel` is the attached database's relation of that name (the

@@ -470,7 +470,6 @@ struct ReductionAtom {
   int depth = 0;             // BFS depth of `bag` in the bag tree
   const ColumnStore* store = nullptr;  // backing store of the rows below
   std::vector<std::uint32_t> rows;     // surviving row ids
-  std::size_t initial = 0;   // survivor count before any semi-join
 };
 
 /// The cheap (tuple-free) part of survivor construction: variable layout
@@ -582,8 +581,8 @@ struct FilterStep {
 /// the alpha-acyclic shape Yannakakis 1981 targets). Pairs sharing no
 /// variable are omitted (provable no-ops). Depends only on the plan (query
 /// shape + certified decomposition), never on data, which is what lets the
-/// delta pass cache one key set per step and replay the schedule over just
-/// the appended tuples.
+/// delta pass cache one key table per step and replay the schedule over
+/// just the changed rows.
 std::vector<FilterStep> BuildFilterSchedule(
     const std::vector<ReductionAtom>& atoms) {
   std::vector<std::size_t> up_order;
@@ -627,65 +626,247 @@ std::vector<FilterStep> BuildFilterSchedule(
   return steps;
 }
 
-/// "Never dropped" sentinel for the semi-join books: a drop step larger
-/// than any schedule index.
-constexpr std::uint32_t kNoDrop = 0xFFFFFFFFu;
+using SemijoinState = EvalContext::SemijoinState;
+using StepKeys = EvalContext::StepKeys;
+constexpr std::uint32_t kSurvives = SemijoinState::kSurvives;
+constexpr std::uint32_t kAbsent = SemijoinState::kAbsent;
 
-/// Executes the full reduction pass over `atoms` (whose survivor row lists
-/// must hold every live self-consistent row, with `store` set). When
-/// `counts` and `drops` are non-null they receive, per step, the source
-/// atom's semi-join key *support counts* as of that step and, per atom,
-/// the (row, first-dropping-step) events sorted by row -- exactly the
-/// books the counting delta pass adjusts later, so the key maps the pass
-/// builds anyway are persisted instead of discarded. Keys are decoded
-/// values, not codes: source and target live in different stores, so only
-/// values compare across atoms.
-void RunFullPass(
-    const std::vector<FilterStep>& steps, std::vector<ReductionAtom>* atoms,
-    std::vector<std::unordered_map<Tuple, std::uint32_t, TupleHash>>* counts,
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>* drops) {
-  if (counts != nullptr) {
-    counts->clear();
-    counts->resize(steps.size());
+/// Reads row `row`'s values at `positions` into `key`.
+void LoadKey(const ColumnStore& store, std::uint32_t row,
+             const std::vector<int>& positions, Value* key) {
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    key[i] = store.ValueAt(row, positions[i]);
   }
-  if (drops != nullptr) {
-    drops->clear();
-    drops->resize(atoms->size());
+}
+
+/// Executes the full reduction pass over `atoms` (whose row lists must
+/// hold every live self-consistent row in ascending order, with `store`
+/// set) and fills `state`'s books from scratch: per step, the key table
+/// holding the support counts of the source rows alive at that step, with
+/// every target row linked on its key's chain; per atom, each row's drop
+/// step and the dangling count. `state` may hold an earlier pass's books:
+/// they are overwritten in place, reusing their buffers. On return each
+/// atom's row list holds its survivors. Adds one to `*rows_visited` per
+/// row key read.
+void RunFullPass(const std::vector<FilterStep>& steps,
+                 std::vector<ReductionAtom>* atoms, SemijoinState* state,
+                 std::size_t* rows_visited) {
+  const std::size_t m = atoms->size();
+  state->drop_step.resize(m);
+  state->dangling.assign(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const ReductionAtom& a = (*atoms)[i];
+    std::vector<std::uint32_t>& drop = state->drop_step[i];
+    drop.assign(a.store->size(), kAbsent);
+    for (const std::uint32_t row : a.rows) drop[row] = kSurvives;
   }
+  state->steps.resize(steps.size());
+  std::vector<Value> key;
   for (std::size_t s = 0; s < steps.size(); ++s) {
     const FilterStep& step = steps[s];
-    ReductionAtom& source = (*atoms)[step.source];
-    ReductionAtom& target = (*atoms)[step.target];
-    if (counts == nullptr && target.rows.empty()) continue;
-
-    std::unordered_map<Tuple, std::uint32_t, TupleHash> local_keys;
-    std::unordered_map<Tuple, std::uint32_t, TupleHash>& keys =
-        counts != nullptr ? (*counts)[s] : local_keys;
-    Tuple key(step.src_pos.size());
+    const ReductionAtom& source = (*atoms)[step.source];
+    const ReductionAtom& target = (*atoms)[step.target];
+    StepKeys& keys = state->steps[s];
+    // Source and target keys overlap in a useful join, so the larger side
+    // bounds the key count closely enough to size the table once.
+    keys.Reset(step.src_pos.size(),
+               std::max(source.rows.size(), target.rows.size()),
+               target.store->size());
+    key.resize(keys.width());
+    // A source row dropped at an earlier step already carries that step.
+    const std::vector<std::uint32_t>& src_drop = state->drop_step[step.source];
     for (const std::uint32_t row : source.rows) {
-      for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
-        key[i] = source.store->ValueAt(row, step.src_pos[i]);
-      }
-      ++keys[key];
+      if (src_drop[row] != kSurvives) continue;
+      LoadKey(*source.store, row, step.src_pos, key.data());
+      ++keys.count(keys.FindOrInsert(key.data()));
+      ++*rows_visited;
     }
-    if (target.rows.empty()) continue;
-    std::vector<std::uint32_t> kept;
-    kept.reserve(target.rows.size());
+    // Every target row joins its key's chain, dropped or not: a later
+    // delta pass may revive it here after an earlier step re-admits it.
+    std::vector<std::uint32_t>& tgt_drop = state->drop_step[step.target];
     for (const std::uint32_t row : target.rows) {
-      for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-        key[i] = target.store->ValueAt(row, step.tgt_pos[i]);
-      }
-      if (keys.count(key)) {
-        kept.push_back(row);
-      } else if (drops != nullptr) {
-        (*drops)[step.target].emplace_back(row, static_cast<std::uint32_t>(s));
+      LoadKey(*target.store, row, step.tgt_pos, key.data());
+      const std::uint32_t entry = keys.FindOrInsert(key.data());
+      keys.Link(entry, row);
+      if (tgt_drop[row] == kSurvives && keys.count(entry) == 0) {
+        tgt_drop[row] = static_cast<std::uint32_t>(s);
       }
     }
-    target.rows = std::move(kept);
+    *rows_visited += target.rows.size();
   }
-  if (drops != nullptr) {
-    for (auto& d : *drops) std::sort(d.begin(), d.end());
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<std::uint32_t>& rows = (*atoms)[i].rows;
+    const std::vector<std::uint32_t>& drop = state->drop_step[i];
+    const std::size_t initial = rows.size();
+    rows.erase(std::remove_if(rows.begin(), rows.end(),
+                              [&drop](std::uint32_t row) {
+                                return drop[row] != kSurvives;
+                              }),
+               rows.end());
+    state->dangling[i] = initial - rows.size();
   }
+}
+
+/// A row whose reduction fate may differ from the cached books during a
+/// delta pass: appended, removed, killed, or revived. Every untracked row
+/// provably keeps its recorded fate.
+struct TrackedRow {
+  std::uint32_t row;
+  bool present_new;        // live in the new relation state
+  bool appended;           // arrived in this delta window
+  std::uint32_t old_drop;  // recorded drop step; kSurvives if it survived
+                           // (or just arrived)
+  std::uint32_t new_drop;  // new pass's first drop step so far
+};
+
+/// One atom's tracked rows, in tracking order, with a row -> index map.
+struct TrackedRows {
+  std::vector<TrackedRow> rows;
+  std::unordered_map<std::uint32_t, std::size_t> index;
+
+  bool Contains(std::uint32_t row) const { return index.count(row) != 0; }
+  void Add(const TrackedRow& t) {
+    index.emplace(t.row, rows.size());
+    rows.push_back(t);
+  }
+};
+
+/// The counting delta pass: extends `state` (computed at an earlier
+/// generation vector) by each atom's mutation window `deltas[i]`, leaving
+/// `state`'s books for the caller to settle from the returned tracked
+/// rows. Per step it adjusts the support counts by the tracked source rows
+/// whose aliveness at that step changed, then propagates only the *net*
+/// key transitions: a key newly at support zero kills the target rows on
+/// its chain that were alive at this step, a key back from zero revives
+/// the chain's rows this step dropped, and appended or revived rows meet
+/// each later step individually. Kills and revivals cascade (a changed row
+/// is tracked, so it re-enters phase one wherever its atom is a source),
+/// and the resulting fates are identical to a from-scratch pass. Appended
+/// rows are linked on their keys' chains here. Adds the delta size to
+/// `stats->delta_tuples_processed` and the rows whose key it read or whose
+/// chain link it followed to `stats->semijoin_rows_visited`.
+std::vector<TrackedRows> RunDeltaPass(
+    const std::vector<FilterStep>& schedule,
+    const std::vector<ReductionAtom>& atoms,
+    const std::vector<const Relation*>& rels,
+    const std::vector<Relation::DeltaSet>& deltas, SemijoinState* state,
+    EvalStats* stats) {
+  const std::size_t m = atoms.size();
+  std::vector<TrackedRows> tracked(m);
+  std::vector<Value> key;
+  for (std::size_t i = 0; i < m; ++i) {
+    const ColumnStore& store = rels[i]->store();
+    std::vector<std::uint32_t>& drop = state->drop_step[i];
+    // Rows appended since the state was computed lie past the book's end.
+    drop.resize(store.size(), kAbsent);
+    stats->delta_tuples_processed +=
+        deltas[i].appended_rows.size() + deltas[i].removed_rows.size();
+    for (const std::uint32_t row : deltas[i].appended_rows) {
+      if (!SelfConsistent(atoms[i], store, row)) continue;
+      tracked[i].Add(TrackedRow{row, true, true, kSurvives, kSurvives});
+      for (std::size_t s = 0; s < schedule.size(); ++s) {
+        if (schedule[s].target != i) continue;
+        StepKeys& keys = state->steps[s];
+        key.resize(keys.width());
+        LoadKey(store, row, schedule[s].tgt_pos, key.data());
+        keys.Link(keys.FindOrInsert(key.data()), row);
+        ++stats->semijoin_rows_visited;
+      }
+    }
+    for (const std::uint32_t row : deltas[i].removed_rows) {
+      // Rows the base pass never saw (the repeated-variable filter) leave
+      // no books to balance. Their tombstoned columns stay readable until
+      // compaction, which DeltasSince already ruled out.
+      if (!SelfConsistent(atoms[i], store, row)) continue;
+      tracked[i].Add(TrackedRow{row, false, false, drop[row], kSurvives});
+    }
+  }
+
+  // (entry, support before its first adjustment this step)
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> touched;
+  std::vector<std::uint32_t> vanished;
+  std::vector<std::uint32_t> returned;
+  for (std::size_t s = 0; s < schedule.size(); ++s) {
+    const FilterStep& step = schedule[s];
+    StepKeys& keys = state->steps[s];
+    key.resize(keys.width());
+    const ColumnStore& src_store = rels[step.source]->store();
+    const ColumnStore& tgt_store = rels[step.target]->store();
+    const auto s32 = static_cast<std::uint32_t>(s);
+    // Phase 1: adjust this step's support counts by every tracked source
+    // row whose aliveness at this step changed.
+    touched.clear();
+    for (const TrackedRow& t : tracked[step.source].rows) {
+      const bool c_old = !t.appended && t.old_drop > s32;
+      const bool c_new = t.present_new && t.new_drop > s32;
+      if (c_old == c_new) continue;
+      LoadKey(src_store, t.row, step.src_pos, key.data());
+      ++stats->semijoin_rows_visited;
+      const std::uint32_t entry = keys.FindOrInsert(key.data());
+      touched.emplace_back(entry, keys.count(entry));
+      if (c_new) {
+        ++keys.count(entry);
+      } else {
+        CQB_CHECK(keys.count(entry) > 0);
+        --keys.count(entry);
+      }
+    }
+    // Phase 2: net key transitions. Only 0 -> + and + -> 0 matter; a key
+    // removed and re-added within one window nets out, so no kill/revive
+    // cascade fires for it.
+    std::stable_sort(touched.begin(), touched.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    vanished.clear();
+    returned.clear();
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      const auto [entry, before] = touched[k];
+      if (k > 0 && touched[k - 1].first == entry) continue;
+      const std::uint32_t now = keys.count(entry);
+      if (before == 0 && now > 0) returned.push_back(entry);
+      if (before > 0 && now == 0) vanished.push_back(entry);
+    }
+    TrackedRows& target = tracked[step.target];
+    const std::vector<std::uint32_t>& tgt_drop = state->drop_step[step.target];
+    // Phase 3: kills. A vanished key strands every chained target row that
+    // was leaning on it (alive at this step in the old pass); rows already
+    // tracked settle their fate in the re-check below.
+    for (const std::uint32_t entry : vanished) {
+      for (std::uint32_t row = keys.head(entry); row != StepKeys::kNone;
+           row = keys.next_row(row)) {
+        ++stats->semijoin_rows_visited;
+        const std::uint32_t d = tgt_drop[row];
+        if (d == kAbsent || d <= s32 || target.Contains(row)) continue;
+        target.Add(TrackedRow{row, true, false, d, s32});
+      }
+    }
+    // Phase 4: revivals. A key back from zero re-admits exactly the
+    // chained rows this step dropped for lacking it; later steps then
+    // judge them individually.
+    for (const std::uint32_t entry : returned) {
+      for (std::uint32_t row = keys.head(entry); row != StepKeys::kNone;
+           row = keys.next_row(row)) {
+        ++stats->semijoin_rows_visited;
+        if (tgt_drop[row] != s32 || target.Contains(row)) continue;
+        target.Add(TrackedRow{row, true, false, s32, kSurvives});
+      }
+    }
+    // Phase 5: individual re-checks against the settled counts --
+    // appended rows meet each step for the first time, and tracked rows
+    // past their old drop step have no recorded fate to reuse.
+    for (TrackedRow& t : target.rows) {
+      if (!t.present_new || t.new_drop != kSurvives) continue;
+      if (!t.appended && t.old_drop > s32) continue;
+      LoadKey(tgt_store, t.row, step.tgt_pos, key.data());
+      ++stats->semijoin_rows_visited;
+      const std::uint32_t entry = keys.Find(key.data());
+      if (entry == StepKeys::kNone || keys.count(entry) == 0) {
+        t.new_drop = s32;
+      }
+    }
+  }
+  return tracked;
 }
 
 /// Variable-intersection graph of `query` (the Gaifman graph of the
@@ -834,6 +1015,38 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
       atoms.push_back(MakeReductionAtom(atom));
     }
 
+    // Full pass: collect every atom's live self-consistent rows, run the
+    // schedule into `state`'s books, and build a survivor trie for each
+    // atom that lost rows.
+    auto run_full_pass = [&](const std::vector<FilterStep>& schedule,
+                             SemijoinState* state) {
+      for (std::size_t i = 0; i < m; ++i) {
+        atoms[i].store = &rels[i]->store();
+        atoms[i].rows.reserve(rels[i]->size());
+        CollectSelfConsistent(atoms[i], rels[i]->store(), 0,
+                              &atoms[i].rows);
+      }
+      RunFullPass(schedule, &atoms, state, &local.semijoin_rows_visited);
+      local.semijoin_pass_ran = true;
+      state->generations.clear();
+      for (const Relation* rel : rels) {
+        state->generations.push_back(rel->generation());
+      }
+      state->all_survive.assign(m, true);
+      state->survivor_tries.assign(m, nullptr);
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t dropped = state->dangling[i];
+        if (dropped == 0) continue;  // full-relation trie stays usable
+        local.semijoin_dropped_tuples += dropped;
+        local.semijoin_dangling_tuples += dropped;
+        state->all_survive[i] = false;
+        RowView view(atoms[i].store);
+        view.rows = std::move(atoms[i].rows);
+        state->survivor_tries[i] = build_survivor_trie(i, view);
+        overrides[i] = state->survivor_tries[i];
+      }
+    };
+
     if (plan != nullptr) {
       // Delta-aware path. The whole decision (reuse / delta / full) and
       // any pass run under the plan's mutex: concurrent post-mutation
@@ -843,7 +1056,7 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
       // overlap evaluations (the context's readers-xor-writer contract),
       // so the generation vector cannot move underneath the pass.
       MutexLock lock(plan->skip_mu);
-      EvalContext::SemijoinState* state = plan->semijoin.get();
+      SemijoinState* state = plan->semijoin.get();
       bool gens_match =
           state != nullptr && state->generations.size() == m;
       if (gens_match) {
@@ -861,9 +1074,7 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
         // survivor tries; the rest go through the trie tier as usual.
         local.semijoin_pass_skipped = true;
         for (std::size_t i = 0; i < m; ++i) {
-          if (i < state->dropped.size()) {
-            local.semijoin_dangling_tuples += state->dropped[i].size();
-          }
+          local.semijoin_dangling_tuples += state->dangling[i];
           if (state->survivor_tries[i] != nullptr) {
             overrides[i] = state->survivor_tries[i];
             ++local.survivor_view_hits;
@@ -876,24 +1087,14 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
         plan->semijoin.reset();
       } else {
         const std::vector<FilterStep> schedule = BuildFilterSchedule(atoms);
-        // The counting delta pass extends any cached state -- clean or
-        // dirty -- whose per-atom mutation window the journal can still
-        // name both sides of (Relation::DeltasSince). Per step it adjusts
-        // the cached key support counts by the rows entering or leaving
-        // the source atom, then propagates only the *net* key transitions:
-        // a key newly at support zero kills the target tuples leaning on
-        // it, a key back from zero *revives* exactly the tuples this step
-        // dropped for lacking it, and appended or revived tuples meet each
-        // later step individually. Kills and revivals cascade (a changed
-        // row is tracked, so it re-enters phase one wherever its atom is a
-        // source), and the resulting survivor sets are identical to a
-        // from-scratch pass. Cost is O(delta . index work) plus one
-        // target-atom scan per step whose key set lost a member.
+        // The counting delta pass (RunDeltaPass) extends any cached state
+        // -- clean or dirty -- whose per-atom mutation window the journal
+        // can still name both sides of (Relation::DeltasSince); a Clear or
+        // a compaction since forces the full pass.
         std::vector<Relation::DeltaSet> deltas(m);
         bool delta_ok = state != nullptr && state->generations.size() == m &&
-                        state->step_counts.size() == schedule.size() &&
-                        state->survivors.size() == m &&
-                        state->dropped.size() == m;
+                        state->steps.size() == schedule.size() &&
+                        state->drop_step.size() == m;
         if (delta_ok) {
           for (std::size_t i = 0; i < m; ++i) {
             if (!rels[i]->DeltasSince(state->generations[i], &deltas[i])) {
@@ -903,238 +1104,48 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
           }
         }
         if (delta_ok) {
-          // A tracked row is one whose reduction fate may differ from the
-          // cached books: appended, removed, killed, or revived. Everything
-          // untracked provably keeps its old fate.
-          struct TrackedRow {
-            std::uint32_t row;
-            bool present_new;        // live in the new relation state
-            bool appended;           // arrived in this delta window
-            std::uint32_t old_drop;  // old pass's first drop step, kNoDrop
-                                     // if it survived (or just arrived)
-            std::uint32_t new_drop;  // new pass's first drop step so far
-          };
-          std::vector<std::vector<TrackedRow>> tracked(m);
-          std::vector<std::unordered_map<std::uint32_t, std::size_t>>
-              tracked_idx(m);
-          auto track = [&tracked, &tracked_idx](std::size_t atom,
-                                                TrackedRow t) {
-            tracked_idx[atom].emplace(t.row, tracked[atom].size());
-            tracked[atom].push_back(t);
-          };
-          auto old_drop_of = [state](std::size_t atom, std::uint32_t row) {
-            const auto& book = state->dropped[atom];
-            auto it = std::lower_bound(
-                book.begin(), book.end(), row,
-                [](const std::pair<std::uint32_t, std::uint32_t>& d,
-                   std::uint32_t r) { return d.first < r; });
-            return (it != book.end() && it->first == row) ? it->second
-                                                          : kNoDrop;
-          };
-          for (std::size_t i = 0; i < m; ++i) {
-            const ColumnStore& store = rels[i]->store();
-            local.delta_tuples_processed +=
-                deltas[i].appended_rows.size() + deltas[i].removed_rows.size();
-            for (const std::uint32_t row : deltas[i].appended_rows) {
-              if (!SelfConsistent(atoms[i], store, row)) continue;
-              track(i, TrackedRow{row, true, true, kNoDrop, kNoDrop});
-            }
-            for (const std::uint32_t row : deltas[i].removed_rows) {
-              // Rows the base pass never saw (the repeated-variable
-              // filter) leave no books to balance. Their tombstoned
-              // columns stay readable until compaction, which DeltasSince
-              // already ruled out.
-              if (!SelfConsistent(atoms[i], store, row)) continue;
-              track(i,
-                    TrackedRow{row, false, false, old_drop_of(i, row),
-                               kNoDrop});
-            }
-          }
-
-          Tuple key;
-          std::unordered_map<Tuple, std::uint32_t, TupleHash> old_at_key;
-          std::unordered_set<Tuple, TupleHash> new_keys;
-          std::unordered_set<Tuple, TupleHash> vanished;
-          for (std::size_t s = 0; s < schedule.size(); ++s) {
-            const FilterStep& step = schedule[s];
-            auto& counts = state->step_counts[s];
-            const ColumnStore& src_store = rels[step.source]->store();
-            const ColumnStore& tgt_store = rels[step.target]->store();
-            const std::uint32_t s32 = static_cast<std::uint32_t>(s);
-            // Phase 1: adjust this step's support counts by every tracked
-            // source row whose aliveness-at-this-step changed, snapshotting
-            // each touched key's pre-step count.
-            key.assign(step.src_pos.size(), 0);
-            old_at_key.clear();
-            for (const TrackedRow& t : tracked[step.source]) {
-              const bool c_old = !t.appended && t.old_drop > s32;
-              const bool c_new = t.present_new && t.new_drop > s32;
-              if (c_old == c_new) continue;
-              for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
-                key[i] = src_store.ValueAt(t.row, step.src_pos[i]);
-              }
-              auto cit = counts.find(key);
-              old_at_key.emplace(key,
-                                 cit != counts.end() ? cit->second : 0u);
-              if (c_new) {
-                ++counts[key];
-              } else {
-                CQB_CHECK(cit != counts.end() && cit->second > 0);
-                --cit->second;
-              }
-            }
-            // Phase 2: net key transitions. Only 0 -> + and + -> 0 matter;
-            // a key removed and re-added within one window nets out, so no
-            // kill/revive cascade fires for it.
-            new_keys.clear();
-            vanished.clear();
-            for (const auto& entry : old_at_key) {
-              auto cit = counts.find(entry.first);
-              const std::uint32_t newc =
-                  cit != counts.end() ? cit->second : 0u;
-              if (entry.second == 0 && newc > 0) new_keys.insert(entry.first);
-              if (entry.second > 0 && newc == 0) {
-                vanished.insert(entry.first);
-                counts.erase(cit);
-              }
-            }
-            key.assign(step.tgt_pos.size(), 0);
-            // Phase 3: kills. A vanished key strands every target row that
-            // was leaning on it (alive at this step in the old pass); rows
-            // already tracked settle their fate in the re-check below.
-            if (!vanished.empty()) {
-              auto maybe_kill = [&](std::uint32_t row,
-                                    std::uint32_t old_drop) {
-                if (tracked_idx[step.target].count(row)) return;
-                for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-                  key[i] = tgt_store.ValueAt(row, step.tgt_pos[i]);
-                }
-                if (!vanished.count(key)) return;
-                track(step.target, TrackedRow{row, true, false, old_drop, s32});
-              };
-              for (const std::uint32_t row : state->survivors[step.target]) {
-                maybe_kill(row, kNoDrop);
-              }
-              for (const auto& d : state->dropped[step.target]) {
-                if (d.second > s32) maybe_kill(d.first, d.second);
-              }
-            }
-            // Phase 4: revivals. A key back from zero re-admits exactly the
-            // rows this step dropped for lacking it; later steps then judge
-            // them individually.
-            if (!new_keys.empty()) {
-              for (const auto& d : state->dropped[step.target]) {
-                if (d.second != s32) continue;
-                if (tracked_idx[step.target].count(d.first)) continue;
-                for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-                  key[i] = tgt_store.ValueAt(d.first, step.tgt_pos[i]);
-                }
-                if (!new_keys.count(key)) continue;
-                track(step.target,
-                      TrackedRow{d.first, true, false, s32, kNoDrop});
-              }
-            }
-            // Phase 5: individual re-checks against the settled counts --
-            // appended rows meet each step for the first time, and tracked
-            // rows past their old drop step have no recorded fate to reuse.
-            for (TrackedRow& t : tracked[step.target]) {
-              if (!t.present_new || t.new_drop != kNoDrop) continue;
-              if (!t.appended && t.old_drop > s32) continue;
-              for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-                key[i] = tgt_store.ValueAt(t.row, step.tgt_pos[i]);
-              }
-              if (!counts.count(key)) t.new_drop = s32;
-            }
-          }
-
+          const std::vector<TrackedRows> tracked =
+              RunDeltaPass(schedule, atoms, rels, deltas, state, &local);
           local.semijoin_pass_ran = true;
           local.semijoin_delta_pass = true;
           for (std::size_t i = 0; i < m; ++i) {
             state->generations[i] = rels[i]->generation();
-            if (tracked[i].empty()) {
+            if (tracked[i].rows.empty()) {
               if (state->survivor_tries[i] != nullptr) {
                 overrides[i] = state->survivor_tries[i];
               }
-              local.semijoin_dangling_tuples += state->dropped[i].size();
+              local.semijoin_dangling_tuples += state->dangling[i];
               continue;
             }
-            // Stats plus the survivor-set delta (rows entering/leaving the
-            // view), which feeds both the row-set merge and the survivor
-            // trie unpatch.
+            // Settle each tracked row's drop step and the dangling count,
+            // and collect the survivor-set delta (rows entering/leaving
+            // the view) that feeds the survivor trie unpatch.
             RowView added(&rels[i]->store());
             RowView gone(&rels[i]->store());
-            for (const TrackedRow& t : tracked[i]) {
-              const bool now_in = t.present_new && t.new_drop == kNoDrop;
-              const bool was_in = !t.appended && t.old_drop == kNoDrop;
+            std::vector<std::uint32_t>& drop = state->drop_step[i];
+            std::size_t& dangling = state->dangling[i];
+            for (const TrackedRow& t : tracked[i].rows) {
+              const bool now_in = t.present_new && t.new_drop == kSurvives;
+              const bool was_in = !t.appended && t.old_drop == kSurvives;
+              const bool now_dangling = t.present_new && !now_in;
+              const bool was_dangling = !t.appended && !was_in;
               if (now_in && !was_in) added.rows.push_back(t.row);
               if (was_in && !now_in) gone.rows.push_back(t.row);
               if (!t.appended && t.present_new) {
-                if (t.old_drop != kNoDrop && t.new_drop == kNoDrop) {
-                  ++local.semijoin_revived_tuples;
-                }
-                if (t.old_drop == kNoDrop && t.new_drop != kNoDrop) {
-                  ++local.semijoin_killed_tuples;
-                }
+                if (was_dangling && now_in) ++local.semijoin_revived_tuples;
+                if (was_in && now_dangling) ++local.semijoin_killed_tuples;
               }
-              if (t.present_new && t.new_drop != kNoDrop &&
-                  (t.appended || t.old_drop == kNoDrop)) {
+              if (now_dangling && !was_dangling) {
                 ++local.semijoin_dropped_tuples;
               }
+              dangling = dangling + now_dangling - was_dangling;
+              drop[t.row] = t.present_new ? t.new_drop : kAbsent;
             }
+            state->all_survive[i] = dangling == 0;
+            local.semijoin_dangling_tuples += dangling;
             std::sort(added.rows.begin(), added.rows.end());
             std::sort(gone.rows.begin(), gone.rows.end());
-            std::vector<std::uint32_t>& survivors = state->survivors[i];
-            if (!added.rows.empty() || !gone.rows.empty()) {
-              // One sorted merge: old survivors minus departures plus
-              // arrivals (appended rows sit past every old row; revived
-              // rows interleave).
-              std::vector<std::uint32_t> next;
-              next.reserve(survivors.size() + added.rows.size());
-              std::size_t a = 0;
-              std::size_t g = 0;
-              for (const std::uint32_t row : survivors) {
-                while (a < added.rows.size() && added.rows[a] < row) {
-                  next.push_back(added.rows[a++]);
-                }
-                if (g < gone.rows.size() && gone.rows[g] == row) {
-                  ++g;
-                  continue;
-                }
-                next.push_back(row);
-              }
-              while (a < added.rows.size()) next.push_back(added.rows[a++]);
-              survivors = std::move(next);
-            }
-            // The dropped book: rows that left the relation or revived go
-            // off the books, re-dropped rows get their new step, fresh
-            // danglers (killed or appended-and-dropped) come on.
-            std::vector<std::pair<std::uint32_t, std::uint32_t>>& book =
-                state->dropped[i];
-            std::vector<std::pair<std::uint32_t, std::uint32_t>> next_book;
-            next_book.reserve(book.size() + tracked[i].size());
-            for (const auto& d : book) {
-              auto it = tracked_idx[i].find(d.first);
-              if (it == tracked_idx[i].end()) {
-                next_book.push_back(d);
-                continue;
-              }
-              const TrackedRow& t = tracked[i][it->second];
-              if (t.present_new && t.new_drop != kNoDrop) {
-                next_book.emplace_back(d.first, t.new_drop);
-              }
-            }
-            for (const TrackedRow& t : tracked[i]) {
-              const bool was_dropped = !t.appended && t.old_drop != kNoDrop;
-              if (was_dropped) continue;  // settled above
-              if (t.present_new && t.new_drop != kNoDrop) {
-                next_book.emplace_back(t.row, t.new_drop);
-              }
-            }
-            std::sort(next_book.begin(), next_book.end());
-            book = std::move(next_book);
-            state->all_survive[i] = book.empty();
-            local.semijoin_dangling_tuples += book.size();
-            if (book.empty()) {
+            if (dangling == 0) {
               // Every live tuple survives again: the trie tier's
               // full-relation trie serves enumeration, no view needed.
               state->survivor_tries[i] = nullptr;
@@ -1160,72 +1171,32 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
               overrides[i] = trie;
             } else {
               // First drops for this atom since the full pass: no cached
-              // view to unpatch, build one over the survivor set.
+              // view to unpatch, build one over the survivors (a scan of
+              // the drop steps, no bigger than the build itself).
               RowView view(&rels[i]->store());
-              view.rows = survivors;
+              for (std::size_t row = 0; row < drop.size(); ++row) {
+                if (drop[row] == kSurvives) {
+                  view.rows.push_back(static_cast<std::uint32_t>(row));
+                }
+              }
               state->survivor_tries[i] = build_survivor_trie(i, view);
               overrides[i] = state->survivor_tries[i];
             }
           }
         } else {
-          // Full pass: collect every atom's survivors, run the schedule,
-          // and persist the per-step support counts plus the per-atom
-          // survivor/dropped books into a fresh state for the next delta.
-          for (std::size_t i = 0; i < m; ++i) {
-            atoms[i].store = &rels[i]->store();
-            atoms[i].rows.reserve(rels[i]->size());
-            CollectSelfConsistent(atoms[i], rels[i]->store(), 0,
-                                  &atoms[i].rows);
-            atoms[i].initial = atoms[i].rows.size();
+          // Refill a stale state in place: its buffers are already sized
+          // for this shape, and no second copy of the books is ever live.
+          if (state == nullptr) {
+            plan->semijoin = std::make_unique<SemijoinState>();
+            state = plan->semijoin.get();
           }
-          auto fresh = std::make_unique<EvalContext::SemijoinState>();
-          RunFullPass(schedule, &atoms, &fresh->step_counts, &fresh->dropped);
-          local.semijoin_pass_ran = true;
-          fresh->generations.reserve(m);
-          for (const Relation* rel : rels) {
-            fresh->generations.push_back(rel->generation());
-          }
-          fresh->all_survive.assign(m, true);
-          fresh->survivor_tries.assign(m, nullptr);
-          fresh->survivors.resize(m);
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t dropped =
-                atoms[i].initial - atoms[i].rows.size();
-            fresh->survivors[i] = std::move(atoms[i].rows);
-            if (dropped == 0) continue;  // full-relation trie stays usable
-            local.semijoin_dropped_tuples += dropped;
-            local.semijoin_dangling_tuples += dropped;
-            fresh->all_survive[i] = false;
-            RowView view(atoms[i].store);
-            view.rows = fresh->survivors[i];
-            fresh->survivor_tries[i] = build_survivor_trie(i, view);
-            overrides[i] = fresh->survivor_tries[i];
-          }
-          plan->semijoin = std::move(fresh);
+          run_full_pass(schedule, state);
         }
       }
     } else if (AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
-      // No context: the transient pass, exactly the cold path minus the
-      // capture and the published state.
-      for (std::size_t i = 0; i < m; ++i) {
-        atoms[i].store = &rels[i]->store();
-        atoms[i].rows.reserve(rels[i]->size());
-        CollectSelfConsistent(atoms[i], rels[i]->store(), 0,
-                              &atoms[i].rows);
-        atoms[i].initial = atoms[i].rows.size();
-      }
-      const std::vector<FilterStep> schedule = BuildFilterSchedule(atoms);
-      RunFullPass(schedule, &atoms, nullptr, nullptr);
-      local.semijoin_pass_ran = true;
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t dropped = atoms[i].initial - atoms[i].rows.size();
-        if (dropped == 0) continue;
-        local.semijoin_dropped_tuples += dropped;
-        local.semijoin_dangling_tuples += dropped;
-        RowView view(atoms[i].store);
-        view.rows = std::move(atoms[i].rows);
-        overrides[i] = build_survivor_trie(i, view);
-      }
+      // No context: the same full pass into a state nobody keeps.
+      SemijoinState transient;
+      run_full_pass(BuildFilterSchedule(atoms), &transient);
     }
   } else {
     order = DefaultGenericJoinOrder(query);

@@ -171,6 +171,13 @@ struct EvalStats {
   /// was skipped. The oracle checks this against a from-scratch
   /// re-reduction's semijoin_dropped_tuples.
   std::size_t semijoin_dangling_tuples = 0;
+  /// Hybrid plan: row visits of the semi-join pass that ran this call --
+  /// one per row key a step read, plus one per row reached through a key's
+  /// chain (the delta pass's kill and revival walks). A full pass visits
+  /// every live row once per step it takes part in; a delta pass visits
+  /// the delta and the rows sharing a key whose support crossed zero. 0
+  /// when the pass was skipped.
+  std::size_t semijoin_rows_visited = 0;
   /// Generic join: sibling scans truncated by the projection-aware early
   /// exit -- once the bound prefix covers every head variable, a single
   /// witness of the remaining variables suffices, so the search returns as

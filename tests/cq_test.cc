@@ -55,6 +55,26 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("S(X) :- R(X). key T: 1.").ok());
 }
 
+TEST(ParserTest, OversizedAndOverflowingPositionsAreParseErrors) {
+  // Fits an int but exceeds the arity: rejected by validation.
+  auto oversized = ParseQuery("Q(X) :- R(X,Y).\nfd R: 2147483647 -> 2.");
+  EXPECT_FALSE(oversized.ok());
+  // One past INT_MAX, and far past any integer width: a ParseError naming
+  // the number's offset, never an exception.
+  const std::string prefix = "Q(X) :- R(X,Y).\nfd R: ";
+  for (const std::string number : {"2147483648", "99999999999999999999"}) {
+    auto overflow = ParseQuery(prefix + number + " -> 2.");
+    ASSERT_FALSE(overflow.ok()) << number;
+    EXPECT_EQ(overflow.status().code(), StatusCode::kParseError) << number;
+    EXPECT_NE(overflow.status().message().find(
+                  "offset " + std::to_string(prefix.size())),
+              std::string::npos)
+        << overflow.status();
+  }
+  auto rhs_overflow = ParseQuery("Q(X) :- R(X,Y). key R: 1,4294967297.");
+  EXPECT_FALSE(rhs_overflow.ok());
+}
+
 TEST(ParserTest, RoundTripThroughToString) {
   const std::string text =
       "Q(X,Y) :- R(X,Z), S(Z,Y). fd R: 1 -> 2. fd S: 1,2 -> 1.";
