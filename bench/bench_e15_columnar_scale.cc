@@ -14,7 +14,7 @@
 //      off the columns. The headline invariant is asserted in-bench where
 //      it is measured: across the 10^6-row scratch build and a patch
 //      build, TrieBuildStats::tuple_materializations does not move -- no
-//      per-tuple Tuple object is ever heap-allocated on the radix or merge
+//      per-tuple Tuple object is ever heap-allocated on the radix or splice
 //      paths;
 //   3. evaluation: the two-atom chain join over the cycle produces exactly
 //      10^6 bindings through a warm context (cache hits, zero rebuilds).
@@ -132,7 +132,7 @@ void PrintTables() {
 
   // --- Radix trie construction --------------------------------------------
   std::cout << "\nTrie builds over the 10^6-row store (radix path from "
-               "scratch, merge path\nfor a 1-row patch). 'materialized' is "
+               "scratch, delta splice\nfor a 1-row patch). 'materialized' is "
                "the per-tuple Tuple-allocation\ntripwire -- zero by design "
                "on both columnar paths:\n";
   bench::Table trie_table({"build", "keys", "radix builds", "merge builds",
@@ -158,13 +158,13 @@ void PrintTables() {
                            t0.tuple_materializations))});
 
     // One appended row (an isolated edge: it extends no cycle path, so the
-    // join table below keeps its exact output count), patched in via the
-    // O(base + k log k) merge -- still zero materializations.
+    // join table below keeps its exact output count), spliced in by the
+    // delta constructor with nothing removed -- still zero materializations.
     CQB_CHECK(e->Insert({2000000, 2000001}));
     const Relation::AppendWindow window = e->AppendedRowsSince(kScale);
     TrieIndex patched(
         scratch, RowView::Tail(e->store(), window.first_row, window.count),
-        {{0}, {1}});
+        RowView(), {{0}, {1}});
     const TrieBuildStats t2 = GetTrieBuildStats();
     CQB_CHECK(patched.num_tuples() == kScale + 1);
     CQB_CHECK(t2.merge_builds == t1.merge_builds + 1);

@@ -17,7 +17,9 @@
 // the cold run's drop count.
 //
 // The tables are deterministic; wall times live in the timed sections,
-// pairing each warm removal refresh with its from-scratch contrast.
+// pairing each warm removal refresh with its from-scratch contrast. The
+// trie2e5 sections time trie maintenance alone: one GetTrie after a mixed
+// window, its mutation applied untimed.
 
 #include <deque>
 #include <iostream>
@@ -168,13 +170,84 @@ void DeltaPassRep(int which, int delta) {
   CQB_CHECK(stats.semijoin_delta_pass);
 }
 
+/// The isolated trie-maintenance timers' instance: B(i, j) for i < 200,
+/// j < 1000 -- 2*10^5 rows, the shape of the hot two-column relation the
+/// repo benchmark's warm-mutate workload churns -- with its trie warm in a
+/// context. A rep's untimed setup applies one window (δ base rows removed,
+/// δ fresh rows appended across the groups); the timed part is the single
+/// GetTrie that refreshes the cached trie -- no evaluation, no enumeration.
+/// Before a window could push the dead rows past the store's quarter-dead
+/// compaction threshold, setup rebuilds the instance, so every timed
+/// refresh is a splice. Each timer owns one instance.
+constexpr int kTrieGroups = 200;
+constexpr int kTrieFanout = 1000;
+
+const std::vector<std::vector<int>>& TrieLayout() {
+  static const std::vector<std::vector<int>> layout = {{0}, {1}};
+  return layout;
+}
+
+struct TrieWindows {
+  std::unique_ptr<Database> db;
+  std::unique_ptr<EvalContext> ctx;
+  Relation* b = nullptr;
+  /// Base rows removed since the last rebuild, in row order.
+  int removed = 0;
+  /// Fresh rows appended so far; never repeated across rebuilds.
+  Value fresh = 0;
+
+  void Rebuild() {
+    ctx.reset();
+    db = std::make_unique<Database>();
+    std::vector<Value> flat;
+    for (int i = 0; i < kTrieGroups; ++i) {
+      for (int j = 0; j < kTrieFanout; ++j) flat.insert(flat.end(), {i, j});
+    }
+    b = db->AddRelation("B", 2);
+    b->InsertFlat(flat, flat.size() / 2);
+    ctx = std::make_unique<EvalContext>(*db);
+    ctx->GetTrie(*b, TrieLayout(), nullptr);
+    removed = 0;
+  }
+
+  void Window(int delta) {
+    if ((b->store().dead_count() + static_cast<std::size_t>(delta)) * 4 >
+        b->store().size()) {
+      Rebuild();
+    }
+    std::vector<Tuple> batch;
+    for (int k = 0; k < delta; ++k, ++removed) {
+      CQB_CHECK(b->Remove({removed / kTrieFanout, removed % kTrieFanout}));
+      ++fresh;
+      batch.push_back({fresh % kTrieGroups, kTrieFanout + fresh});
+    }
+    CQB_CHECK(b->InsertBatch(batch) == batch.size());
+  }
+
+  /// The timed refresh, checked to have taken the path its timer names.
+  void Refresh(bool splice) {
+    EvalStats stats;
+    ctx->GetTrie(*b, TrieLayout(), &stats);
+    CQB_CHECK(splice ? stats.trie_rebuilds == 0 && stats.trie_unpatches == 1
+                     : stats.trie_rebuilds == 1);
+  }
+};
+
+TrieWindows& Windows(int which) {
+  static std::deque<TrieWindows> windows(4);
+  return windows[static_cast<std::size_t>(which)];
+}
+
 void PrepareTimerFixtures() {
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
       .ValueOrDie();
   EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
                 nullptr)
       .ValueOrDie();
-  for (int which = 0; which < 4; ++which) Dangling(which);
+  for (int which = 0; which < 4; ++which) {
+    Dangling(which);
+    Windows(which).Rebuild();
+  }
 }
 
 void PrintTables() {
@@ -446,6 +519,27 @@ CQB_BENCH_TIMED("dangling1e5/delta1-full-reduce", [] {
                 nullptr)
       .ValueOrDie();
 })
+
+// Trie maintenance alone, at growing window sizes: one GetTrie after a
+// δ-removed plus δ-appended window on the 2*10^5-row instance (the splice).
+CQB_BENCH_TIMED_SETUP("trie2e5/delta1-get-trie", [] { Windows(0).Window(1); },
+                      [] { Windows(0).Refresh(true); })
+CQB_BENCH_TIMED_SETUP("trie2e5/delta100-get-trie",
+                      [] { Windows(1).Window(100); },
+                      [] { Windows(1).Refresh(true); })
+CQB_BENCH_TIMED_SETUP("trie2e5/delta10000-get-trie",
+                      [] { Windows(2).Window(10000); },
+                      [] { Windows(2).Refresh(true); })
+
+// Contrast: the same 1-row window, served by a fresh (cold) context's
+// from-scratch radix build.
+CQB_BENCH_TIMED_SETUP(
+    "trie2e5/rebuild-get-trie",
+    [] {
+      Windows(3).Window(1);
+      Windows(3).ctx = std::make_unique<EvalContext>(*Windows(3).db);
+    },
+    [] { Windows(3).Refresh(false); })
 
 void BM_DeltaRemoveEval(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -88,6 +88,9 @@ inline std::string Num(int v) { return std::to_string(v); }
 struct TimerCase {
   std::string name;
   std::function<void()> fn;
+  /// Optional untimed step run before every rep (e.g. the mutation whose
+  /// maintenance `fn` times), so a section can isolate one phase.
+  std::function<void()> setup;
 };
 
 /// Registry of timed sections, in registration order.
@@ -111,8 +114,9 @@ inline std::vector<TimerResult>& TimerResults() {
 
 /// Registers a timed section at namespace scope (static initialization).
 struct TimerRegistrar {
-  TimerRegistrar(std::string name, std::function<void()> fn) {
-    TimerCases().push_back({std::move(name), std::move(fn)});
+  TimerRegistrar(std::string name, std::function<void()> fn,
+                 std::function<void()> setup = nullptr) {
+    TimerCases().push_back({std::move(name), std::move(fn), std::move(setup)});
   }
 };
 
@@ -123,6 +127,13 @@ struct TimerRegistrar {
   static const ::cqbounds::bench::TimerRegistrar            \
       CQB_BENCH_TIMED_CONCAT(cqb_timer_registrar_, __LINE__){name,         \
                                                              __VA_ARGS__};
+/// CQB_BENCH_TIMED_SETUP("name", [] { setup }, [] { timed }) -- as above,
+/// running `setup` untimed before every rep. `setup` is one macro argument,
+/// so any comma in it must sit inside parentheses.
+#define CQB_BENCH_TIMED_SETUP(name, setup, ...)                          \
+  static const ::cqbounds::bench::TimerRegistrar                        \
+      CQB_BENCH_TIMED_CONCAT(cqb_timer_registrar_, __LINE__){           \
+          name, __VA_ARGS__, setup};
 
 /// Runs every registered timed section and prints a per-section summary.
 /// Under `--quick` each section runs exactly once (cheap smoke + JSON
@@ -134,6 +145,7 @@ inline void RunRegisteredTimers(bool quick, std::ostream& os = std::cout) {
     TimerResult result;
     result.name = c.name;
     do {
+      if (c.setup) c.setup();
       const auto t0 = std::chrono::steady_clock::now();
       c.fn();
       result.total_seconds +=

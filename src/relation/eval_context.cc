@@ -134,7 +134,6 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
   const std::uint64_t generation = rel.generation();
   std::shared_ptr<const TrieIndex> stale_base;
   std::uint64_t stale_base_generation = 0;
-  bool appends_only = false;
   {
     MutexLock lock(shard.mu);
     auto it = shard.entries.find(key);
@@ -144,14 +143,12 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
         if (stats != nullptr) ++stats->trie_cache_hits;
         return it->second.trie;
       }
-      // Stale entry: snapshot it as a delta base. Appends-only windows take
-      // the pure merge path below; otherwise DeltasSince decides whether the
-      // journal can still name both delta sides (unpatch) or a structural
-      // break forces the rebuild. Either way the rows named are stable
-      // because mutations never overlap evaluations.
+      // Stale entry: snapshot it as a delta base. DeltasSince below decides
+      // whether the journal can still name both delta sides (splice) or a
+      // structural break forces the rebuild. Either way the rows named are
+      // stable because mutations never overlap evaluations.
       stale_base = it->second.trie;
       stale_base_generation = it->second.generation;
-      appends_only = rel.AppendsOnlySince(stale_base_generation);
     }
   }
   // Build outside the stripe lock: a slow cold build must not block other
@@ -163,31 +160,20 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
   if (stats != nullptr) ++stats->trie_cache_misses;
   std::shared_ptr<const TrieIndex> trie;
   Relation::DeltaSet deltas;
-  if (stale_base != nullptr && appends_only) {
-    const Relation::AppendWindow window =
-        rel.AppendedRowsSince(stale_base_generation);
-    const RowView delta =
-        RowView::Tail(rel.store(), window.first_row, window.count);
-    patches_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      ++stats->trie_patches;
-      stats->delta_tuples_processed += window.count;
-    }
-    trie = std::make_shared<const TrieIndex>(*stale_base, delta,
-                                             level_positions);
-  } else if (stale_base != nullptr &&
-             rel.DeltasSince(stale_base_generation, &deltas)) {
-    // Mixed append/remove window with every removed row's columns still
-    // readable (no compaction since the snapshot): subtract the removed
-    // keys from the cached trie's support counts while merging the
-    // appended ones -- O(base + delta log delta), no full sort.
+  if (stale_base != nullptr &&
+      rel.DeltasSince(stale_base_generation, &deltas)) {
+    // Every removed row's columns are still readable (no compaction since
+    // the snapshot): splice the net delta into the cached trie -- O(delta)
+    // probes plus a bulk copy of the untouched runs, no sort of the base. A
+    // window with no removed rows is a patch, any other an unpatch.
     RowView appended(&rel.store());
     appended.rows = std::move(deltas.appended_rows);
     RowView removed(&rel.store());
     removed.rows = std::move(deltas.removed_rows);
-    unpatches_.fetch_add(1, std::memory_order_relaxed);
+    const bool patch = removed.empty();
+    (patch ? patches_ : unpatches_).fetch_add(1, std::memory_order_relaxed);
     if (stats != nullptr) {
-      ++stats->trie_unpatches;
+      ++(patch ? stats->trie_patches : stats->trie_unpatches);
       stats->delta_tuples_processed += appended.size() + removed.size();
     }
     trie = std::make_shared<const TrieIndex>(*stale_base, appended, removed,

@@ -66,13 +66,14 @@ struct LowWidthProbe {
 ///
 /// Invalidation: trie entries snapshot Relation::generation() at build time
 /// and are refreshed (counted as a miss) when the relation mutated since.
-/// The refresh is delta-aware: when every mutation since the snapshot was an
-/// append (Relation::AppendsOnlySince), the stale trie is *patched* -- the
-/// sorted delta is merged into the cached trie's key stream, O(base copy +
-/// k log k) instead of a from-scratch O(n log n) sort (EvalStats::
-/// trie_patches). A mixed append/remove window is *unpatched*: the journal's
-/// DeltasSince names both sides, and the trie's per-key support counts
-/// subtract removals exactly (EvalStats::trie_unpatches), same cost shape.
+/// The refresh is delta-aware: while the journal's Relation::DeltasSince
+/// can name the window's appended and removed rows, they are *spliced* into
+/// the stale trie by TrieIndex's delta constructor -- O(k log k) for k
+/// delta rows plus O(k * depth) probes and a bulk copy of the untouched
+/// runs, instead of a from-scratch O(n log n) sort. The trie's per-key
+/// support counts subtract removals exactly. A window with no removed rows
+/// counts as a patch (EvalStats::trie_patches), any other as an unpatch
+/// (EvalStats::trie_unpatches).
 /// Only a hard structural break -- Clear, or a Remove that crossed the
 /// tombstone-compaction threshold -- forces the full rebuild (EvalStats::
 /// trie_rebuilds). Plan entries depend only on the
@@ -262,10 +263,10 @@ class EvalContext {
   };
 
   /// The cached trie for `rel` under `level_positions`, building (or
-  /// refreshing, if `rel` mutated since -- a delta patch when the mutations
-  /// were appends-only, a support-count unpatch when the journal can name
-  /// the mixed append/remove delta, a full rebuild only past a structural
-  /// break) on demand. `rel` must
+  /// refreshing, if `rel` mutated since -- a delta splice when the journal
+  /// can name the window, counted as a patch when it removed no rows and
+  /// an unpatch otherwise; a full rebuild only past a structural break) on
+  /// demand. `rel` must
   /// belong to
   /// the attached database -- checked by identity, not by name, and
   /// enforced with CQB_CHECK: a same-named relation from another database
@@ -310,9 +311,9 @@ class EvalContext {
   std::size_t plan_misses() const {
     return plan_misses_.load(std::memory_order_relaxed);
   }
-  /// Of the lifetime misses: how many were served by patching a stale
-  /// cached trie (appends-only delta merge), by unpatching one (mixed
-  /// append/remove delta with support-count subtraction), or by rebuilding
+  /// Of the lifetime misses: how many were served by splicing a window
+  /// with no removed rows into a stale cached trie (patch), by splicing any
+  /// other window (unpatch, support counts subtracted), or by rebuilding
   /// from scratch. patches() + unpatches() + rebuilds() == misses() for
   /// this tier.
   std::size_t patches() const {

@@ -124,17 +124,17 @@ struct EvalStats {
   /// trie).
   bool semijoin_pass_skipped = false;
   /// Trie tier: cache misses served by *patching* a cached trie -- the
-  /// relation only appended tuples since the cached build, so the new trie
-  /// was produced by merging the sorted delta into the cached key stream
-  /// instead of sorting the whole relation. Every patch also counts in
-  /// trie_cache_misses (a patched trie is still a rebuilt object).
+  /// journal names the window since the cached build (Relation::
+  /// DeltasSince) and it removed no rows, so the appended keys were
+  /// spliced into the cached trie instead of sorting the whole relation.
+  /// Every patch also counts in trie_cache_misses (a patched trie is still
+  /// a new object).
   std::size_t trie_patches = 0;
-  /// Trie tier: cache misses served by *unpatching* a cached trie -- the
-  /// relation saw a mixed append/remove window since the cached build whose
-  /// both sides the journal can still name (Relation::DeltasSince), so the
-  /// new trie was produced by subtracting the removed keys' support while
-  /// merging the appended ones, O(base + delta), no full sort. Every
-  /// unpatch also counts in trie_cache_misses.
+  /// Trie tier: cache misses served by *unpatching* a cached trie -- as a
+  /// patch, but the window removed rows too, so the splice also subtracts
+  /// the removed keys' support: O(delta) probes plus a bulk copy of the
+  /// untouched runs, no sort of the base. Every unpatch also counts in
+  /// trie_cache_misses.
   std::size_t trie_unpatches = 0;
   /// Trie tier: cache misses (and no-context transient builds) that ran the
   /// full from-scratch relation sort -- cold entries, or stale entries whose

@@ -10,6 +10,7 @@ namespace {
 
 std::atomic<std::uint64_t> g_radix_builds{0};
 std::atomic<std::uint64_t> g_merge_builds{0};
+std::atomic<std::uint64_t> g_delta_nodes_visited{0};
 std::atomic<std::uint64_t> g_tuple_materializations{0};
 
 /// Maps a signed Value onto uint64 preserving order: flipping the sign bit
@@ -78,14 +79,17 @@ void RadixSortIndices(const std::vector<std::uint64_t>& keys, std::size_t m,
 
 /// Radix-sorts the packed `keys` (m rows of `depth` words) and collapses
 /// duplicates: `*sorted` receives the distinct sorted key stream and
-/// `*counts` one multiplicity per distinct key. Returns the distinct
-/// count. Shared by the build and both delta constructors.
+/// `*counts` one net multiplicity per distinct key, where rows
+/// [0, positive) count +1 and rows [positive, m) count -1. Returns the
+/// distinct count. Shared by the builds (positive == m) and the delta
+/// constructor (appended rows, then removed rows).
+template <typename Count>
 std::size_t SortCountKeys(const std::vector<std::uint64_t>& keys,
-                          std::size_t m, int depth,
+                          std::size_t m, std::size_t positive, int depth,
                           const std::vector<std::uint64_t>& key_min,
                           const std::vector<std::uint64_t>& key_max,
                           std::vector<std::uint64_t>* sorted,
-                          std::vector<std::uint32_t>* counts) {
+                          std::vector<Count>* counts) {
   std::vector<std::uint32_t> idx(m);
   for (std::size_t i = 0; i < m; ++i) idx[i] = static_cast<std::uint32_t>(i);
   RadixSortIndices(keys, m, depth, key_min, key_max, &idx);
@@ -97,13 +101,14 @@ std::size_t SortCountKeys(const std::vector<std::uint64_t>& keys,
   for (std::size_t i = 0; i < m; ++i) {
     const std::uint64_t* key =
         keys.data() + static_cast<std::size_t>(idx[i]) * depth;
+    const Count sign = idx[i] < positive ? Count{1} : static_cast<Count>(-1);
     if (kept > 0 &&
         CompareKeys(sorted->data() + (kept - 1) * depth, key, depth) == 0) {
-      ++counts->back();
+      counts->back() += sign;
       continue;
     }
     sorted->insert(sorted->end(), key, key + depth);
-    counts->push_back(1);
+    counts->push_back(sign);
     ++kept;
   }
   return kept;
@@ -115,6 +120,8 @@ TrieBuildStats GetTrieBuildStats() {
   TrieBuildStats stats;
   stats.radix_builds = g_radix_builds.load(std::memory_order_relaxed);
   stats.merge_builds = g_merge_builds.load(std::memory_order_relaxed);
+  stats.delta_nodes_visited =
+      g_delta_nodes_visited.load(std::memory_order_relaxed);
   stats.tuple_materializations =
       g_tuple_materializations.load(std::memory_order_relaxed);
   return stats;
@@ -158,8 +165,8 @@ std::size_t TrieIndex::ExtractKeys(
       const std::uint64_t k = (*keys)[mark + static_cast<std::size_t>(l)];
       std::uint64_t& lo = (*key_min)[static_cast<std::size_t>(l)];
       std::uint64_t& hi = (*key_max)[static_cast<std::size_t>(l)];
-      if (kept == 0 || k < lo) lo = k;
-      if (kept == 0 || k > hi) hi = k;
+      lo = std::min(lo, k);
+      hi = std::max(hi, k);
     }
     ++kept;
   }
@@ -175,33 +182,16 @@ void TrieIndex::BuildFromFlatKeys(const std::vector<std::uint64_t>& keys,
   // in one scan.
   std::vector<std::uint64_t> sorted;
   std::vector<std::uint32_t> counts;
-  const std::size_t kept =
-      SortCountKeys(keys, m, depth, key_min, key_max, &sorted, &counts);
-  BuildFromSortedFlat(sorted, kept, depth);
-  SetCounts(std::move(counts));
-}
+  num_tuples_ =
+      SortCountKeys(keys, m, m, depth, key_min, key_max, &sorted, &counts);
 
-void TrieIndex::SetCounts(std::vector<std::uint32_t>&& counts) {
-  for (const std::uint32_t c : counts) {
-    if (c != 1) {
-      counts_ = std::move(counts);
-      return;
-    }
-  }
-  counts_.clear();
-}
-
-void TrieIndex::BuildFromSortedFlat(const std::vector<std::uint64_t>& keys,
-                                    std::size_t m, int depth) {
-  num_tuples_ = m;
-
-  // One scan over the sorted keys builds every level: key i opens new nodes
-  // at all levels past its common prefix with key i-1. A node's first-child
-  // offset is recorded at creation (the next level's current size); the
-  // trailing sentinel closes the last node of each level.
+  // Key i opens new nodes at all levels past its common prefix with key
+  // i-1. A node's first-child offset is recorded at creation (the next
+  // level's current size); the trailing sentinel closes the last node of
+  // each level.
   levels_.resize(static_cast<std::size_t>(depth));
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t* key = keys.data() + i * depth;
+  for (std::size_t i = 0; i < num_tuples_; ++i) {
+    const std::uint64_t* key = sorted.data() + i * depth;
     int split = 0;
     if (i > 0) {
       const std::uint64_t* prev = key - depth;
@@ -217,37 +207,17 @@ void TrieIndex::BuildFromSortedFlat(const std::vector<std::uint64_t>& keys,
   for (int l = 0; l + 1 < depth; ++l) {
     levels_[l].child_begin.push_back(levels_[l + 1].values.size());
   }
+  SetCounts(std::move(counts));
 }
 
-void TrieIndex::EnumerateFlatKeys(std::vector<std::uint64_t>* out) const {
-  const int depth = num_levels();
-  if (depth == 0 || levels_[0].values.empty()) return;
-  // Iterative DFS over the flat levels. stack[l] is the current node index
-  // at level l; advancing past a node's sibling range pops back to level
-  // l-1. Nodes within a sibling range are sorted and sibling ranges follow
-  // parent order, so the walk emits keys in lexicographic order.
-  std::vector<std::size_t> stack(static_cast<std::size_t>(depth));
-  std::vector<Range> ranges(static_cast<std::size_t>(depth));
-  std::vector<std::uint64_t> key(static_cast<std::size_t>(depth));
-  ranges[0] = RootRange();
-  stack[0] = 0;
-  int l = 0;
-  while (l >= 0) {
-    if (stack[l] >= ranges[l].end) {
-      --l;
-      if (l >= 0) ++stack[l];
-      continue;
-    }
-    key[l] = BiasValue(levels_[l].values[stack[l]]);
-    if (l + 1 < depth) {
-      ranges[l + 1] = ChildRange(l, stack[l]);
-      stack[l + 1] = ranges[l + 1].begin;
-      ++l;
-    } else {
-      out->insert(out->end(), key.begin(), key.end());
-      ++stack[l];
+void TrieIndex::SetCounts(std::vector<std::uint32_t>&& counts) {
+  for (const std::uint32_t c : counts) {
+    if (c != 1) {
+      counts_ = std::move(counts);
+      return;
     }
   }
+  counts_.clear();
 }
 
 TrieIndex::TrieIndex(const Relation& rel,
@@ -264,8 +234,8 @@ TrieIndex::TrieIndex(const Relation& rel,
     return;
   }
   std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-  std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
+  std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth), ~0ull);
+  std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth), 0);
   const std::size_t m = ExtractKeys(rel.store(), nullptr, level_positions,
                                     &keys, &key_min, &key_max);
   BuildFromFlatKeys(keys, m, depth, key_min, key_max);
@@ -282,89 +252,108 @@ TrieIndex::TrieIndex(const RowView& view,
   }
   CQB_CHECK(view.store != nullptr);
   std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-  std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
+  std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth), ~0ull);
+  std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth), 0);
   const std::size_t m = ExtractKeys(*view.store, &view.rows, level_positions,
                                     &keys, &key_min, &key_max);
   BuildFromFlatKeys(keys, m, depth, key_min, key_max);
 }
 
-TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
-                     const std::vector<std::vector<int>>& level_positions) {
-  g_merge_builds.fetch_add(1, std::memory_order_relaxed);
-  const int depth = static_cast<int>(level_positions.size());
-  CQB_CHECK(base.num_levels() == depth);
-  if (depth == 0) {
-    root_support_ = base.root_support_ + appended.size();
-    num_tuples_ = root_support_ != 0 ? 1 : 0;
-    return;
-  }
-  CQB_CHECK(appended.store != nullptr);
-
-  // Delta keys: extract, radix-sort, collapse duplicates into supports --
-  // O(k log k) worst case for k appended rows, all on packed words.
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-  std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
-  const std::size_t m = ExtractKeys(*appended.store, &appended.rows,
-                                    level_positions, &keys, &key_min,
-                                    &key_max);
-  std::vector<std::uint64_t> delta;
-  std::vector<std::uint32_t> dcounts;
-  const std::size_t dk =
-      SortCountKeys(keys, m, depth, key_min, key_max, &delta, &dcounts);
-
-  // Base keys come out of the DFS already sorted and deduplicated; a single
-  // merge (set semantics on equal keys, summed support) yields the combined
-  // sorted key stream without ever re-sorting the base.
-  std::vector<std::uint64_t> base_keys;
-  base_keys.reserve(base.num_tuples_ * static_cast<std::size_t>(depth));
-  base.EnumerateFlatKeys(&base_keys);
-  const std::size_t bk = base_keys.size() / static_cast<std::size_t>(depth);
-
-  std::vector<std::uint64_t> merged;
-  merged.reserve(base_keys.size() + delta.size());
+/// The splice of one sorted net delta into a base trie. Output goes
+/// straight into `out`'s levels; `counts` collects its leaf supports in
+/// leaf order, and `visits` the nodes probed or emitted one at a time.
+struct TrieIndex::Splicer {
+  const TrieIndex& base;
+  TrieIndex& out;
+  /// The net delta: distinct sorted packed keys, depth words each, and one
+  /// signed net support per key.
+  const std::vector<std::uint64_t>& keys;
+  const std::vector<std::int64_t>& nets;
   std::vector<std::uint32_t> counts;
-  counts.reserve(bk + dk);
-  std::size_t bi = 0;
-  std::size_t di = 0;
-  std::size_t mk = 0;
-  while (bi < bk && di < dk) {
-    const std::uint64_t* b = base_keys.data() + bi * depth;
-    const std::uint64_t* d = delta.data() + di * depth;
-    const int cmp = CompareKeys(b, d, depth);
-    if (cmp < 0) {
-      merged.insert(merged.end(), b, b + depth);
-      counts.push_back(base.CountOf(bi));
-      ++bi;
-    } else if (cmp > 0) {
-      merged.insert(merged.end(), d, d + depth);
-      counts.push_back(dcounts[di]);
-      ++di;
-    } else {
-      // Duplicate of an existing key: set semantics (no growth), but the
-      // supports add so a later removal of either row subtracts exactly.
-      merged.insert(merged.end(), b, b + depth);
-      counts.push_back(base.CountOf(bi) + dcounts[di]);
-      ++bi;
-      ++di;
+  std::uint64_t visits = 0;
+
+  /// Appends base nodes [a, z) at `level` with all their descendants. The
+  /// descendants of a sibling run are one contiguous run per level, so each
+  /// level is a single copy: values as-is, first-child offsets shifted by
+  /// one constant, and at the leaves the support counts.
+  void Copy(int level, std::size_t a, std::size_t z) {
+    const int last = out.num_levels() - 1;
+    for (int l = level; a < z; ++l) {
+      const Level& from = base.levels_[l];
+      Level& to = out.levels_[l];
+      to.values.insert(to.values.end(), from.values.begin() + a,
+                       from.values.begin() + z);
+      if (l == last) {
+        if (base.counts_.empty()) {
+          counts.insert(counts.end(), z - a, 1u);
+        } else {
+          counts.insert(counts.end(), base.counts_.begin() + a,
+                        base.counts_.begin() + z);
+        }
+        return;
+      }
+      // Unsigned wrap-around is fine: the shifted offsets are exact.
+      const std::size_t shift =
+          out.levels_[l + 1].values.size() - from.child_begin[a];
+      for (std::size_t i = a; i < z; ++i) {
+        to.child_begin.push_back(from.child_begin[i] + shift);
+      }
+      const std::size_t next_a = from.child_begin[a];
+      z = from.child_begin[z];
+      a = next_a;
     }
-    ++mk;
-  }
-  for (; bi < bk; ++bi, ++mk) {
-    const std::uint64_t* b = base_keys.data() + bi * depth;
-    merged.insert(merged.end(), b, b + depth);
-    counts.push_back(base.CountOf(bi));
-  }
-  for (; di < dk; ++di, ++mk) {
-    const std::uint64_t* d = delta.data() + di * depth;
-    merged.insert(merged.end(), d, d + depth);
-    counts.push_back(dcounts[di]);
   }
 
-  BuildFromSortedFlat(merged, mk, depth);
-  SetCounts(std::move(counts));
-}
+  /// Splices delta keys [d, dend) -- all sharing the path to this sibling
+  /// range -- into the base sibling range `r` at `level`.
+  void Merge(int level, Range r, std::size_t d, std::size_t dend) {
+    const int depth = out.num_levels();
+    const auto word = [&](std::size_t i) {
+      return keys[i * static_cast<std::size_t>(depth) +
+                  static_cast<std::size_t>(level)];
+    };
+    Level& to = out.levels_[level];
+    std::size_t cur = r.begin;
+    while (d < dend) {
+      std::size_t group_end = d + 1;
+      while (group_end < dend && word(group_end) == word(d)) ++group_end;
+      const Value v = UnbiasKey(word(d));
+      const std::size_t pos = base.SeekGE(level, Range{cur, r.end}, v);
+      ++visits;
+      Copy(level, cur, pos);
+      const bool found = pos < r.end && base.levels_[level].values[pos] == v;
+      cur = found ? pos + 1 : pos;
+      if (level + 1 == depth) {
+        // Leaf: keys are distinct, so the group is this one key.
+        const std::int64_t net =
+            (found ? base.CountOf(pos) : 0) + nets[d];
+        // A negative net means a removal named a row whose key the base
+        // (plus this window's appends) never supported -- a journal bug
+        // upstream.
+        CQB_CHECK(net >= 0);
+        if (net > 0) {
+          to.values.push_back(v);
+          counts.push_back(static_cast<std::uint32_t>(net));
+          ++visits;
+        }
+      } else {
+        // Emit the node, splice its children, and take it back if none
+        // survived.
+        to.child_begin.push_back(out.levels_[level + 1].values.size());
+        to.values.push_back(v);
+        ++visits;
+        Merge(level + 1, found ? base.ChildRange(level, pos) : Range{},
+              d, group_end);
+        if (out.levels_[level + 1].values.size() == to.child_begin.back()) {
+          to.values.pop_back();
+          to.child_begin.pop_back();
+        }
+      }
+      d = group_end;
+    }
+    Copy(level, cur, r.end);
+  }
+};
 
 TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
                      const RowView& removed,
@@ -381,87 +370,59 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
     return;
   }
 
-  // Both delta sides go through the same extract/sort/count path as the
-  // base build, so self-inconsistent rows are filtered symmetrically and
-  // the multiset arithmetic below is exact.
-  std::vector<std::uint64_t> add;
-  std::vector<std::uint32_t> addc;
-  std::size_t ak = 0;
-  if (!appended.empty()) {
-    CQB_CHECK(appended.store != nullptr);
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-    std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
-    const std::size_t m = ExtractKeys(*appended.store, &appended.rows,
-                                      level_positions, &keys, &key_min,
-                                      &key_max);
-    ak = SortCountKeys(keys, m, depth, key_min, key_max, &add, &addc);
-  }
-  std::vector<std::uint64_t> sub;
-  std::vector<std::uint32_t> subc;
-  std::size_t sk = 0;
-  if (!removed.empty()) {
-    CQB_CHECK(removed.store != nullptr);
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-    std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
-    const std::size_t m = ExtractKeys(*removed.store, &removed.rows,
-                                      level_positions, &keys, &key_min,
-                                      &key_max);
-    sk = SortCountKeys(keys, m, depth, key_min, key_max, &sub, &subc);
-  }
+  // Both delta sides go through the same extraction as the base build, so
+  // self-inconsistent rows are filtered symmetrically, then sort together
+  // into one net delta: appended rows count +1, removed rows -1.
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth), ~0ull);
+  std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth), 0);
+  const auto extract = [&](const RowView& side) -> std::size_t {
+    if (side.empty()) return 0;
+    CQB_CHECK(side.store != nullptr);
+    return ExtractKeys(*side.store, &side.rows, level_positions, &keys,
+                       &key_min, &key_max);
+  };
+  const std::size_t added = extract(appended);
+  const std::size_t m = added + extract(removed);
+  std::vector<std::uint64_t> delta;
+  std::vector<std::int64_t> nets;
+  SortCountKeys(keys, m, added, depth, key_min, key_max, &delta, &nets);
 
-  std::vector<std::uint64_t> base_keys;
-  base_keys.reserve(base.num_tuples_ * static_cast<std::size_t>(depth));
-  base.EnumerateFlatKeys(&base_keys);
-  const std::size_t bk = base_keys.size() / static_cast<std::size_t>(depth);
-
-  // Three-way sorted merge: per distinct key the net support is
-  // base + appended - removed; the key survives iff that stays positive.
-  std::vector<std::uint64_t> merged;
-  merged.reserve(base_keys.size() + add.size());
-  std::vector<std::uint32_t> counts;
-  counts.reserve(bk + ak);
-  std::size_t bi = 0;
-  std::size_t ai = 0;
-  std::size_t si = 0;
-  std::size_t mk = 0;
-  while (bi < bk || ai < ak || si < sk) {
-    const std::uint64_t* key = nullptr;
-    if (bi < bk) key = base_keys.data() + bi * depth;
-    if (ai < ak) {
-      const std::uint64_t* a = add.data() + ai * depth;
-      if (key == nullptr || CompareKeys(a, key, depth) < 0) key = a;
-    }
-    if (si < sk) {
-      const std::uint64_t* s = sub.data() + si * depth;
-      if (key == nullptr || CompareKeys(s, key, depth) < 0) key = s;
-    }
-    std::int64_t net = 0;
-    if (bi < bk && CompareKeys(base_keys.data() + bi * depth, key, depth) == 0) {
-      net += base.CountOf(bi);
-      ++bi;
-    }
-    if (ai < ak && CompareKeys(add.data() + ai * depth, key, depth) == 0) {
-      net += addc[ai];
-      ++ai;
-    }
-    if (si < sk && CompareKeys(sub.data() + si * depth, key, depth) == 0) {
-      net -= subc[si];
-      ++si;
-    }
-    // A negative net means a removal named a row whose key the base (plus
-    // this window's appends) never supported -- a journal bug upstream.
-    CQB_CHECK(net >= 0);
-    if (net > 0) {
-      merged.insert(merged.end(), key, key + depth);
-      counts.push_back(static_cast<std::uint32_t>(net));
-      ++mk;
+  levels_.resize(static_cast<std::size_t>(depth));
+  for (int l = 0; l < depth; ++l) {
+    const Level& from = base.levels_[l];
+    levels_[l].values.reserve(from.values.size() + nets.size());
+    if (l + 1 < depth) {
+      levels_[l].child_begin.reserve(from.child_begin.size() + nets.size());
     }
   }
+  Splicer splice{base, *this, delta, nets, {}, 0};
+  splice.counts.reserve(base.num_tuples_ + nets.size());
+  splice.Merge(0, base.RootRange(), 0, nets.size());
+  for (int l = 0; l + 1 < depth; ++l) {
+    levels_[l].child_begin.push_back(levels_[l + 1].values.size());
+  }
+  num_tuples_ = levels_.back().values.size();
+  SetCounts(std::move(splice.counts));
+  g_delta_nodes_visited.fetch_add(splice.visits, std::memory_order_relaxed);
+}
 
-  BuildFromSortedFlat(merged, mk, depth);
-  SetCounts(std::move(counts));
+bool TrieIndex::operator==(const TrieIndex& other) const {
+  if (num_tuples_ != other.num_tuples_ ||
+      root_support_ != other.root_support_ ||
+      levels_.size() != other.levels_.size()) {
+    return false;
+  }
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    if (levels_[l].values != other.levels_[l].values ||
+        levels_[l].child_begin != other.levels_[l].child_begin) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < num_tuples_; ++i) {
+    if (CountOf(i) != other.CountOf(i)) return false;
+  }
+  return true;
 }
 
 std::size_t TrieIndex::SeekGE(int level, Range r, Value v) const {

@@ -13,15 +13,19 @@ namespace cqbounds {
 
 /// Monotonic process-wide counters over TrieIndex construction, readable by
 /// benches and tests. `radix_builds` counts from-scratch builds (Relation and
-/// RowView constructors), `merge_builds` counts patch-constructor merges.
+/// RowView constructors), `merge_builds` counts delta-constructor splices.
+/// `delta_nodes_visited` is the splice's work counter: nodes the delta
+/// constructor probed (one SeekGE each) or emitted one at a time, leaving out
+/// the untouched runs it bulk-copies -- O(delta * depth), never O(base).
 /// `tuple_materializations` is a tripwire: it counts per-tuple heap `Tuple`
 /// objects created during trie construction, which is zero by design on the
-/// columnar radix and merge paths -- bench_e15_columnar_scale asserts it
+/// columnar radix and splice paths -- bench_e15_columnar_scale asserts it
 /// stays zero, so any future build path that regresses to materializing
 /// row-major tuples must bump it and will trip the bench.
 struct TrieBuildStats {
   std::uint64_t radix_builds = 0;
   std::uint64_t merge_builds = 0;
+  std::uint64_t delta_nodes_visited = 0;
   std::uint64_t tuple_materializations = 0;
 };
 TrieBuildStats GetTrieBuildStats();
@@ -73,37 +77,40 @@ class TrieIndex {
   TrieIndex(const RowView& view,
             const std::vector<std::vector<int>>& level_positions);
 
-  /// Patch constructor: builds the trie for `base`'s key set plus the keys of
-  /// the rows in `appended` (extracted with the same `level_positions` layout
-  /// `base` was built with -- typically the append window of the base's
-  /// relation, but any store-backed view works). `base` is never modified --
-  /// the patched trie is a fresh object, so readers holding shared_ptrs to
-  /// `base` are unaffected (the EvalContext concurrency contract). Cost is
-  /// O(base + k log k) for k appended rows: the base's keys are enumerated
-  /// already sorted (a DFS over its flat levels) and merged with the sorted
-  /// delta in one pass, skipping the full sort a from-scratch build pays.
-  /// Set semantics hold across the merge: a delta key already present in
-  /// `base` does not grow the trie.
-  TrieIndex(const TrieIndex& base, const RowView& appended,
-            const std::vector<std::vector<int>>& level_positions);
-
-  /// Unpatch constructor: `base`'s key multiset plus `appended` minus
-  /// `removed` -- the mixed append/remove delta path. Every trie carries a
-  /// per-key *support count* (how many self-consistent rows project onto
-  /// the key; stored sparsely, since counts exceed one only under
-  /// projection or repeated-variable layouts), so subtracting a removed row
-  /// deletes its key exactly when the last supporting row goes: a key is
-  /// emitted iff base_count + appended_count - removed_count > 0. Removed
-  /// rows are named by id into a store whose tombstoned columns are still
-  /// readable (Relation::DeltasSince guarantees this until compaction);
-  /// rows failing the repeated-variable filter are skipped symmetrically on
-  /// both delta sides, mirroring what the base build did. Cost is
-  /// O(base + k log k) for k = |appended| + |removed|; `base` is never
-  /// modified (fresh object, same concurrency contract as the patch
-  /// constructor). Checks that no key's support goes negative.
+  /// Delta constructor: `base`'s key multiset plus `appended` minus
+  /// `removed` (either side may be empty; an empty `removed` is an append
+  /// patch). Every trie carries a per-key *support count* (how many
+  /// self-consistent rows project onto the key; stored sparsely, since
+  /// counts exceed one only under projection or repeated-variable layouts),
+  /// so a key is kept iff base_count + appended_count - removed_count > 0.
+  /// Rows are extracted with the same `level_positions` layout `base` was
+  /// built with; removed rows are named by id into a store whose tombstoned
+  /// columns are still readable (Relation::DeltasSince guarantees this until
+  /// compaction), and rows failing the repeated-variable filter are skipped
+  /// symmetrically on both sides, mirroring what the base build did.
+  ///
+  /// The two sides collapse into one sorted net delta of (key, signed
+  /// count), which is *spliced* into the base: walking it down the levels
+  /// with SeekGE inside each parent's child range, every untouched sibling
+  /// run between delta keys is bulk-copied with all its subtrees (values
+  /// as-is, first-child offsets shifted by one constant, leaf supports
+  /// copied), and only the nodes on a delta key's path are emitted one by
+  /// one. A leaf goes when its support reaches zero, an inner node when it
+  /// is left with no children. Cost: O(k log k) to sort k delta rows,
+  /// O(k * depth) probes of O(log gap) each (TrieBuildStats::
+  /// delta_nodes_visited), plus a memcpy-speed copy of the untouched base.
+  /// `base` is never modified -- the result is a fresh object, so readers
+  /// holding shared_ptrs to `base` are unaffected (the EvalContext
+  /// concurrency contract). Checks that no key's support goes negative.
   TrieIndex(const TrieIndex& base, const RowView& appended,
             const RowView& removed,
             const std::vector<std::vector<int>>& level_positions);
+
+  /// Structural equality: same levels, child offsets, per-key support
+  /// counts (an absent counts vector equals all ones) and root support. A
+  /// delta-built trie equals the from-scratch build of the post-window
+  /// relation.
+  bool operator==(const TrieIndex& other) const;
 
   /// Number of key levels (the atom's distinct-variable count).
   int num_levels() const { return static_cast<int>(levels_.size()); }
@@ -147,8 +154,9 @@ class TrieIndex {
   /// self-consistent row of `rows` (or all LIVE rows when `rows` is null;
   /// an explicit row list is taken as-is, so delta paths can read
   /// tombstoned rows' still-intact columns) to `*keys`, depth words per
-  /// kept row, and widens `*key_max` per level. Returns the kept-row
-  /// count.
+  /// kept row, and widens [`*key_min`, `*key_max`] per level (the caller
+  /// starts them at [all-ones, 0], so several calls can share one buffer).
+  /// Returns the kept-row count.
   static std::size_t ExtractKeys(
       const ColumnStore& store, const std::vector<std::uint32_t>* rows,
       const std::vector<std::vector<int>>& level_positions,
@@ -156,8 +164,8 @@ class TrieIndex {
       std::vector<std::uint64_t>* key_max);
 
   /// Radix-sorts + dedups the packed `keys` (m rows of depth words),
-  /// recording per-key duplicate counts as support, then builds the
-  /// per-level arrays via BuildFromSortedFlat. Shared tail of the
+  /// recording per-key duplicate counts as support, then builds every
+  /// level in one scan of the sorted stream. Shared tail of the
   /// from-scratch constructors.
   void BuildFromFlatKeys(const std::vector<std::uint64_t>& keys,
                          std::size_t m, int depth,
@@ -172,21 +180,13 @@ class TrieIndex {
   /// (the dense common case costs nothing).
   void SetCounts(std::vector<std::uint32_t>&& counts);
 
-  /// Builds the per-level arrays from an already sorted, deduplicated packed
-  /// key stream of m rows (the single-scan core, exposed so the patch
-  /// constructor's merge can feed it directly).
-  void BuildFromSortedFlat(const std::vector<std::uint64_t>& keys,
-                           std::size_t m, int depth);
-
-  /// Appends every key of this trie, packed and sign-biased, in
-  /// lexicographic order (an iterative DFS over the flat levels -- no
-  /// comparisons, no sort, no Tuple objects).
-  void EnumerateFlatKeys(std::vector<std::uint64_t>* out) const;
+  /// The delta constructor's working state (defined in trie_index.cc).
+  struct Splicer;
 
   std::vector<Level> levels_;
   std::size_t num_tuples_ = 0;
   /// Per-leaf-key support counts in lexicographic (DFS/leaf) order; empty
-  /// means every key has support one. Only the delta constructors consume
+  /// means every key has support one. Only the delta constructor consumes
   /// these -- enumeration and seeks never look at them.
   std::vector<std::uint32_t> counts_;
   /// Depth-0 (nullary key) support: how many rows back the boolean guard.

@@ -100,7 +100,7 @@ TEST(TrieIndexTest, PatchMatchesFromScratchRebuild) {
   r.Insert({11, 1});  // past the old maximum
   const RowView appended = RowView::Tail(r.store(), 4, 3);
 
-  TrieIndex patched(base, appended, {{0}, {1}});
+  TrieIndex patched(base, appended, RowView(), {{0}, {1}});
   TrieIndex scratch(r, {{0}, {1}});
   EXPECT_EQ(patched.num_tuples(), scratch.num_tuples());
   EXPECT_EQ(AllKeys(patched), AllKeys(scratch));
@@ -124,7 +124,8 @@ TEST(TrieIndexTest, PatchIsSetSemanticAndFiltersSelfInconsistent) {
   d.Insert({1, 2, 1});  // repeats a base key
   d.Insert({6, 7, 6});  // genuinely new
   d.Insert({8, 9, 1});  // self-inconsistent under {0, 2}: filtered
-  TrieIndex patched(base, RowView::Tail(d.store(), 0, 3), {{1}, {0, 2}});
+  TrieIndex patched(base, RowView::Tail(d.store(), 0, 3), RowView(),
+                    {{1}, {0, 2}});
   EXPECT_EQ(patched.num_tuples(), 3u);
   EXPECT_EQ(AllKeys(patched),
             (std::vector<Tuple>{{2, 1}, {5, 4}, {7, 6}}));
@@ -137,11 +138,11 @@ TEST(TrieIndexTest, PatchOnNullaryTrieFlipsEmptiness) {
   EXPECT_EQ(base.num_tuples(), 0u);
 
   // An empty delta keeps the guard closed; the empty tuple opens it.
-  TrieIndex still_empty(base, RowView::Tail(g.store(), 0, 0), {});
+  TrieIndex still_empty(base, RowView::Tail(g.store(), 0, 0), RowView(), {});
   EXPECT_EQ(still_empty.num_tuples(), 0u);
   Relation d("D", 0);
   d.Insert({});
-  TrieIndex open(base, RowView::Tail(d.store(), 0, 1), {});
+  TrieIndex open(base, RowView::Tail(d.store(), 0, 1), RowView(), {});
   EXPECT_EQ(open.num_tuples(), 1u);
 }
 

@@ -1,0 +1,300 @@
+// The trie delta constructor against its oracle: a TrieIndex spliced from a
+// base trie and a journaled window must equal, node for node and support
+// for support, the from-scratch build over the post-window relation.
+// Randomized windows cover every layout shape the executors produce
+// (depth 0-3, projections where one key carries several rows,
+// repeated-variable equality filters) and chain the splices, so each
+// window's base is itself a splice. Deterministic cases pin the edges the
+// random draws hit only by luck: new level-0 nodes before, between and
+// after the existing ones, removals that empty a subtree or the whole trie,
+// a key appended and removed inside one window, and a removal the base
+// never supported (a CQB_CHECK death). DeltaCostTest pins the splice's
+// work: a one-row window over a 10^5-key trie probes and emits O(depth)
+// nodes, never O(base).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "relation/relation.h"
+#include "relation/trie_index.h"
+#include "util/rng.h"
+
+namespace cqbounds {
+namespace {
+
+using Layout = std::vector<std::vector<int>>;
+
+/// One atom shape: the relation's arity and the trie's level positions.
+struct LayoutCase {
+  const char* name;
+  int arity;
+  Layout layout;
+};
+
+const std::vector<LayoutCase>& LayoutCases() {
+  static const std::vector<LayoutCase> cases = {
+      {"nullary guard", 2, {}},
+      {"depth 1", 1, {{0}}},
+      {"depth 1 projection", 2, {{1}}},
+      {"depth 2", 2, {{0}, {1}}},
+      {"depth 2 permuted", 2, {{1}, {0}}},
+      {"depth 2 projection", 3, {{2}, {0}}},
+      {"depth 2 repeated variable", 3, {{1}, {0, 2}}},
+      {"depth 3", 3, {{0}, {1}, {2}}},
+      {"depth 3 repeated variable + projection", 4, {{3}, {0, 2}, {1}}},
+  };
+  return cases;
+}
+
+Tuple RandomTuple(Rng* rng, int arity, Value lo, Value hi) {
+  Tuple t(static_cast<std::size_t>(arity));
+  for (int c = 0; c < arity; ++c) t[c] = rng->NextInRange(lo, hi);
+  return t;
+}
+
+/// Removes every live tuple of `r` whose column `col` holds `v` -- with a
+/// level-0 column, the whole subtree under v.
+void RemoveWhere(Relation* r, int col, Value v) {
+  for (const Tuple& t : r->tuples()) {
+    if (t[col] == v) r->Remove(t);
+  }
+}
+
+/// Splices the window since `*base_gen` into `*base` and checks it against
+/// a fresh build; the splice then becomes the next window's base, so chained
+/// windows unpatch an unpatch. Returns false (rebasing on the fresh build)
+/// when the window crossed a compaction.
+bool SpliceAndCheck(const Relation& r, const Layout& layout,
+                    TrieIndex* base, std::uint64_t* base_gen,
+                    const std::string& context) {
+  Relation::DeltaSet deltas;
+  const TrieIndex fresh(r, layout);
+  const bool spliced = r.DeltasSince(*base_gen, &deltas);
+  if (spliced) {
+    RowView appended(&r.store());
+    appended.rows = deltas.appended_rows;
+    RowView removed(&r.store());
+    removed.rows = deltas.removed_rows;
+    TrieIndex got(*base, appended, removed, layout);
+    EXPECT_TRUE(got == fresh) << context;
+    EXPECT_EQ(got.num_tuples(), fresh.num_tuples()) << context;
+    *base = std::move(got);
+  } else {
+    *base = fresh;
+  }
+  *base_gen = r.generation();
+  return spliced;
+}
+
+TEST(TrieDeltaPropertyTest, SpliceEqualsFreshBuildOnRandomChainedWindows) {
+  Rng rng(20261017);
+  for (const LayoutCase& lc : LayoutCases()) {
+    std::size_t splices = 0;
+    for (int round = 0; round < 12; ++round) {
+      // Narrow domains make projection collisions and repeated-variable
+      // matches common; inserts draw from a wider one, so new keys land
+      // before, between and after the existing ones. A unary relation gets
+      // a wider base domain, or it would hold too few rows to remove from
+      // without compacting.
+      const Value span = 2 + static_cast<Value>(rng.NextBelow(6));
+      Relation r("R", lc.arity);
+      const std::size_t n = 20 + rng.NextBelow(80);
+      for (std::size_t i = 0; i < n; ++i) {
+        r.Insert(RandomTuple(&rng, lc.arity, 0,
+                             lc.arity == 1 ? 12 * span : span));
+      }
+      TrieIndex base(r, lc.layout);
+      std::uint64_t base_gen = r.generation();
+      for (int window = 0; window < 8; ++window) {
+        const std::string context = std::string(lc.name) + " round " +
+                                    std::to_string(round) + " window " +
+                                    std::to_string(window);
+        const int ops = 1 + static_cast<int>(rng.NextBelow(6));
+        for (int op = 0; op < ops; ++op) {
+          const std::uint64_t kind = rng.NextBelow(10);
+          const std::vector<Tuple> live = r.tuples();
+          if (kind < 4 || live.empty()) {
+            r.Insert(RandomTuple(&rng, lc.arity, -span, 2 * span));
+          } else if (kind < 8) {
+            r.Remove(live[rng.NextBelow(live.size())]);
+          } else if (kind == 8) {
+            // Appended and removed inside one window: the journal names
+            // it on neither side.
+            const Tuple t = RandomTuple(&rng, lc.arity, 3 * span, 4 * span);
+            r.Insert(t);
+            r.Remove(t);
+          } else {
+            const int col = lc.layout.empty() ? 0 : lc.layout[0][0];
+            RemoveWhere(&r, col, live[rng.NextBelow(live.size())][col]);
+          }
+        }
+        if (SpliceAndCheck(r, lc.layout, &base, &base_gen, context)) {
+          ++splices;
+        }
+      }
+    }
+    // A compaction only rebases; at least a third of the 96 windows must
+    // still take the splice, or the test would check next to nothing.
+    EXPECT_GE(splices, 32u) << lc.name;
+  }
+}
+
+/// A relation holding `rows`.
+Relation Build(const std::string& name, int arity,
+               const std::vector<Tuple>& rows) {
+  Relation r(name, arity);
+  for (const Tuple& t : rows) r.Insert(t);
+  return r;
+}
+
+/// Every row of `r`'s store (live or not) as a view.
+RowView AllRows(const Relation& r) {
+  return RowView::Tail(r.store(), 0, r.store().size());
+}
+
+TEST(TrieDeltaPropertyTest, NewLevelZeroNodesBeforeBetweenAndAfter) {
+  const Layout layout = {{0}, {1}};
+  Relation r = Build("R", 2, {{10, 1}, {20, 1}, {20, 2}, {30, 1}});
+  const TrieIndex base(r, layout);
+  const Relation d = Build("D", 2, {{5, 7}, {15, 7}, {25, 7}, {35, 7}});
+  const TrieIndex got(base, AllRows(d), RowView(), layout);
+  for (const Tuple& t : d.tuples()) r.Insert(t);
+  EXPECT_TRUE(got == TrieIndex(r, layout));
+  EXPECT_EQ(got.RootRange().size(), 7u);
+}
+
+TEST(TrieDeltaPropertyTest, RemovalsEmptyASubtreeOrTheWholeTrie) {
+  for (const LayoutCase& lc : LayoutCases()) {
+    Rng rng(7);
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 40; ++i) {
+      rows.push_back(RandomTuple(&rng, lc.arity, 0, 3));
+    }
+    const Relation r = Build("R", lc.arity, rows);
+    const TrieIndex base(r, lc.layout);
+
+    // Whole trie: every row of the base removed.
+    const TrieIndex emptied(base, RowView(), AllRows(r), lc.layout);
+    EXPECT_TRUE(emptied == TrieIndex(Relation("E", lc.arity), lc.layout))
+        << lc.name;
+    EXPECT_EQ(emptied.num_tuples(), 0u) << lc.name;
+
+    // One subtree: every row under the smallest level-0 key removed.
+    if (lc.layout.empty()) continue;
+    const int col = lc.layout[0][0];
+    Value first = r.tuples().front()[col];
+    for (const Tuple& t : r.tuples()) first = std::min(first, t[col]);
+    RowView gone(&r.store());
+    Relation rest("S", lc.arity);
+    for (std::size_t row = 0; row < r.store().size(); ++row) {
+      const Tuple t = r.store().Row(row);
+      if (t[col] == first) {
+        gone.rows.push_back(static_cast<std::uint32_t>(row));
+      } else {
+        rest.Insert(t);
+      }
+    }
+    EXPECT_TRUE(TrieIndex(base, RowView(), gone, lc.layout) ==
+                TrieIndex(rest, lc.layout))
+        << lc.name;
+  }
+}
+
+TEST(TrieDeltaPropertyTest, KeyAppendedAndRemovedInOneWindow) {
+  // Projection onto column 0: removing (1, 5) and appending (1, 6) nets
+  // key 1 to zero change; a fresh key appended and removed nets to
+  // nothing at all. Twenty base rows keep the window clear of compaction.
+  const Layout layout = {{0}};
+  Relation r("R", 2);
+  for (Value k = 1; k <= 20; ++k) r.Insert({k, 5});
+  const TrieIndex base(r, layout);
+  const std::uint64_t gen = r.generation();
+  r.Remove({1, 5});
+  r.Insert({1, 6});
+  r.Insert({9, 9});
+  r.Remove({9, 9});
+  Relation::DeltaSet deltas;
+  ASSERT_TRUE(r.DeltasSince(gen, &deltas));
+  RowView appended(&r.store());
+  appended.rows = deltas.appended_rows;
+  RowView removed(&r.store());
+  removed.rows = deltas.removed_rows;
+  const TrieIndex got(base, appended, removed, layout);
+  EXPECT_TRUE(got == TrieIndex(r, layout));
+  EXPECT_TRUE(got == base);
+}
+
+TEST(TrieDeltaPropertyTest, ChainedUnpatchesStayExact) {
+  const Layout layout = {{1}, {0}};
+  Relation r("R", 2);
+  for (Value i = 0; i < 50; ++i) r.Insert({i, i % 7});
+  TrieIndex base(r, layout);
+  std::uint64_t gen = r.generation();
+  for (Value i = 0; i < 10; ++i) {
+    r.Remove({i, i % 7});
+    r.Insert({100 + i, i % 3});
+    ASSERT_TRUE(SpliceAndCheck(r, layout, &base, &gen,
+                               "step " + std::to_string(i)));
+  }
+}
+
+TEST(TrieDeltaDeathTest, RemovalTheBaseNeverSupportedAborts) {
+  const Layout layout = {{0}, {1}};
+  const Relation r = Build("R", 2, {{1, 2}});
+  const TrieIndex base(r, layout);
+  EXPECT_EQ(base.num_tuples(), 1u);
+#if defined(GTEST_HAS_DEATH_TEST) && GTEST_HAS_DEATH_TEST
+  const Relation absent = Build("A", 2, {{3, 4}});
+  // Projection: key 1 has support one, two removed rows overdraw it.
+  const Relation twice = Build("T", 2, {{1, 2}, {1, 3}});
+  EXPECT_DEATH(TrieIndex(base, RowView(), AllRows(absent), layout),
+               "net >= 0");
+  EXPECT_DEATH(TrieIndex(TrieIndex(r, {{0}}), RowView(), AllRows(twice),
+                         {{0}}),
+               "net >= 0");
+#endif
+}
+
+// --- Work pin ---------------------------------------------------------------
+
+/// Runs one window on a 10^5-key two-level trie and returns the nodes the
+/// splice visited, after checking it against a fresh build.
+std::uint64_t VisitsForWindow(const std::vector<Tuple>& inserts,
+                              const std::vector<Tuple>& removes) {
+  const Layout layout = {{0}, {1}};
+  Relation r("R", 2);
+  std::vector<Value> flat;
+  for (Value i = 0; i < 100000; ++i) {
+    flat.insert(flat.end(), {i / 100, i % 100});
+  }
+  r.InsertFlat(flat, 100000);
+  const TrieIndex base(r, layout);
+  const std::uint64_t gen = r.generation();
+  for (const Tuple& t : inserts) EXPECT_TRUE(r.Insert(t));
+  for (const Tuple& t : removes) EXPECT_TRUE(r.Remove(t));
+  Relation::DeltaSet deltas;
+  EXPECT_TRUE(r.DeltasSince(gen, &deltas));
+  RowView appended(&r.store());
+  appended.rows = deltas.appended_rows;
+  RowView removed(&r.store());
+  removed.rows = deltas.removed_rows;
+  const TrieBuildStats before = GetTrieBuildStats();
+  const TrieIndex got(base, appended, removed, layout);
+  const TrieBuildStats after = GetTrieBuildStats();
+  EXPECT_TRUE(got == TrieIndex(r, layout));
+  return after.delta_nodes_visited - before.delta_nodes_visited;
+}
+
+TEST(DeltaCostTest, OneRowWindowsVisitOnlyTheirPath) {
+  EXPECT_LE(VisitsForWindow({{500, 1000}}, {}), 64u);
+  EXPECT_LE(VisitsForWindow({}, {{500, 50}}), 64u);
+  EXPECT_LE(VisitsForWindow({{2000, 0}}, {{0, 0}}), 64u);
+}
+
+}  // namespace
+}  // namespace cqbounds
