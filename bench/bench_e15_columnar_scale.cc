@@ -161,10 +161,11 @@ void PrintTables() {
     // join table below keeps its exact output count), spliced in by the
     // delta constructor with nothing removed -- still zero materializations.
     CQB_CHECK(e->Insert({2000000, 2000001}));
-    const Relation::AppendWindow window = e->AppendedRowsSince(kScale);
-    TrieIndex patched(
-        scratch, RowView::Tail(e->store(), window.first_row, window.count),
-        RowView(), {{0}, {1}});
+    Relation::DeltaSet window;
+    CQB_CHECK(e->DeltasSince(kScale, &window));
+    CQB_CHECK(window.removed_rows.empty());  // an append-only window
+    TrieIndex patched(scratch, window.Appended(e->store()), RowView(),
+                      {{0}, {1}});
     const TrieBuildStats t2 = GetTrieBuildStats();
     CQB_CHECK(patched.num_tuples() == kScale + 1);
     CQB_CHECK(t2.merge_builds == t1.merge_builds + 1);

@@ -16,10 +16,15 @@
 // from-scratch context: identical output and a dangling census equal to
 // the cold run's drop count.
 //
+// The hybrid table ends with a window that crosses the store's
+// quarter-dead compaction threshold: the journal carries it as an epoch,
+// so it too runs as a delta pass with zero trie rebuilds.
+//
 // The tables are deterministic; wall times live in the timed sections,
 // pairing each warm removal refresh with its from-scratch contrast. The
 // trie2e5 sections time trie maintenance alone: one GetTrie after a mixed
-// window, its mutation applied untimed.
+// window, its mutation applied untimed; dangling1e5/compact+delta-pass
+// times a delta pass whose window compacted an atom.
 
 #include <deque>
 #include <iostream>
@@ -110,6 +115,18 @@ EvalContext& ChCtx() {
 /// enumeration is a single existence check -- what it times is the pass.
 constexpr int kDanglingRows = 100000;
 
+/// Adds the chain's R and S to `db`.
+void FillDanglingChain(Database* db) {
+  std::vector<Value> r_rows;
+  std::vector<Value> s_rows;
+  for (int i = 0; i < kDanglingRows; ++i) {
+    r_rows.insert(r_rows.end(), {i, i});
+    if (i % 2 == 0) s_rows.insert(s_rows.end(), {i, i});
+  }
+  db->AddRelation("R", 2)->InsertFlat(r_rows, kDanglingRows);
+  db->AddRelation("S", 2)->InsertFlat(s_rows, kDanglingRows / 2);
+}
+
 struct DanglingChain {
   Query boolean_q;
   Database db;
@@ -120,14 +137,7 @@ struct DanglingChain {
 
   DanglingChain() : boolean_q(ChainQuery()) {
     boolean_q.SetHead(boolean_q.head_relation(), {});
-    std::vector<Value> r_rows;
-    std::vector<Value> s_rows;
-    for (int i = 0; i < kDanglingRows; ++i) {
-      r_rows.insert(r_rows.end(), {i, i});
-      if (i % 2 == 0) s_rows.insert(s_rows.end(), {i, i});
-    }
-    db.AddRelation("R", 2)->InsertFlat(r_rows, kDanglingRows);
-    db.AddRelation("S", 2)->InsertFlat(s_rows, kDanglingRows / 2);
+    FillDanglingChain(&db);
     ctx = std::make_unique<EvalContext>(db);
     EvaluateQuery(ChainQuery(), db, PlanKind::kHybridYannakakis, ctx.get(),
                   nullptr)
@@ -158,6 +168,64 @@ DanglingChain& Dangling(int which) {
   return chains[static_cast<std::size_t>(which)];
 }
 
+/// The compaction timer's instance: the dangling chain behind a 64-row hot
+/// atom, Q() :- H(X), R(X,Y), S(Y,Z). A rep swaps 17 of H's rows for fresh
+/// ones -- the 17th removal crosses H's quarter-dead threshold, so every
+/// rep compacts H -- and re-reduces through the warm context: the journal
+/// carries the window across the compaction, H's books are remapped, and
+/// the pass runs in delta form.
+constexpr int kHotRows = 64;
+constexpr int kHotSwaps = 17;
+
+struct HotDanglingChain {
+  Query boolean_q;
+  Database db;
+  std::unique_ptr<EvalContext> ctx;
+  /// H's values, oldest first; value i is (7 * i) mod 10^5.
+  std::deque<Value> hot;
+  Value next = 0;
+
+  HotDanglingChain()
+      : boolean_q(ParseQuery("Q(X) :- H(X), R(X,Y), S(Y,Z).").ValueOrDie()) {
+    boolean_q.SetHead(boolean_q.head_relation(), {});
+    FillDanglingChain(&db);
+    Relation* h = db.AddRelation("H", 1);
+    while (hot.size() < kHotRows) CQB_CHECK(h->Insert({NextHot()}));
+    ctx = std::make_unique<EvalContext>(db);
+    EvaluateQuery(boolean_q, db, PlanKind::kHybridYannakakis, ctx.get(),
+                  nullptr)
+        .ValueOrDie();
+  }
+
+  Value NextHot() {
+    hot.push_back(next++ * 7 % kDanglingRows);
+    return hot.back();
+  }
+
+  void Rep() {
+    Relation* h = db.FindMutable("H");
+    const std::uint64_t compactions = h->compactions();
+    std::vector<Tuple> fresh;
+    for (int i = 0; i < kHotSwaps; ++i) {
+      CQB_CHECK(h->Remove({hot.front()}));
+      hot.pop_front();
+      fresh.push_back({NextHot()});
+    }
+    CQB_CHECK(h->InsertBatch(fresh) == fresh.size());
+    CQB_CHECK(h->compactions() == compactions + 1);
+    EvalStats stats;
+    EvaluateQuery(boolean_q, db, PlanKind::kHybridYannakakis, ctx.get(),
+                  &stats)
+        .ValueOrDie();
+    CQB_CHECK(stats.semijoin_delta_pass);
+  }
+};
+
+HotDanglingChain& HotDangling() {
+  static HotDanglingChain chain;
+  return chain;
+}
+
 /// Mutates chain `which` by a δ-row window and re-reduces it through its
 /// warm context -- the counting delta pass plus the survivor-view upkeep.
 void DeltaPassRep(int which, int delta) {
@@ -176,9 +244,11 @@ void DeltaPassRep(int which, int delta) {
 /// context. A rep's untimed setup applies one window (δ base rows removed,
 /// δ fresh rows appended across the groups); the timed part is the single
 /// GetTrie that refreshes the cached trie -- no evaluation, no enumeration.
-/// Before a window could push the dead rows past the store's quarter-dead
-/// compaction threshold, setup rebuilds the instance, so every timed
-/// refresh is a splice. Each timer owns one instance.
+/// Removals go oldest row first, base rows and then the fresh ones, so the
+/// windows run indefinitely and now and then cross the store's
+/// quarter-dead compaction threshold; the journal carries those windows as
+/// epochs, and every timed refresh is still a splice. Each timer owns one
+/// instance.
 constexpr int kTrieGroups = 200;
 constexpr int kTrieFanout = 1000;
 
@@ -191,12 +261,21 @@ struct TrieWindows {
   std::unique_ptr<Database> db;
   std::unique_ptr<EvalContext> ctx;
   Relation* b = nullptr;
-  /// Base rows removed since the last rebuild, in row order.
-  int removed = 0;
-  /// Fresh rows appended so far; never repeated across rebuilds.
+  /// Rows removed so far, oldest first: base rows, then fresh ones.
+  Value removed = 0;
+  /// Fresh rows appended so far.
   Value fresh = 0;
 
-  void Rebuild() {
+  /// The row appended `i`-th overall: the base rows, then fresh row f =
+  /// i - base + 1.
+  static Tuple RowAt(Value i) {
+    constexpr Value kBase = kTrieGroups * kTrieFanout;
+    if (i < kBase) return {i / kTrieFanout, i % kTrieFanout};
+    const Value f = i - kBase + 1;
+    return {f % kTrieGroups, kTrieFanout + f};
+  }
+
+  void Build() {
     ctx.reset();
     db = std::make_unique<Database>();
     std::vector<Value> flat;
@@ -207,17 +286,12 @@ struct TrieWindows {
     b->InsertFlat(flat, flat.size() / 2);
     ctx = std::make_unique<EvalContext>(*db);
     ctx->GetTrie(*b, TrieLayout(), nullptr);
-    removed = 0;
   }
 
   void Window(int delta) {
-    if ((b->store().dead_count() + static_cast<std::size_t>(delta)) * 4 >
-        b->store().size()) {
-      Rebuild();
-    }
     std::vector<Tuple> batch;
-    for (int k = 0; k < delta; ++k, ++removed) {
-      CQB_CHECK(b->Remove({removed / kTrieFanout, removed % kTrieFanout}));
+    for (int k = 0; k < delta; ++k) {
+      CQB_CHECK(b->Remove(RowAt(removed++)));
       ++fresh;
       batch.push_back({fresh % kTrieGroups, kTrieFanout + fresh});
     }
@@ -246,8 +320,9 @@ void PrepareTimerFixtures() {
       .ValueOrDie();
   for (int which = 0; which < 4; ++which) {
     Dangling(which);
-    Windows(which).Rebuild();
+    Windows(which).Build();
   }
+  HotDangling();
 }
 
 void PrintTables() {
@@ -422,6 +497,26 @@ void PrintTables() {
           "delta", stats);
     }
     CQB_CHECK(result.size() < base_output);
+
+    // Compaction: drop the whole support of vertices 10, 11, ... until S
+    // crosses its quarter-dead threshold. The journal carries the window
+    // across the compaction as an epoch, so the pass still runs in delta
+    // form -- S's books remapped to the compacted row ids, the removed
+    // rows read from their saved codes -- and no trie is rebuilt.
+    std::size_t vertices = 0;
+    for (int v = 10; s->compactions() == 0; ++v, ++vertices) {
+      for (int d = 1; d <= 3; ++d) {
+        CQB_CHECK(s->Remove({v, (v + d) % kCycleN}));
+        CQB_CHECK(s->Remove({v, (v - d + kCycleN) % kCycleN}));
+      }
+    }
+    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+                 .ValueOrDie();
+    CQB_CHECK(stats.semijoin_pass_ran && stats.semijoin_delta_pass);
+    CQB_CHECK(stats.semijoin_killed_tuples == 6 * vertices);
+    CQB_CHECK(stats.trie_rebuilds == 0);
+    cross_check(stats, result);
+    row("compact + delta", "delta", stats);
   }
   hybrid_table.Print();
 
@@ -519,6 +614,12 @@ CQB_BENCH_TIMED("dangling1e5/delta1-full-reduce", [] {
                 nullptr)
       .ValueOrDie();
 })
+
+// A 64-row hot atom in front of the same chain, compacted by every rep's
+// 17-row swap, re-reduced through the warm context: the H remap plus the
+// delta pass -- what a full re-reduce cost before compactions were
+// journaled.
+CQB_BENCH_TIMED("dangling1e5/compact+delta-pass", [] { HotDangling().Rep(); })
 
 // Trie maintenance alone, at growing window sizes: one GetTrie after a
 // δ-removed plus δ-appended window on the 2*10^5-row instance (the splice).

@@ -241,7 +241,8 @@ std::size_t ColumnStore::AppendFrom(const ColumnStore& other) {
 }
 
 ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,
-                                            std::uint32_t* removed_row) {
+                                            std::uint32_t* removed_row,
+                                            CompactionRecord* compaction) {
   CQB_CHECK(static_cast<int>(t.size()) == arity_);
   if (live_size() == 0) return EraseResult::kNotFound;
   for (int c = 0; c < arity_; ++c) {
@@ -265,16 +266,33 @@ ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,
   // dead, the O(size * arity) rewrite amortizes against the removals that
   // earned it.
   if (dead_count_ * 4 > rows_) {
-    Compact();
+    Compact(compaction);
     return EraseResult::kCompacted;
   }
   return EraseResult::kTombstoned;
 }
 
-void ColumnStore::Compact() {
+void ColumnStore::Compact(CompactionRecord* record) {
+  if (record != nullptr) {
+    // Sized exactly: the record outlives the call as a journal epoch.
+    record->size_before = rows_;
+    record->rows.clear();
+    record->rows.reserve(dead_count_);
+    record->codes.clear();
+    record->codes.reserve(dead_count_ * static_cast<std::size_t>(arity_));
+  }
   std::size_t write = 0;
   for (std::size_t row = 0; row < rows_; ++row) {
-    if (!IsLive(row)) continue;
+    if (!IsLive(row)) {
+      // Every write so far landed below `row`: its codes are still intact.
+      if (record != nullptr) {
+        record->rows.push_back(static_cast<std::uint32_t>(row));
+        for (int c = 0; c < arity_; ++c) {
+          record->codes.push_back(CodeAt(row, c));
+        }
+      }
+      continue;
+    }
     if (write != row) {
       for (int c = 0; c < arity_; ++c) {
         std::vector<std::uint32_t>& col =

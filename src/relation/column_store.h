@@ -68,19 +68,22 @@ class ValueDictionary {
 /// untouched, so a point deletion is O(arity) and delta consumers can name
 /// it by row id. Dead rows keep their codes readable (CodeAt/ValueAt still
 /// work) until the store *compacts* -- a deferred structural pass triggered
-/// when more than a quarter of the physical rows are dead -- which rewrites
-/// the columns over the live rows, rebuilds the index, and invalidates all
-/// row ids. size() stays the PHYSICAL row count (columns, row-id ranges);
-/// live_size()/empty() are the logical set. A tombstoned tuple re-appended
-/// later gets a NEW physical row id (ids never resurrect), and the row
-/// index always points at the newest row for a code-set.
+/// when more than a quarter of the physical rows are dead -- which copies
+/// the live rows down in order and rebuilds the index. The copy-down is
+/// stable and keeps every code, so the old -> new row map is monotone (new
+/// id = old id - dead rows below it) and drops exactly the dead rows;
+/// Erase hands their ids and code tuples to the caller (CompactionRecord),
+/// which is what lets Relation journal the compaction instead of treating
+/// it as a break. size() stays the PHYSICAL row count (columns, row-id
+/// ranges); live_size()/empty() are the logical set. A tombstoned tuple
+/// re-appended later gets a NEW physical row id (ids never resurrect), and
+/// the row index always points at the newest row for a code-set.
 ///
 /// Rows are grouped into *segments*: segment 0 is the base (the rows present
-/// as of the last structural mutation) and every bulk append seals one new
-/// segment; single-row appends extend the trailing append segment. The
-/// segment list is the columnar form of Relation's append journal -- a
-/// reader holding a row-count watermark finds everything appended since as
-/// the suffix [watermark, size()).
+/// as of the last compaction or Clear) and every bulk append seals one new
+/// segment; single-row appends extend the trailing append segment. A reader
+/// holding a row-count watermark finds everything appended since as the
+/// suffix [watermark, size()).
 ///
 /// Same concurrency contract as Relation (externally synchronized:
 /// readers-xor-writer, owned by EvalContext's documented discipline). All
@@ -94,10 +97,19 @@ class ColumnStore {
     std::size_t end = 0;
   };
 
-  /// What Erase did. kTombstoned leaves row ids stable (delta-friendly);
-  /// kCompacted means the deferred compaction ran -- row ids shifted and
-  /// the segment list collapsed, a structural mutation.
+  /// What Erase did. kTombstoned leaves row ids stable; kCompacted means
+  /// the deferred compaction ran -- row ids shifted down over the dropped
+  /// dead rows and the segment list collapsed.
   enum class EraseResult { kNotFound, kTombstoned, kCompacted };
+
+  /// What one compaction dropped, read before the copy-down: the physical
+  /// row count before it, the dead rows' ids in that id space (ascending),
+  /// and their code tuples (arity() codes per row, same order).
+  struct CompactionRecord {
+    std::size_t size_before = 0;
+    std::vector<std::uint32_t> rows;
+    std::vector<std::uint32_t> codes;
+  };
 
   explicit ColumnStore(int arity);
 
@@ -154,11 +166,13 @@ class ColumnStore {
   /// Removes `t` if present. The common case is a tombstone: O(arity), row
   /// ids stable, the open-addressing index untouched. When the tombstone
   /// pushes the dead fraction past the compaction threshold (dead rows >
-  /// 1/4 of physical rows) the store compacts instead -- O(size * arity),
-  /// row ids shift, segments collapse -- and reports kCompacted so the
-  /// journal above can record the structural break. On kTombstoned,
-  /// `*removed_row` (when non-null) receives the tombstoned row id.
-  EraseResult Erase(const Tuple& t, std::uint32_t* removed_row = nullptr);
+  /// 1/4 of physical rows) the store compacts as well -- O(size * arity),
+  /// row ids shift, segments collapse -- and reports kCompacted, filling
+  /// `*compaction` (when non-null) so the journal above can record what
+  /// was dropped. `*removed_row` (when non-null) receives the removed
+  /// row's id, before any compaction.
+  EraseResult Erase(const Tuple& t, std::uint32_t* removed_row = nullptr,
+                    CompactionRecord* compaction = nullptr);
 
   /// Drops all rows, live and dead (structural). The dictionary survives:
   /// codes are never recycled, so a long-lived store's dictionary is
@@ -191,8 +205,9 @@ class ColumnStore {
   void ReindexInto(std::size_t capacity);
   /// Deferred structural pass: copies the live rows down in order, drops
   /// the tombstone bitmap, rebuilds the index, collapses segments to one
-  /// base segment. Row ids shift.
-  void Compact();
+  /// base segment. Row ids shift. Records the dropped rows in `*record`
+  /// when non-null.
+  void Compact(CompactionRecord* record);
   /// Probes and appends one coded row; true iff it was new. Does not touch
   /// segments (callers manage segment boundaries).
   bool AppendCodedRow(const std::uint32_t* codes);
@@ -221,10 +236,17 @@ class ColumnStore {
 
 /// A borrowed, ordered list of row ids into one ColumnStore -- the columnar
 /// replacement for the old `vector<const Tuple*>` filtered views (semi-join
-/// survivors, append-window deltas). Nothing is copied: consumers read key
-/// columns straight out of the store. The store must outlive the view.
+/// survivors, delta windows). Nothing is copied: consumers read key columns
+/// straight out of the store. The store must outlive the view.
+///
+/// A view may also name *ghost* rows: row id store->size() + k resolves to
+/// the k-th code tuple of `ghosts` (arity codes each) instead of the store.
+/// Relation::DeltaSet hands out a window's removed rows this way, so they
+/// never collide with a live row's id after a compaction and are never read
+/// from the store.
 struct RowView {
   const ColumnStore* store = nullptr;
+  const std::vector<std::uint32_t>* ghosts = nullptr;
   std::vector<std::uint32_t> rows;
 
   RowView() = default;
@@ -232,6 +254,18 @@ struct RowView {
 
   std::size_t size() const { return rows.size(); }
   bool empty() const { return rows.empty(); }
+
+  /// Code of row `row` (a store row or a ghost) at column `col`.
+  std::uint32_t CodeAt(std::size_t row, int col) const {
+    return row < store->size()
+               ? store->CodeAt(row, col)
+               : (*ghosts)[(row - store->size()) *
+                               static_cast<std::size_t>(store->arity()) +
+                           static_cast<std::size_t>(col)];
+  }
+  Value ValueAt(std::size_t row, int col) const {
+    return store->dict().ValueOf(CodeAt(row, col));
+  }
 
   /// The contiguous suffix [first, first + count) of `store` -- the shape of
   /// an append window.

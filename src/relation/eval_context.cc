@@ -110,6 +110,24 @@ void EvalContext::StepKeys::Link(std::uint32_t entry, std::uint32_t row) {
   heads_[entry] = row;
 }
 
+void EvalContext::StepKeys::RemapRows(
+    const std::vector<std::uint32_t>& to_current) {
+  std::vector<std::uint32_t> next(to_current.size(), kNone);
+  for (std::size_t e = 0; e < heads_.size(); ++e) {
+    // Relink the chain's surviving rows under their new ids, in order.
+    std::uint32_t row = heads_[e];
+    std::uint32_t tail = kNone;
+    heads_[e] = kNone;
+    for (; row != kNone; row = next_[row]) {
+      const std::uint32_t moved = to_current[row];
+      if (moved == kNone) continue;
+      (tail == kNone ? heads_[e] : next[tail]) = moved;
+      tail = moved;
+    }
+  }
+  next_ = std::move(next);
+}
+
 EvalContext::Shard& EvalContext::ShardFor(const Key& key) {
   // Name + layout shape: two layouts of one relation land on (usually)
   // different stripes, so even single-relation self-join workloads spread.
@@ -145,8 +163,8 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
       }
       // Stale entry: snapshot it as a delta base. DeltasSince below decides
       // whether the journal can still name both delta sides (splice) or a
-      // structural break forces the rebuild. Either way the rows named are
-      // stable because mutations never overlap evaluations.
+      // Clear (or epoch retention) forces the rebuild. Either way the rows
+      // named are stable because mutations never overlap evaluations.
       stale_base = it->second.trie;
       stale_base_generation = it->second.generation;
     }
@@ -162,14 +180,13 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
   Relation::DeltaSet deltas;
   if (stale_base != nullptr &&
       rel.DeltasSince(stale_base_generation, &deltas)) {
-    // Every removed row's columns are still readable (no compaction since
-    // the snapshot): splice the net delta into the cached trie -- O(delta)
-    // probes plus a bulk copy of the untouched runs, no sort of the base. A
-    // window with no removed rows is a patch, any other an unpatch.
-    RowView appended(&rel.store());
-    appended.rows = std::move(deltas.appended_rows);
-    RowView removed(&rel.store());
-    removed.rows = std::move(deltas.removed_rows);
+    // Splice the net delta into the cached trie -- O(delta) probes plus a
+    // bulk copy of the untouched runs, no sort of the base. Removed rows
+    // are read from their saved codes, so compactions inside the window
+    // change nothing here. A window with no removed rows is a patch, any
+    // other an unpatch.
+    const RowView appended = deltas.Appended(rel.store());
+    const RowView removed = deltas.Removed(rel.store());
     const bool patch = removed.empty();
     (patch ? patches_ : unpatches_).fetch_add(1, std::memory_order_relaxed);
     if (stats != nullptr) {

@@ -71,11 +71,12 @@ struct LowWidthProbe {
 /// the stale trie by TrieIndex's delta constructor -- O(k log k) for k
 /// delta rows plus O(k * depth) probes and a bulk copy of the untouched
 /// runs, instead of a from-scratch O(n log n) sort. The trie's per-key
-/// support counts subtract removals exactly. A window with no removed rows
-/// counts as a patch (EvalStats::trie_patches), any other as an unpatch
-/// (EvalStats::trie_unpatches).
-/// Only a hard structural break -- Clear, or a Remove that crossed the
-/// tombstone-compaction threshold -- forces the full rebuild (EvalStats::
+/// support counts subtract removals exactly, read from the journal's saved
+/// codes, so a window that crossed compactions splices too (tries hold no
+/// row ids). A window with no removed rows counts as a patch
+/// (EvalStats::trie_patches), any other as an unpatch
+/// (EvalStats::trie_unpatches). Only a Clear, or a snapshot older than
+/// the journal's epoch retention, forces the full rebuild (EvalStats::
 /// trie_rebuilds). Plan entries depend only on the
 /// query shape and never go stale from data mutations -- only their
 /// semi-join state is generation-checked per use. The context holds a
@@ -168,6 +169,12 @@ class EvalContext {
     /// The row after `row` in its chain, or kNone.
     std::uint32_t next_row(std::uint32_t row) const { return next_[row]; }
 
+    /// Carries the chains across a compaction of the target atom: row r
+    /// becomes `to_current[r]`, and rows mapped to kNone leave their
+    /// chains. Every linked row must lie inside `to_current`. O(keys +
+    /// linked rows).
+    void RemapRows(const std::vector<std::uint32_t>& to_current);
+
    private:
     /// Slot holding `key`'s entry, or the empty slot where it would go.
     /// Requires a prior Reset (which allocates the slot table).
@@ -198,7 +205,11 @@ class EvalContext {
   /// of the delta's rows, then walks only the chains of keys whose support
   /// crossed zero; every per-row book it consults is an array read. Its
   /// work is O(delta + rows sharing a changed key), never a scan of an
-  /// atom (EvalStats::semijoin_rows_visited counts it).
+  /// atom (EvalStats::semijoin_rows_visited counts it). A window in which
+  /// an atom compacted first remaps that atom's row-indexed books
+  /// (`drop_step` and the chains of the steps targeting it) onto current
+  /// row ids: O(|atom| + its keys) array work, no key reads, and nothing
+  /// for the atoms that did not compact.
   struct SemijoinState {
     /// drop_step value of a row that survived every step.
     static constexpr std::uint32_t kSurvives = 0xFFFFFFFFu;
@@ -228,8 +239,9 @@ class EvalContext {
     /// key coming back from zero *revives* the chain's rows dropped at
     /// exactly this step. Every self-consistent target row present at the
     /// last full pass or appended since sits on its key's chain, whatever
-    /// its fate; removed rows stay linked until the next compaction (which
-    /// forces a full pass) and are filtered out by their kAbsent drop step.
+    /// its fate; removed rows stay linked until a compaction drops them
+    /// (the remap unlinks them) and are filtered out by their kAbsent drop
+    /// step meanwhile.
     std::vector<StepKeys> steps;
     /// Per atom, per physical row of its store: the first schedule step
     /// that dropped the row, kSurvives, or kAbsent. Rows appended after
@@ -264,11 +276,10 @@ class EvalContext {
 
   /// The cached trie for `rel` under `level_positions`, building (or
   /// refreshing, if `rel` mutated since -- a delta splice when the journal
-  /// can name the window, counted as a patch when it removed no rows and
-  /// an unpatch otherwise; a full rebuild only past a structural break) on
-  /// demand. `rel` must
-  /// belong to
-  /// the attached database -- checked by identity, not by name, and
+  /// can name the window, compactions included, counted as a patch when it
+  /// removed no rows and an unpatch otherwise; a full rebuild only past a
+  /// Clear or the journal's epoch retention) on demand. `rel` must belong
+  /// to the attached database -- checked by identity, not by name, and
   /// enforced with CQB_CHECK: a same-named relation from another database
   /// can coincide in generation, and serving it a "hit" would silently
   /// return a trie over different tuples. Hit/miss counters are bumped both

@@ -492,13 +492,14 @@ ReductionAtom MakeReductionAtom(const Atom& atom) {
 /// Intra-atom repeated variables filter here, exactly as the trie build
 /// would -- the reduction must not "drop" tuples the enumeration never
 /// sees anyway. Code comparison: one dictionary per store, so code equality
-/// is value equality.
-bool SelfConsistent(const ReductionAtom& a, const ColumnStore& store,
+/// is value equality. `src` resolves store rows and removed (ghost) rows
+/// alike.
+bool SelfConsistent(const ReductionAtom& a, const RowView& src,
                     std::size_t row) {
   for (const std::vector<int>& ps : a.var_positions) {
-    const std::uint32_t code = store.CodeAt(row, ps[0]);
+    const std::uint32_t code = src.CodeAt(row, ps[0]);
     for (std::size_t i = 1; i < ps.size(); ++i) {
-      if (store.CodeAt(row, ps[i]) != code) return false;
+      if (src.CodeAt(row, ps[i]) != code) return false;
     }
   }
   return true;
@@ -510,8 +511,9 @@ bool SelfConsistent(const ReductionAtom& a, const ColumnStore& store,
 void CollectSelfConsistent(const ReductionAtom& a, const ColumnStore& store,
                            std::size_t first,
                            std::vector<std::uint32_t>* out) {
+  const RowView src(&store);
   for (std::size_t row = first; row < store.size(); ++row) {
-    if (store.IsLive(row) && SelfConsistent(a, store, row)) {
+    if (store.IsLive(row) && SelfConsistent(a, src, row)) {
       out->push_back(static_cast<std::uint32_t>(row));
     }
   }
@@ -631,11 +633,13 @@ using StepKeys = EvalContext::StepKeys;
 constexpr std::uint32_t kSurvives = SemijoinState::kSurvives;
 constexpr std::uint32_t kAbsent = SemijoinState::kAbsent;
 
-/// Reads row `row`'s values at `positions` into `key`.
-void LoadKey(const ColumnStore& store, std::uint32_t row,
+/// Reads row `row`'s values at `positions` into `key`. `src` resolves
+/// store rows and removed (ghost) rows alike, so a removed row's key comes
+/// from its saved codes, never from the store.
+void LoadKey(const RowView& src, std::uint32_t row,
              const std::vector<int>& positions, Value* key) {
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    key[i] = store.ValueAt(row, positions[i]);
+    key[i] = src.ValueAt(row, positions[i]);
   }
 }
 
@@ -675,17 +679,19 @@ void RunFullPass(const std::vector<FilterStep>& steps,
     key.resize(keys.width());
     // A source row dropped at an earlier step already carries that step.
     const std::vector<std::uint32_t>& src_drop = state->drop_step[step.source];
+    const RowView src(source.store);
     for (const std::uint32_t row : source.rows) {
       if (src_drop[row] != kSurvives) continue;
-      LoadKey(*source.store, row, step.src_pos, key.data());
+      LoadKey(src, row, step.src_pos, key.data());
       ++keys.count(keys.FindOrInsert(key.data()));
       ++*rows_visited;
     }
     // Every target row joins its key's chain, dropped or not: a later
     // delta pass may revive it here after an earlier step re-admits it.
     std::vector<std::uint32_t>& tgt_drop = state->drop_step[step.target];
+    const RowView tgt(target.store);
     for (const std::uint32_t row : target.rows) {
-      LoadKey(*target.store, row, step.tgt_pos, key.data());
+      LoadKey(tgt, row, step.tgt_pos, key.data());
       const std::uint32_t entry = keys.FindOrInsert(key.data());
       keys.Link(entry, row);
       if (tgt_drop[row] == kSurvives && keys.count(entry) == 0) {
@@ -731,10 +737,40 @@ struct TrackedRows {
   }
 };
 
+/// Carries atom `atom`'s row-indexed books across the compactions in its
+/// delta window: snapshot row r keeps its drop step under its current id,
+/// r less the compacted rows below it, and the rows the compactions dropped
+/// leave `drop_step` and the key chains of every step targeting the atom.
+/// O(|atom| + those steps' keys); the other atoms' books are untouched.
+void RemapAtom(const std::vector<FilterStep>& schedule, std::size_t atom,
+               const std::vector<std::uint32_t>& compacted,
+               SemijoinState* state) {
+  std::vector<std::uint32_t>& drop = state->drop_step[atom];
+  std::vector<std::uint32_t> to_current(drop.size(), StepKeys::kNone);
+  std::size_t k = 0;
+  for (std::size_t row = 0; row < drop.size(); ++row) {
+    if (k < compacted.size() && compacted[k] == row) {
+      ++k;
+      continue;
+    }
+    to_current[row] = static_cast<std::uint32_t>(row - k);
+    drop[row - k] = drop[row];
+  }
+  CQB_CHECK(k == compacted.size());
+  drop.resize(drop.size() - k);
+  for (std::size_t s = 0; s < schedule.size(); ++s) {
+    if (schedule[s].target == atom) state->steps[s].RemapRows(to_current);
+  }
+}
+
 /// The counting delta pass: extends `state` (computed at an earlier
 /// generation vector) by each atom's mutation window `deltas[i]`, leaving
 /// `state`'s books for the caller to settle from the returned tracked
-/// rows. Per step it adjusts the support counts by the tracked source rows
+/// rows. Removed rows are tracked under ghost ids past their store's end
+/// (Relation::DeltaSet::Removed), which no live row can share, and their
+/// keys come from the saved codes; an atom that compacted inside its window
+/// has its books remapped to current row ids first (RemapAtom). Per step
+/// it adjusts the support counts by the tracked source rows
 /// whose aliveness at that step changed, then propagates only the *net*
 /// key transitions: a key newly at support zero kills the target rows on
 /// its chain that were alive at this step, a key back from zero revives
@@ -753,32 +789,44 @@ std::vector<TrackedRows> RunDeltaPass(
     EvalStats* stats) {
   const std::size_t m = atoms.size();
   std::vector<TrackedRows> tracked(m);
+  // Per atom: its store, with the window's removed rows as ghosts.
+  std::vector<RowView> sources;
+  sources.reserve(m);
   std::vector<Value> key;
   for (std::size_t i = 0; i < m; ++i) {
     const ColumnStore& store = rels[i]->store();
+    const Relation::DeltaSet& delta = deltas[i];
+    sources.push_back(delta.Removed(store));
+    const RowView& src = sources.back();
     std::vector<std::uint32_t>& drop = state->drop_step[i];
+    stats->delta_tuples_processed +=
+        delta.appended_rows.size() + delta.removed_rows.size();
+    // Removed rows leave the books first, carrying the fate recorded under
+    // their snapshot id. Rows the base pass never saw (the
+    // repeated-variable filter) leave no books to balance.
+    for (std::size_t k = 0; k < src.rows.size(); ++k) {
+      if (!SelfConsistent(atoms[i], src, src.rows[k])) continue;
+      const std::uint32_t snapshot_row = delta.removed_rows[k];
+      tracked[i].Add(
+          TrackedRow{src.rows[k], false, false, drop[snapshot_row], kSurvives});
+      drop[snapshot_row] = kAbsent;
+    }
+    if (!delta.compacted_rows.empty()) {
+      RemapAtom(schedule, i, delta.compacted_rows, state);
+    }
     // Rows appended since the state was computed lie past the book's end.
     drop.resize(store.size(), kAbsent);
-    stats->delta_tuples_processed +=
-        deltas[i].appended_rows.size() + deltas[i].removed_rows.size();
-    for (const std::uint32_t row : deltas[i].appended_rows) {
-      if (!SelfConsistent(atoms[i], store, row)) continue;
+    for (const std::uint32_t row : delta.appended_rows) {
+      if (!SelfConsistent(atoms[i], src, row)) continue;
       tracked[i].Add(TrackedRow{row, true, true, kSurvives, kSurvives});
       for (std::size_t s = 0; s < schedule.size(); ++s) {
         if (schedule[s].target != i) continue;
         StepKeys& keys = state->steps[s];
         key.resize(keys.width());
-        LoadKey(store, row, schedule[s].tgt_pos, key.data());
+        LoadKey(src, row, schedule[s].tgt_pos, key.data());
         keys.Link(keys.FindOrInsert(key.data()), row);
         ++stats->semijoin_rows_visited;
       }
-    }
-    for (const std::uint32_t row : deltas[i].removed_rows) {
-      // Rows the base pass never saw (the repeated-variable filter) leave
-      // no books to balance. Their tombstoned columns stay readable until
-      // compaction, which DeltasSince already ruled out.
-      if (!SelfConsistent(atoms[i], store, row)) continue;
-      tracked[i].Add(TrackedRow{row, false, false, drop[row], kSurvives});
     }
   }
 
@@ -790,8 +838,8 @@ std::vector<TrackedRows> RunDeltaPass(
     const FilterStep& step = schedule[s];
     StepKeys& keys = state->steps[s];
     key.resize(keys.width());
-    const ColumnStore& src_store = rels[step.source]->store();
-    const ColumnStore& tgt_store = rels[step.target]->store();
+    const RowView& src = sources[step.source];
+    const RowView& tgt = sources[step.target];
     const auto s32 = static_cast<std::uint32_t>(s);
     // Phase 1: adjust this step's support counts by every tracked source
     // row whose aliveness at this step changed.
@@ -800,7 +848,7 @@ std::vector<TrackedRows> RunDeltaPass(
       const bool c_old = !t.appended && t.old_drop > s32;
       const bool c_new = t.present_new && t.new_drop > s32;
       if (c_old == c_new) continue;
-      LoadKey(src_store, t.row, step.src_pos, key.data());
+      LoadKey(src, t.row, step.src_pos, key.data());
       ++stats->semijoin_rows_visited;
       const std::uint32_t entry = keys.FindOrInsert(key.data());
       touched.emplace_back(entry, keys.count(entry));
@@ -858,7 +906,7 @@ std::vector<TrackedRows> RunDeltaPass(
     for (TrackedRow& t : target.rows) {
       if (!t.present_new || t.new_drop != kSurvives) continue;
       if (!t.appended && t.old_drop > s32) continue;
-      LoadKey(tgt_store, t.row, step.tgt_pos, key.data());
+      LoadKey(tgt, t.row, step.tgt_pos, key.data());
       ++stats->semijoin_rows_visited;
       const std::uint32_t entry = keys.Find(key.data());
       if (entry == StepKeys::kNone || keys.count(entry) == 0) {
@@ -1089,8 +1137,9 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
         const std::vector<FilterStep> schedule = BuildFilterSchedule(atoms);
         // The counting delta pass (RunDeltaPass) extends any cached state
         // -- clean or dirty -- whose per-atom mutation window the journal
-        // can still name both sides of (Relation::DeltasSince); a Clear or
-        // a compaction since forces the full pass.
+        // can still name both sides of (Relation::DeltasSince), across
+        // compactions too; only a Clear, or a window past the journal's
+        // epoch retention, forces the full pass.
         std::vector<Relation::DeltaSet> deltas(m);
         bool delta_ok = state != nullptr && state->generations.size() == m &&
                         state->steps.size() == schedule.size() &&
@@ -1119,9 +1168,12 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
             }
             // Settle each tracked row's drop step and the dangling count,
             // and collect the survivor-set delta (rows entering/leaving
-            // the view) that feeds the survivor trie unpatch.
+            // the view) that feeds the survivor trie unpatch. Removed rows
+            // carry ghost ids, resolved from the window's saved codes, and
+            // left the books when the pass began.
             RowView added(&rels[i]->store());
             RowView gone(&rels[i]->store());
+            gone.ghosts = &deltas[i].removed_codes;
             std::vector<std::uint32_t>& drop = state->drop_step[i];
             std::size_t& dangling = state->dangling[i];
             for (const TrackedRow& t : tracked[i].rows) {
@@ -1139,7 +1191,7 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
                 ++local.semijoin_dropped_tuples;
               }
               dangling = dangling + now_dangling - was_dangling;
-              drop[t.row] = t.present_new ? t.new_drop : kAbsent;
+              if (t.present_new) drop[t.row] = t.new_drop;
             }
             state->all_survive[i] = dangling == 0;
             local.semijoin_dangling_tuples += dangling;

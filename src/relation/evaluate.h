@@ -138,8 +138,8 @@ struct EvalStats {
   std::size_t trie_unpatches = 0;
   /// Trie tier: cache misses (and no-context transient builds) that ran the
   /// full from-scratch relation sort -- cold entries, or stale entries whose
-  /// relation crossed a structural break (Clear, or a Remove that triggered
-  /// tombstone compaction) since the cached build. trie_patches +
+  /// relation was cleared (or whose snapshot fell out of the journal's
+  /// epoch retention) since the cached build. trie_patches +
   /// trie_unpatches + trie_rebuilds <= trie_cache_misses: survivor-view
   /// tries built by the hybrid's reduction pass count as misses only.
   std::size_t trie_rebuilds = 0;

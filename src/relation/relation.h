@@ -15,7 +15,8 @@ namespace cqbounds {
 /// fixed arity, stored dictionary-encoded in contiguous uint32_t columns
 /// (relation/column_store.h). Insertion order of first occurrences is
 /// preserved so that iteration (and thus every algorithm built on it) is
-/// deterministic, and row ids are stable across appends.
+/// deterministic, and row ids are stable across appends and tombstone
+/// removals; a compaction shifts them, monotonically, and is journaled.
 ///
 /// ## Concurrency contract (externally synchronized)
 ///
@@ -23,14 +24,15 @@ namespace cqbounds {
 /// readers-xor-writer discipline is owned by the caller (EvalContext's
 /// documented contract -- mutations never overlap evaluations; any number
 /// of concurrent readers between mutations). The delta journal below
-/// (generation_ / append_floor_) is what makes that contract auditable by
-/// its consumers: every cached artifact snapshots generation() at build
-/// time and revalidates against it, so a violated contract surfaces as a
-/// TSan race in CI, never as silently stale data. The machine-checked
-/// (Clang -Wthread-safety, docs/STATIC_ANALYSIS.md) annotations live at
-/// the synchronization boundary -- relation/eval_context.h and
-/// util/thread_pool.h -- because a guard annotation here would claim a
-/// lock this class intentionally does not have.
+/// (generation_, the removal log and the compaction epochs) is what makes
+/// that contract auditable by its consumers: every cached artifact
+/// snapshots generation() at build time and revalidates against it, so a
+/// violated contract surfaces as a TSan race in CI, never as silently stale
+/// data. The machine-checked (Clang -Wthread-safety,
+/// docs/STATIC_ANALYSIS.md) annotations live at the synchronization
+/// boundary -- relation/eval_context.h and util/thread_pool.h -- because a
+/// guard annotation here would claim a lock this class intentionally does
+/// not have.
 class Relation {
  public:
   Relation() : name_("R"), store_(0) {}
@@ -54,54 +56,41 @@ class Relation {
   /// invalidation instead of content hashing.
   std::uint64_t generation() const { return generation_; }
 
-  /// Delta journal: true iff every change between generation `gen` and now
-  /// was an append. Appends never reorder the stable row prefix, so a
-  /// reader holding a snapshot taken at `gen` can patch its index from the
-  /// appended row window (AppendedRowsSince) instead of rebuilding.
-  /// Remove/Clear advance the append floor, so any structural mutation since
-  /// `gen` makes this false and forces the full-rebuild path.
-  bool AppendsOnlySince(std::uint64_t gen) const {
-    return gen >= append_floor_ && gen <= generation_;
-  }
-
-  /// The column-segment watermark for a snapshot taken at `gen`: rows
-  /// [first_row, first_row + count) are exactly the rows appended since.
-  /// Within an append-only window the generation advances one per appended
-  /// row, so the watermark row is size() - (generation() - gen); the rows
-  /// behind it are the snapshot's stable segment, untouched since `gen`.
-  /// Requires AppendsOnlySince(gen) (checked).
-  struct AppendWindow {
-    std::size_t first_row = 0;
-    std::size_t count = 0;
-  };
-  AppendWindow AppendedRowsSince(std::uint64_t gen) const {
-    CQB_CHECK(AppendsOnlySince(gen));
-    const std::size_t appended = static_cast<std::size_t>(generation_ - gen);
-    CQB_CHECK(appended <= store_.size());
-    return AppendWindow{store_.size() - appended, appended};
-  }
-
-  /// The generalized delta journal: everything that changed since `gen`,
-  /// named by row id. `appended_rows` are the still-live rows appended
-  /// since `gen` (a subsequence of the physical row suffix, ascending);
-  /// `removed_rows` are the row ids tombstoned since `gen` that existed at
-  /// `gen` (ascending; their codes are still readable -- tombstones keep
-  /// columns intact). A tuple appended AND removed inside the window
-  /// appears in neither list. Valid for any `gen` at or after the last
-  /// *hard* structural break (Clear or a deferred compaction, which shift
-  /// or drop row ids); returns false and leaves `*out` empty otherwise --
-  /// the caller falls back to a full rebuild. AppendsOnlySince(gen)
-  /// implies validity with empty `removed_rows`.
+  /// The delta journal: everything that changed since `gen`.
+  ///  - `appended_rows`: the still-live rows appended since `gen`, by
+  ///    current id (a subsequence of the physical row suffix, ascending).
+  ///  - `removed_rows`: the rows live at `gen` and gone now, by their id AT
+  ///    THE SNAPSHOT (ascending), with their code tuples in
+  ///    `removed_codes` (arity() codes per row, same order) -- a removed
+  ///    row may since have been compacted away, or its snapshot id reused
+  ///    by a live row, so consumers read it only from the saved codes.
+  ///  - `compacted_rows`: when compactions lie in the window, the snapshot
+  ///    ids (ascending) of every snapshot row they dropped, dead at `gen`
+  ///    or removed since. They define the monotone snapshot -> current row
+  ///    map: row r keeps current id r - |{compacted_rows < r}|. Empty means
+  ///    the map is the identity.
+  /// A tuple appended AND removed inside the window appears on neither
+  /// side. Valid for any `gen` at or after the last Clear and inside epoch
+  /// retention (see Remove); returns false otherwise -- the caller falls
+  /// back to a full rebuild.
   struct DeltaSet {
     std::vector<std::uint32_t> appended_rows;
     std::vector<std::uint32_t> removed_rows;
+    std::vector<std::uint32_t> removed_codes;
+    std::vector<std::uint32_t> compacted_rows;
+
+    /// `appended_rows` as a view into `store`.
+    RowView Appended(const ColumnStore& store) const;
+    /// The removed rows as ghost rows of `store` (RowView): removed row k
+    /// is row id store.size() + k, resolving to its saved codes. Borrows
+    /// `removed_codes`.
+    RowView Removed(const ColumnStore& store) const;
   };
   bool DeltasSince(std::uint64_t gen, DeltaSet* out) const;
 
-  /// Number of hard structural breaks (deferred compactions) this relation
-  /// has performed; Clear resets nothing here -- it is its own break. Lets
-  /// tests and the mutation oracle distinguish a tombstone Remove (row ids
-  /// stable, deltas patchable) from one that compacted.
+  /// Number of deferred compactions this relation has performed (each one
+  /// a journaled epoch). Lets tests and benches see which windows crossed
+  /// one.
   std::uint64_t compactions() const { return compactions_; }
 
   /// Inserts `t` if not present; returns true if inserted. Aborts if the
@@ -122,17 +111,23 @@ class Relation {
   std::size_t InsertFrom(const Relation& other);
 
   /// Removes `t` if present; returns true if removed. Preserves the order
-  /// of the remaining tuples. A removal bumps the generation AND the
-  /// append floor (AppendsOnlySince() goes false for older snapshots), but
-  /// it is usually a *tombstone*: row ids stay stable, the removal is
-  /// journaled in the removed-row log, and DeltasSince() names it -- delta
-  /// consumers patch in O(δ) instead of rebuilding. Only when the store's
-  /// deferred compaction threshold trips does the removal become a hard
-  /// structural break (DeltasSince() goes invalid for older snapshots).
+  /// of the remaining tuples. A removal is a *tombstone*: row ids stay
+  /// stable, the removal is journaled in the removed-row log, and
+  /// DeltasSince() names it -- delta consumers patch in O(δ) instead of
+  /// rebuilding. When it trips the store's deferred compaction, the
+  /// compaction is journaled as an *epoch*: its generation, the physical
+  /// size before it, and the ids, removal generations and code tuples of
+  /// the dead rows it dropped. DeltasSince() answers across epochs.
+  /// Retention is a fixed rule: the oldest epochs are discarded while the
+  /// rows they saved add up to more than the live row count (the newest is
+  /// always kept), so the journal holds at most live_size() * arity() saved
+  /// codes, or the newest epoch's alone when that is larger; snapshots
+  /// older than a discarded epoch get no delta.
   bool Remove(const Tuple& t);
 
-  /// Drops every tuple. A hard structural break: bumps the generation and
-  /// both floors unless the store held no physical rows at all.
+  /// Drops every tuple. The one hard structural break: bumps the generation
+  /// and the structural floor, and discards the journal, unless the store
+  /// held no physical rows at all.
   void Clear();
 
   bool Contains(const Tuple& t) const { return store_.Contains(t); }
@@ -167,25 +162,37 @@ class Relation {
   std::string name_;
   ColumnStore store_;
   std::uint64_t generation_ = 0;
-  // Generation value as of the last non-append mutation (removal, clear,
-  // compaction); a snapshot generation >= this floor saw the current rows
-  // as a pure append suffix. All journal state is written only under the
-  // caller-owned writer phase (see the class comment) -- it is read
-  // concurrently by cached readers, which is safe precisely because writes
-  // never overlap reads.
-  std::uint64_t append_floor_ = 0;
-  // Generation value as of the last HARD structural break (Clear or a
-  // deferred compaction): snapshots at or after it can still be served a
-  // row-id delta (DeltasSince), older ones cannot. Invariant:
-  // structural_floor_ <= append_floor_ <= generation_.
+  // All journal state is written only under the caller-owned writer phase
+  // (see the class comment) -- it is read concurrently by cached readers,
+  // which is safe precisely because writes never overlap reads.
+  //
+  // Generation value as of the last Clear: older snapshots can never be
+  // served a delta.
   std::uint64_t structural_floor_ = 0;
-  // One entry per tombstoned row since the last hard break, generation-
-  // ascending; a row id appears at most once (ids never resurrect).
+  // Generation of the newest epoch retention discarded: older snapshots
+  // lost the epoch their delta needs.
+  std::uint64_t epoch_floor_ = 0;
+  // One entry per tombstoned row since the last compaction or Clear,
+  // generation-ascending, in current row ids -- exactly the store's dead
+  // rows.
   struct RemovalEvent {
     std::uint64_t gen = 0;
     std::uint32_t row = 0;
   };
   std::vector<RemovalEvent> removed_log_;
+  // One compaction: the generation of the removal that tripped it, the
+  // physical row count before it, and the dead rows it dropped -- ids in
+  // the pre-compaction id space (ascending), each with its removal
+  // generation and arity() codes.
+  struct Epoch {
+    std::uint64_t gen = 0;
+    std::size_t size_before = 0;
+    std::vector<std::uint32_t> rows;
+    std::vector<std::uint64_t> removed_at;
+    std::vector<std::uint32_t> codes;
+  };
+  // Retained epochs, generation-ascending.
+  std::vector<Epoch> epochs_;
   std::uint64_t compactions_ = 0;
 };
 

@@ -128,27 +128,28 @@ TrieBuildStats GetTrieBuildStats() {
 }
 
 std::size_t TrieIndex::ExtractKeys(
-    const ColumnStore& store, const std::vector<std::uint32_t>* rows,
+    const ColumnStore& store, const RowView* view,
     const std::vector<std::vector<int>>& level_positions,
     std::vector<std::uint64_t>* keys, std::vector<std::uint64_t>* key_min,
     std::vector<std::uint64_t>* key_max) {
   const int depth = static_cast<int>(level_positions.size());
-  const std::size_t n = rows != nullptr ? rows->size() : store.size();
+  const std::size_t n = view != nullptr ? view->size() : store.size();
   keys->reserve(keys->size() + n * static_cast<std::size_t>(depth));
   std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t row = rows != nullptr ? (*rows)[i] : i;
-    // Whole-store builds index the live set; explicit row lists are taken
-    // as-is so delta paths can read tombstoned rows' still-intact columns.
-    if (rows == nullptr && !store.IsLive(row)) continue;
+    const std::size_t row = view != nullptr ? view->rows[i] : i;
+    if (view == nullptr && !store.IsLive(row)) continue;
+    const auto code_at = [&](int col) {
+      return view != nullptr ? view->CodeAt(row, col) : store.CodeAt(row, col);
+    };
     const std::size_t mark = keys->size();
     bool consistent = true;
     for (int l = 0; l < depth && consistent; ++l) {
       const std::vector<int>& positions = level_positions[l];
-      const std::uint32_t code = store.CodeAt(row, positions.front());
+      const std::uint32_t code = code_at(positions.front());
       for (std::size_t p = 1; p < positions.size(); ++p) {
         // One dictionary per store: code equality is value equality.
-        if (store.CodeAt(row, positions[p]) != code) {
+        if (code_at(positions[p]) != code) {
           consistent = false;
           break;
         }
@@ -254,7 +255,7 @@ TrieIndex::TrieIndex(const RowView& view,
   std::vector<std::uint64_t> keys;
   std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth), ~0ull);
   std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth), 0);
-  const std::size_t m = ExtractKeys(*view.store, &view.rows, level_positions,
+  const std::size_t m = ExtractKeys(*view.store, &view, level_positions,
                                     &keys, &key_min, &key_max);
   BuildFromFlatKeys(keys, m, depth, key_min, key_max);
 }
@@ -379,8 +380,8 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
   const auto extract = [&](const RowView& side) -> std::size_t {
     if (side.empty()) return 0;
     CQB_CHECK(side.store != nullptr);
-    return ExtractKeys(*side.store, &side.rows, level_positions, &keys,
-                       &key_min, &key_max);
+    return ExtractKeys(*side.store, &side, level_positions, &keys, &key_min,
+                       &key_max);
   };
   const std::size_t added = extract(appended);
   const std::size_t m = added + extract(removed);

@@ -84,10 +84,11 @@ class TrieIndex {
   /// counts exceed one only under projection or repeated-variable layouts),
   /// so a key is kept iff base_count + appended_count - removed_count > 0.
   /// Rows are extracted with the same `level_positions` layout `base` was
-  /// built with; removed rows are named by id into a store whose tombstoned
-  /// columns are still readable (Relation::DeltasSince guarantees this until
-  /// compaction), and rows failing the repeated-variable filter are skipped
-  /// symmetrically on both sides, mirroring what the base build did.
+  /// built with. Removed rows usually come as ghost rows resolving to saved
+  /// code tuples (Relation::DeltaSet::Removed), so a window that crossed
+  /// compactions splices like any other -- the trie holds no row ids. Rows
+  /// failing the repeated-variable filter are skipped symmetrically on both
+  /// sides, mirroring what the base build did.
   ///
   /// The two sides collapse into one sorted net delta of (key, signed
   /// count), which is *spliced* into the base: walking it down the levels
@@ -151,14 +152,14 @@ class TrieIndex {
   };
 
   /// Packed key extraction: appends the sign-biased key words of every
-  /// self-consistent row of `rows` (or all LIVE rows when `rows` is null;
-  /// an explicit row list is taken as-is, so delta paths can read
-  /// tombstoned rows' still-intact columns) to `*keys`, depth words per
+  /// self-consistent row of `view` (or all LIVE rows of `store` when `view`
+  /// is null; a view is taken as-is, ghost rows included, so delta paths
+  /// read removed rows from their saved codes) to `*keys`, depth words per
   /// kept row, and widens [`*key_min`, `*key_max`] per level (the caller
   /// starts them at [all-ones, 0], so several calls can share one buffer).
   /// Returns the kept-row count.
   static std::size_t ExtractKeys(
-      const ColumnStore& store, const std::vector<std::uint32_t>* rows,
+      const ColumnStore& store, const RowView* view,
       const std::vector<std::vector<int>>& level_positions,
       std::vector<std::uint64_t>* keys, std::vector<std::uint64_t>* key_min,
       std::vector<std::uint64_t>* key_max);

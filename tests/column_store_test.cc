@@ -306,6 +306,19 @@ TEST(RowViewTest, TailNamesTheAppendSuffix) {
 
 // --- Relation journal over the columnar store ------------------------------
 
+/// The removed side of `ds` as tuples, decoded from its saved codes.
+std::vector<Tuple> RemovedValues(const Relation& r,
+                                 const Relation::DeltaSet& ds) {
+  const RowView removed = ds.Removed(r.store());
+  std::vector<Tuple> out;
+  for (const std::uint32_t row : removed.rows) {
+    Tuple t(static_cast<std::size_t>(r.arity()));
+    for (int c = 0; c < r.arity(); ++c) t[c] = removed.ValueAt(row, c);
+    out.push_back(t);
+  }
+  return out;
+}
+
 TEST(RelationJournalTest, BatchInsertAdvancesGenerationByRowsAdded) {
   Relation r("R", 2);
   EXPECT_EQ(r.generation(), 0u);
@@ -318,18 +331,22 @@ TEST(RelationJournalTest, BatchInsertAdvancesGenerationByRowsAdded) {
   EXPECT_EQ(r.InsertBatch({{1, 2}, {3, 4}, {5, 6}, {3, 4}}), 2u);
   EXPECT_EQ(r.generation(), snapshot + 2);
 
-  // The append window is exactly the batch's fresh rows.
-  ASSERT_TRUE(r.AppendsOnlySince(snapshot));
-  Relation::AppendWindow window = r.AppendedRowsSince(snapshot);
-  EXPECT_EQ(window.first_row, 1u);
-  EXPECT_EQ(window.count, 2u);
-  EXPECT_EQ(r.store().Row(window.first_row), (Tuple{3, 4}));
+  // The append window is exactly the batch's fresh rows: rows [1, 3), and
+  // nothing removed.
+  Relation::DeltaSet window;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &window));
+  ASSERT_TRUE(window.removed_rows.empty());
+  EXPECT_EQ(window.appended_rows, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(r.store().Row(window.appended_rows.front()), (Tuple{3, 4}));
 
-  // A structural mutation closes the append-only window.
+  // A removal gives the window a removed side; the current generation's
+  // window is empty.
   r.Remove({1, 2});
-  EXPECT_FALSE(r.AppendsOnlySince(snapshot));
-  EXPECT_TRUE(r.AppendsOnlySince(r.generation()));
-  EXPECT_EQ(r.AppendedRowsSince(r.generation()).count, 0u);
+  ASSERT_TRUE(r.DeltasSince(snapshot, &window));
+  EXPECT_FALSE(window.removed_rows.empty());
+  ASSERT_TRUE(r.DeltasSince(r.generation(), &window));
+  EXPECT_TRUE(window.removed_rows.empty());
+  EXPECT_TRUE(window.appended_rows.empty());
 }
 
 TEST(RelationJournalTest, DeltasSinceNamesBothSidesOfAMixedWindow) {
@@ -342,15 +359,17 @@ TEST(RelationJournalTest, DeltasSinceNamesBothSidesOfAMixedWindow) {
   r.Insert({101});               // physical row 9
   EXPECT_TRUE(r.Remove({101}));  // appended then removed in one window
 
-  EXPECT_FALSE(r.AppendsOnlySince(snapshot));
   Relation::DeltaSet ds;
   ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  EXPECT_FALSE(ds.removed_rows.empty());  // not an append-only window
   // The append-then-remove of {101} nets out of BOTH sides: row 9 is dead
   // (not appended) and was never visible at the snapshot (not removed).
   EXPECT_EQ(ds.appended_rows, (std::vector<std::uint32_t>{8}));
   EXPECT_EQ(ds.removed_rows, (std::vector<std::uint32_t>{3}));
-  // The removed row's columns stay readable until compaction -- the trie
-  // unpatch path reads the dead row's key out of them.
+  // The removed row's codes are saved with the delta -- the trie unpatch
+  // path reads its key from there, as a ghost row past the store's end --
+  // and the tombstoned columns stay readable until compaction.
+  EXPECT_EQ(RemovedValues(r, ds), (std::vector<Tuple>{{3}}));
   EXPECT_FALSE(r.store().IsLive(3));
   EXPECT_EQ(r.store().Row(3), (Tuple{3}));
 
@@ -364,9 +383,19 @@ TEST(RelationJournalTest, DeltasSinceNamesBothSidesOfAMixedWindow) {
   EXPECT_FALSE(r.DeltasSince(snapshot, &ds));
 }
 
-TEST(RelationJournalTest, CompactionIsAStructuralBreakForDeltas) {
+/// A relation holding the unary tuples 0 .. n-1 in rows 0 .. n-1.
+Relation Iota(Value n) {
   Relation r("R", 1);
-  for (Value v = 0; v < 8; ++v) r.Insert({v});
+  for (Value v = 0; v < n; ++v) r.Insert({v});
+  return r;
+}
+
+std::vector<std::uint32_t> Ids(std::initializer_list<std::uint32_t> ids) {
+  return std::vector<std::uint32_t>(ids);
+}
+
+TEST(RelationJournalTest, OneCompactionInTheWindow) {
+  Relation r = Iota(8);
   const std::uint64_t snapshot = r.generation();
   EXPECT_EQ(r.compactions(), 0u);
   EXPECT_TRUE(r.Remove({0}));
@@ -374,16 +403,139 @@ TEST(RelationJournalTest, CompactionIsAStructuralBreakForDeltas) {
   Relation::DeltaSet ds;
   ASSERT_TRUE(r.DeltasSince(snapshot, &ds));  // tombstones: still servable
   EXPECT_EQ(ds.removed_rows.size(), 2u);
+  EXPECT_TRUE(ds.compacted_rows.empty());
   EXPECT_TRUE(r.Remove({2}));  // crosses dead*4 > rows: compacts
   EXPECT_EQ(r.compactions(), 1u);
   EXPECT_EQ(r.store().size(), 5u);  // physically rewritten
-  EXPECT_FALSE(r.DeltasSince(snapshot, &ds));  // row ids moved: invalid
-  // The post-compaction generation serves deltas again.
+  // The epoch keeps the window servable: removed rows by snapshot id with
+  // their saved codes, and the monotone map over the dropped rows.
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  EXPECT_EQ(ds.removed_rows, Ids({0, 1, 2}));
+  EXPECT_EQ(RemovedValues(r, ds), (std::vector<Tuple>{{0}, {1}, {2}}));
+  EXPECT_EQ(ds.compacted_rows, Ids({0, 1, 2}));
+  EXPECT_TRUE(ds.appended_rows.empty());
+  EXPECT_EQ(r.store().Row(3 - 3), (Tuple{3}));  // snapshot row 3 -> 0
+  // The post-compaction generation serves deltas as before, and the older
+  // snapshot sees the same append.
   const std::uint64_t after = r.generation();
   r.Insert({100});
   ASSERT_TRUE(r.DeltasSince(after, &ds));
-  EXPECT_EQ(ds.appended_rows, (std::vector<std::uint32_t>{5}));
+  EXPECT_EQ(ds.appended_rows, Ids({5}));
   EXPECT_TRUE(ds.removed_rows.empty());
+  EXPECT_TRUE(ds.compacted_rows.empty());
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  EXPECT_EQ(ds.appended_rows, Ids({5}));
+  EXPECT_EQ(ds.removed_rows, Ids({0, 1, 2}));
+}
+
+TEST(RelationJournalTest, TwoCompactionsInOneWindow) {
+  Relation r = Iota(20);
+  const std::uint64_t snapshot = r.generation();
+  for (Value v = 0; v < 6; ++v) EXPECT_TRUE(r.Remove({v}));
+  EXPECT_EQ(r.compactions(), 1u);  // 6 dead of 20: values 6..19 remain
+  r.Insert({100});                 // row 14
+  const std::uint64_t middle = r.generation();
+  for (Value v : {6, 7, 8, 100}) EXPECT_TRUE(r.Remove({v}));
+  EXPECT_EQ(r.compactions(), 2u);  // 4 dead of 15: values 9..19 remain
+  r.Insert({101});                 // row 11
+  EXPECT_TRUE(r.Remove({10}));     // tombstone at row 1
+  EXPECT_EQ(r.compactions(), 2u);
+
+  Relation::DeltaSet ds;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  EXPECT_EQ(ds.appended_rows, Ids({11}));
+  EXPECT_EQ(r.store().Row(11), (Tuple{101}));
+  // {100} was appended and removed inside the window: on neither side.
+  EXPECT_EQ(ds.removed_rows, Ids({0, 1, 2, 3, 4, 5, 6, 7, 8, 10}));
+  EXPECT_EQ(RemovedValues(r, ds),
+            (std::vector<Tuple>{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8},
+                                {10}}));
+  // Snapshot rows 0..8 are gone from the store; row 10 is still there as a
+  // tombstone, under current id 1.
+  EXPECT_EQ(ds.compacted_rows, Ids({0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(r.store().Row(10 - 9), (Tuple{10}));
+  EXPECT_FALSE(r.store().IsLive(1));
+
+  // A snapshot between the compactions spans only the second.
+  ASSERT_TRUE(r.DeltasSince(middle, &ds));
+  EXPECT_EQ(ds.appended_rows, Ids({11}));
+  EXPECT_EQ(ds.removed_rows, Ids({0, 1, 2, 4, 14}));
+  EXPECT_EQ(RemovedValues(r, ds),
+            (std::vector<Tuple>{{6}, {7}, {8}, {10}, {100}}));
+  EXPECT_EQ(ds.compacted_rows, Ids({0, 1, 2, 14}));
+}
+
+TEST(RelationJournalTest, AppendThenCompact) {
+  Relation r = Iota(8);
+  const std::uint64_t snapshot = r.generation();
+  r.Insert({100});  // row 8
+  r.Insert({101});  // row 9
+  for (Value v : {0, 1, 2}) EXPECT_TRUE(r.Remove({v}));
+  EXPECT_EQ(r.compactions(), 1u);  // 3 dead of 10
+  Relation::DeltaSet ds;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  // The appended rows moved down with the copy-down: current ids 5, 6.
+  EXPECT_EQ(ds.appended_rows, Ids({5, 6}));
+  EXPECT_EQ(r.store().Row(5), (Tuple{100}));
+  EXPECT_EQ(r.store().Row(6), (Tuple{101}));
+  EXPECT_EQ(ds.removed_rows, Ids({0, 1, 2}));
+  EXPECT_EQ(ds.compacted_rows, Ids({0, 1, 2}));
+}
+
+TEST(RelationJournalTest, AppendRemovedInsideTheWindowNetsOutAcrossEpochs) {
+  Relation r = Iota(9);
+  const std::uint64_t snapshot = r.generation();
+  r.Insert({100});  // row 9
+  EXPECT_TRUE(r.Remove({100}));
+  EXPECT_TRUE(r.Remove({0}));
+  EXPECT_TRUE(r.Remove({1}));  // 3 dead of 10: compacts, drops row 9 too
+  EXPECT_EQ(r.compactions(), 1u);
+  r.Insert({102});  // after the compaction: row 7
+  EXPECT_TRUE(r.Remove({102}));
+  EXPECT_EQ(r.compactions(), 1u);
+  Relation::DeltaSet ds;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  // Neither {100} (dropped by the compaction) nor {102} (a tombstone past
+  // it) shows up on either side.
+  EXPECT_TRUE(ds.appended_rows.empty());
+  EXPECT_EQ(ds.removed_rows, Ids({0, 1}));
+  EXPECT_EQ(RemovedValues(r, ds), (std::vector<Tuple>{{0}, {1}}));
+  EXPECT_EQ(ds.compacted_rows, Ids({0, 1}));
+}
+
+TEST(RelationJournalTest, EpochRetentionBoundsTheJournal) {
+  // Three compactions save 11 + 8 + 6 rows while the live count falls to
+  // 15: the oldest epoch goes, and with it the snapshot that needed it.
+  Relation r = Iota(40);
+  const std::uint64_t before_first = r.generation();
+  for (Value v = 0; v < 11; ++v) EXPECT_TRUE(r.Remove({v}));
+  EXPECT_EQ(r.compactions(), 1u);
+  const std::uint64_t before_second = r.generation();
+  for (Value v = 11; v < 25; ++v) EXPECT_TRUE(r.Remove({v}));
+  EXPECT_EQ(r.compactions(), 3u);
+  EXPECT_EQ(r.size(), 15u);
+  Relation::DeltaSet ds;
+  EXPECT_FALSE(r.DeltasSince(before_first, &ds));
+  EXPECT_TRUE(ds.removed_rows.empty());
+  ASSERT_TRUE(r.DeltasSince(before_second, &ds));
+  EXPECT_EQ(ds.removed_rows.size(), 14u);
+  EXPECT_EQ(RemovedValues(r, ds).front(), (Tuple{11}));
+  EXPECT_EQ(RemovedValues(r, ds).back(), (Tuple{24}));
+}
+
+TEST(RelationJournalTest, ClearStillBreaksDeltasAcrossEpochs) {
+  Relation r = Iota(8);
+  const std::uint64_t snapshot = r.generation();
+  for (Value v : {0, 1, 2}) EXPECT_TRUE(r.Remove({v}));
+  EXPECT_EQ(r.compactions(), 1u);
+  Relation::DeltaSet ds;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  r.Clear();
+  EXPECT_FALSE(r.DeltasSince(snapshot, &ds));
+  EXPECT_FALSE(r.DeltasSince(r.generation() - 1, &ds));
+  r.Insert({7});
+  ASSERT_TRUE(r.DeltasSince(r.generation() - 1, &ds));
+  EXPECT_EQ(ds.appended_rows, Ids({0}));
 }
 
 TEST(RelationJournalTest, FlatAndFromInsertsMatchTupleInserts) {

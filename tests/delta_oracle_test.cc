@@ -11,17 +11,19 @@
 // ops that broke the incremental bookkeeping.
 //
 // On top of exactness the suite asserts the delta machinery's reason to
-// exist: on a history of appends and *tombstone* removals a warm context
-// never rebuilds a trie from scratch (trie_rebuilds == 0 after warmup --
-// every refresh is a patch or an unpatch; only a Clear or a removal that
-// tripped deferred compaction clears that freedom), and deterministic
-// degenerate cases cover duplicate appends (set semantics make them
-// free), appends to an initially empty relation, depth-0 (nullary)
-// patches, tombstone removals served by trie unpatches, and the counting
-// delta pass's kill and revival transitions. DeltaOracleConcurrencyTest
-// alternates writer phases (with guaranteed tombstone pressure) with
-// parallel reader phases (the readers-xor-writer contract) and rides the
-// TSan CI leg.
+// exist: on a history of appends and removals -- tombstones and the
+// compactions they trip alike -- a warm context never rebuilds a trie
+// from scratch (trie_rebuilds == 0 after warmup -- every refresh is a
+// patch or an unpatch; only a Clear clears that freedom), and
+// deterministic degenerate cases cover duplicate appends (set semantics
+// make them free), appends to an initially empty relation, depth-0
+// (nullary) patches, tombstone removals served by trie unpatches, and the
+// counting delta pass's kill and revival transitions.
+// DeltaOracleCompactionTest compacts a small hot atom between every two
+// evaluations next to large partners and asserts delta passes only.
+// DeltaOracleConcurrencyTest alternates writer phases (with guaranteed
+// tombstone pressure) with parallel reader phases (the readers-xor-writer
+// contract); both ride the TSan CI leg.
 
 #include <gtest/gtest.h>
 
@@ -127,10 +129,9 @@ TEST_P(DeltaOracleTest, MutationScriptsMatchFromScratchOracle) {
     for (const Atom& atom : q.atoms()) body_rels.insert(atom.relation);
 
     // True once any mutation actually forced the rebuild path: a Clear
-    // that changed a relation, or a Remove whose tombstone tripped the
-    // store's deferred compaction. Plain tombstone removals stay servable
-    // through DeltasSince, so they do NOT void the rebuild-freedom
-    // assertion below.
+    // that changed a relation. Tombstone removals -- and the compactions
+    // they trip, journaled as epochs -- stay servable through DeltasSince,
+    // so they do NOT void the rebuild-freedom assertion below.
     bool rebuild_forcing_seen = false;
 
     for (int round = 0; round < 125; ++round) {
@@ -144,10 +145,8 @@ TEST_P(DeltaOracleTest, MutationScriptsMatchFromScratchOracle) {
                                                /*allow_structural=*/true,
                                                &rng));
           const MutationOp& op = round_ops.back();
-          const std::uint64_t compactions_before = rel->compactions();
           const bool changed = ApplyMutation(op, &db);
-          if ((changed && op.kind == MutationOp::Kind::kClear) ||
-              rel->compactions() != compactions_before) {
+          if (changed && op.kind == MutationOp::Kind::kClear) {
             rebuild_forcing_seen = true;
           }
         }
@@ -618,6 +617,132 @@ TEST(DeltaCostTest, DeltaPassVisitsOnlyRowsSharingAChangedKey) {
   EXPECT_EQ(stats.semijoin_revived_tuples, 1u);
   EXPECT_EQ(stats.semijoin_dangling_tuples, static_cast<std::size_t>(kRows / 2));
   EXPECT_LE(stats.semijoin_rows_visited, 64u);
+}
+
+/// The semi-join rows a delta pass visits when the small atom H(X) of
+/// Q() :- H(X), R(X,Y), S(Y,Z) compacts inside its window, next to
+/// partners of `rows` rows each: R(i,i) for every i, S(i,i) for even i.
+/// The window removes three of H's eight rows -- the third removal
+/// compacts H -- and appends three fresh ones.
+std::size_t RowsVisitedAcrossACompaction(int rows) {
+  auto parsed = ParseQuery("Q(X) :- H(X), R(X,Y), S(Y,Z).");
+  CQB_CHECK(parsed.ok());
+  Query q = *parsed;
+  q.SetHead(q.head_relation(), {});
+  Database db;
+  Relation* h = db.AddRelation("H", 1);
+  Relation* r = db.AddRelation("R", 2);
+  Relation* s = db.AddRelation("S", 2);
+  std::vector<Value> r_rows;
+  std::vector<Value> s_rows;
+  for (int i = 0; i < rows; ++i) {
+    r_rows.insert(r_rows.end(), {i, i});
+    if (i % 2 == 0) s_rows.insert(s_rows.end(), {i, i});
+  }
+  r->InsertFlat(r_rows, static_cast<std::size_t>(rows));
+  s->InsertFlat(s_rows, static_cast<std::size_t>(rows / 2));
+  for (Value x = 0; x < 8; ++x) h->Insert({x});
+  EvalContext ctx(db);
+  const std::string tag = "partners of " + std::to_string(rows) + " rows";
+  EvalStats stats = EvaluateAndCrossCheck(q, db, &ctx, tag + ": full pass");
+  EXPECT_FALSE(stats.semijoin_delta_pass) << tag;
+
+  for (Value x = 0; x < 3; ++x) EXPECT_TRUE(h->Remove({x}));
+  EXPECT_EQ(h->compactions(), 1u) << tag;
+  h->InsertBatch({{1000}, {1001}, {1002}});
+  stats = EvaluateAndCrossCheck(q, db, &ctx, tag + ": compact + delta");
+  EXPECT_TRUE(stats.semijoin_delta_pass) << tag;
+  return stats.semijoin_rows_visited;
+}
+
+TEST(DeltaCostTest, CompactionOfASmallAtomVisitsOnlyTheDelta) {
+  // The compacted atom's books are remapped in O(|H|); the partners are
+  // neither remapped nor scanned, so the visits do not grow with them.
+  const std::size_t small = RowsVisitedAcrossACompaction(10000);
+  const std::size_t large = RowsVisitedAcrossACompaction(100000);
+  EXPECT_LE(large, 64u);
+  EXPECT_EQ(small, large);
+}
+
+// --- Compactions between evaluations ---------------------------------------
+
+// warm-mutate's hot chain at test scale: the small hot atom H churns past
+// its quarter-dead threshold between every two evaluations, next to large
+// partners L and M whose slower churn compacts them now and then. Every
+// compaction is journaled as an epoch, so after the first (full) pass the
+// hybrid only ever runs delta passes and the generic join never rebuilds a
+// trie, while both stay byte-identical to a from-scratch context.
+TEST(DeltaOracleCompactionTest, HotAtomChurnsPastCompactionBetweenEvaluations) {
+  const std::uint64_t seed = 0xC0FFEEu;
+  Rng rng(seed);
+  auto q = ParseQuery("QC(X,Z) :- H(X), L(X,Y), M(Y,Z).");
+  ASSERT_TRUE(q.ok());
+  constexpr Value kX = 400;         // L's x domain; H draws from 2 * kX
+  constexpr Value kY = 600;
+  constexpr std::size_t kHot = 40;  // |H|
+  constexpr std::size_t kPartner = 3000;  // |L| = |M|
+  Database db;
+  Relation* h = db.AddRelation("H", 1);
+  Relation* l = db.AddRelation("L", 2);
+  Relation* m = db.AddRelation("M", 2);
+  auto draw_hot = [&] { return Tuple{rng.NextInRange(0, 2 * kX - 1)}; };
+  auto draw_l = [&] {
+    return Tuple{rng.NextInRange(0, kX - 1), rng.NextInRange(0, kY - 1)};
+  };
+  auto draw_m = [&] {
+    return Tuple{rng.NextInRange(0, 2 * kY - 1), rng.NextInRange(0, 99)};
+  };
+  while (h->size() < kHot) h->Insert(draw_hot());
+  while (l->size() < kPartner) l->Insert(draw_l());
+  while (m->size() < kPartner) m->Insert(draw_m());
+
+  EvalContext ctx(db);
+  // Removes `k` random live tuples of `rel`, then inserts `k` fresh ones.
+  auto churn = [&rng](Relation* rel, std::size_t k, auto draw) {
+    std::vector<Tuple> live = rel->tuples();
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t pick = rng.NextBelow(live.size());
+      ASSERT_TRUE(rel->Remove(live[pick]));
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    for (std::size_t added = 0; added < k;) added += rel->Insert(draw());
+  };
+  for (int round = 0; round < 48; ++round) {
+    const std::uint64_t hot_compactions = h->compactions();
+    if (round > 0) {
+      churn(h, 11, draw_hot);
+      churn(l, 60, draw_l);
+      churn(m, 60, draw_m);
+      // 11 dead of 40 or so physical rows: H compacts every round.
+      ASSERT_EQ(h->compactions(), hot_compactions + 1);
+    }
+    const std::string tag = "seed " + std::to_string(seed) + " round " +
+                            std::to_string(round);
+    for (const PlanKind kind :
+         {PlanKind::kHybridYannakakis, PlanKind::kGenericJoin}) {
+      EvalStats got_stats;
+      auto got = EvaluateQuery(*q, db, kind, &ctx, &got_stats);
+      ASSERT_TRUE(got.ok()) << tag;
+      EvalContext fresh_ctx(db);
+      EvalStats want_stats;
+      auto want = EvaluateQuery(*q, db, kind, &fresh_ctx, &want_stats);
+      ASSERT_TRUE(want.ok()) << tag;
+      ExpectSameOutcome(*want, want_stats, *got, got_stats,
+                        tag + " plan " + PlanKindName(kind));
+      if (round == 0) continue;
+      if (kind == PlanKind::kHybridYannakakis) {
+        EXPECT_TRUE(got_stats.semijoin_pass_ran) << tag;
+        EXPECT_TRUE(got_stats.semijoin_delta_pass) << tag;
+      } else {
+        EXPECT_EQ(got_stats.trie_rebuilds, 0u) << tag;
+        EXPECT_GE(got_stats.trie_unpatches, 1u) << tag;
+      }
+    }
+  }
+  // The partners crossed their own thresholds too.
+  EXPECT_GE(l->compactions(), 2u);
+  EXPECT_GE(m->compactions(), 2u);
 }
 
 // --- Concurrency: readers-xor-writer phases under TSan ---------------------

@@ -61,10 +61,10 @@ inline constexpr PlanKind kAllPlans[] = {PlanKind::kNaive,
                                          PlanKind::kHybridYannakakis};
 
 /// One scripted mutation against a named relation. Append/BulkAppend feed
-/// the trie-patch and semi-join delta paths; Remove usually tombstones
-/// (served by trie unpatches and delta-pass kills/revivals) but forces a
-/// rebuild when it trips deferred compaction; Clear is always a hard
-/// structural break.
+/// the trie-patch and semi-join delta paths; Remove tombstones (served by
+/// trie unpatches and delta-pass kills/revivals), and when it trips
+/// deferred compaction the journal records an epoch, so the same delta
+/// paths serve it after a remap; Clear is the one hard structural break.
 struct MutationOp {
   enum class Kind { kAppend, kBulkAppend, kRemove, kClear };
   Kind kind = Kind::kAppend;
@@ -127,8 +127,8 @@ inline Tuple RandomTuple(int arity, std::uint64_t domain, Rng* rng) {
 
 /// Draws a random mutation against `rel` with values inside [0, domain):
 /// mostly appends (single and bulk -- the delta paths under test), plus,
-/// when `allow_structural`, occasional removes of an existing tuple and
-/// rare clears (the rebuild paths). Duplicate appends are deliberately
+/// when `allow_structural`, occasional removes of an existing tuple (the
+/// tombstone and compaction paths) and rare clears (the rebuild path). Duplicate appends are deliberately
 /// possible -- set semantics must make them free.
 inline MutationOp RandomMutationOp(const Relation& rel, std::uint64_t domain,
                                    bool allow_structural, Rng* rng) {

@@ -38,10 +38,17 @@ TEST(RelationTest, RemoveErasesAndPreservesInsertionOrder) {
   EXPECT_EQ(r.tuples()[1], (Tuple{5, 6}));
 }
 
+/// True iff the journal serves the window since `gen` with an empty
+/// removed side -- an append-only window.
+bool AppendsOnlySince(const Relation& r, std::uint64_t gen) {
+  Relation::DeltaSet deltas;
+  return r.DeltasSince(gen, &deltas) && deltas.removed_rows.empty();
+}
+
 TEST(RelationTest, GenerationAndAppendFloorTrackMutations) {
   Relation r("R", 2);
   EXPECT_EQ(r.generation(), 0u);
-  EXPECT_TRUE(r.AppendsOnlySince(0));
+  EXPECT_TRUE(AppendsOnlySince(r, 0));
 
   // Appends (and only actual inserts) bump the generation; the whole
   // history so far is appends-only from any observed generation.
@@ -49,34 +56,40 @@ TEST(RelationTest, GenerationAndAppendFloorTrackMutations) {
   r.Insert({3, 4});
   EXPECT_FALSE(r.Insert({1, 2}));  // duplicate: generation must not move
   EXPECT_EQ(r.generation(), 2u);
-  EXPECT_TRUE(r.AppendsOnlySince(0));
-  EXPECT_TRUE(r.AppendsOnlySince(1));
-  EXPECT_TRUE(r.AppendsOnlySince(2));
+  EXPECT_TRUE(AppendsOnlySince(r, 0));
+  EXPECT_TRUE(AppendsOnlySince(r, 1));
+  EXPECT_TRUE(AppendsOnlySince(r, 2));
   // A future generation is never appends-only reachable.
-  EXPECT_FALSE(r.AppendsOnlySince(3));
+  EXPECT_FALSE(AppendsOnlySince(r, 3));
 
-  // A structural mutation raises the append floor: snapshots older than it
-  // can no longer be patched, the current generation still can.
+  // A removal gives every window that saw the removed tuple a removed
+  // side; the current generation's window is still append-only. (One dead
+  // row of two also compacts the store, which the journal spans.)
   EXPECT_TRUE(r.Remove({1, 2}));
   EXPECT_EQ(r.generation(), 3u);
-  EXPECT_FALSE(r.AppendsOnlySince(0));
-  EXPECT_FALSE(r.AppendsOnlySince(2));
-  EXPECT_TRUE(r.AppendsOnlySince(3));
+  // From generation 0 the removed tuple was appended inside the window, so
+  // it nets out: what remains is a pure append of {3,4}.
+  Relation::DeltaSet deltas;
+  ASSERT_TRUE(r.DeltasSince(0, &deltas));
+  EXPECT_TRUE(deltas.removed_rows.empty());
+  EXPECT_EQ(deltas.appended_rows.size(), 1u);
+  EXPECT_FALSE(AppendsOnlySince(r, 2));
+  EXPECT_TRUE(AppendsOnlySince(r, 3));
   r.Insert({5, 6});
-  EXPECT_TRUE(r.AppendsOnlySince(3));
-  EXPECT_TRUE(r.AppendsOnlySince(4));
+  EXPECT_TRUE(AppendsOnlySince(r, 3));
+  EXPECT_TRUE(AppendsOnlySince(r, 4));
 
-  // Failed structural mutations are no-ops on both counters.
+  // Failed removals are no-ops on the generation and the journal.
   EXPECT_FALSE(r.Remove({9, 9}));
   EXPECT_EQ(r.generation(), 4u);
-  EXPECT_TRUE(r.AppendsOnlySince(3));
+  EXPECT_TRUE(AppendsOnlySince(r, 3));
 }
 
 TEST(RelationTest, ClearBumpsGenerationUnlessAlreadyEmpty) {
   Relation r("R", 1);
   r.Clear();  // empty: no observable change, no bump
   EXPECT_EQ(r.generation(), 0u);
-  EXPECT_TRUE(r.AppendsOnlySince(0));
+  EXPECT_TRUE(AppendsOnlySince(r, 0));
 
   r.Insert({1});
   r.Insert({2});
@@ -84,12 +97,13 @@ TEST(RelationTest, ClearBumpsGenerationUnlessAlreadyEmpty) {
   EXPECT_EQ(r.size(), 0u);
   EXPECT_EQ(r.generation(), 3u);
   EXPECT_FALSE(r.Contains({1}));
-  EXPECT_FALSE(r.AppendsOnlySince(2));
-  EXPECT_TRUE(r.AppendsOnlySince(3));
+  // Clear is a hard break: older snapshots get no delta at all.
+  EXPECT_FALSE(AppendsOnlySince(r, 2));
+  EXPECT_TRUE(AppendsOnlySince(r, 3));
   // Post-clear inserts are appends again from the cleared state on.
   r.Insert({3});
-  EXPECT_TRUE(r.AppendsOnlySince(3));
-  EXPECT_FALSE(r.AppendsOnlySince(0));
+  EXPECT_TRUE(AppendsOnlySince(r, 3));
+  EXPECT_FALSE(AppendsOnlySince(r, 0));
 }
 
 TEST(RelationTest, ProjectWithRepeats) {
