@@ -284,7 +284,7 @@ Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query,
   // Low-width path: the shared probe (relation/evaluate.h) builds the
   // variable-intersection graph, certifies its width when small and sparse
   // enough, and derives the reverse-elimination binding order -- the same
-  // gate EvaluateHybridYannakakis runs, so the recommended plan and the
+  // gate the hybrid executor runs, so the recommended plan and the
   // executor's behavior cannot drift apart. With a context, planner and
   // executor even share the same cached probe entry.
   LowWidthProbe transient_probe;

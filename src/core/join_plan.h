@@ -78,7 +78,7 @@ const char* VariableOrderSourceName(VariableOrderSource source);
 /// only tunes the constants (seek counts, trie reuse).
 struct GenericJoinOrder {
   /// Every body variable exactly once, in binding order. Feed to
-  /// EvaluateGenericJoin.
+  /// EvaluateGenericJoin (relation/evaluate.h).
   std::vector<int> order;
   VariableOrderSource source = VariableOrderSource::kGreedy;
   /// rho*(full join) -- the AGM envelope exponent: the generic join
@@ -88,9 +88,9 @@ struct GenericJoinOrder {
   /// kTreeDecomposition path was taken; -1 otherwise.
   int intersection_width = -1;
   /// The executor this module recommends: kHybridYannakakis exactly when
-  /// the low-width tree-decomposition path certified (the same gate
-  /// EvaluateHybridYannakakis re-derives, so the hybrid's semi-join pass
-  /// will actually engage), kGenericJoin otherwise.
+  /// the low-width tree-decomposition path certified (the same gate the
+  /// hybrid executor re-derives, so EvaluateQuery's kHybridYannakakis
+  /// semi-join pass will actually engage), kGenericJoin otherwise.
   PlanKind recommended_plan = PlanKind::kGenericJoin;
 
   std::string ToString(const Query& query) const;

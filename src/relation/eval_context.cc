@@ -51,12 +51,10 @@ void EvalContext::StepKeys::Reset(std::size_t width,
   CQB_CHECK(width >= 1);
   width_ = width;
   keys_.clear();
-  counts_.clear();
-  heads_.clear();
+  entries_.clear();
   next_.clear();
   keys_.reserve(expected_keys * width);
-  counts_.reserve(expected_keys);
-  heads_.reserve(expected_keys);
+  entries_.reserve(expected_keys);
   next_.reserve(target_rows);
   // Load factor under 1/2 once every expected key has landed.
   std::size_t capacity = 16;
@@ -78,7 +76,7 @@ std::size_t EvalContext::StepKeys::ProbeSlot(const Value* key) const {
 void EvalContext::StepKeys::Rehash(std::size_t capacity) {
   slots_.assign(capacity, kNone);
   const std::size_t mask = capacity - 1;
-  for (std::size_t e = 0; e < counts_.size(); ++e) {
+  for (std::size_t e = 0; e < entries_.size(); ++e) {
     // Keys are distinct: probe straight to the first free slot.
     std::size_t slot = HashKey(&keys_[e * width_], width_) & mask;
     while (slots_[slot] != kNone) slot = (slot + 1) & mask;
@@ -92,36 +90,35 @@ std::uint32_t EvalContext::StepKeys::Find(const Value* key) const {
 
 std::uint32_t EvalContext::StepKeys::FindOrInsert(const Value* key) {
   // Keep the load factor under 1/2 counting the key about to land.
-  if ((counts_.size() + 1) * 2 > slots_.size()) Rehash(slots_.size() * 2);
+  if ((entries_.size() + 1) * 2 > slots_.size()) Rehash(slots_.size() * 2);
   const std::size_t slot = ProbeSlot(key);
   if (slots_[slot] != kNone) return slots_[slot];
-  CQB_CHECK(counts_.size() < kNone);
-  const auto entry = static_cast<std::uint32_t>(counts_.size());
+  CQB_CHECK(entries_.size() < kNone);
+  const auto entry = static_cast<std::uint32_t>(entries_.size());
   slots_[slot] = entry;
   keys_.insert(keys_.end(), key, key + width_);
-  counts_.push_back(0);
-  heads_.push_back(kNone);
+  entries_.push_back(Entry{0, kNone});
   return entry;
 }
 
 void EvalContext::StepKeys::Link(std::uint32_t entry, std::uint32_t row) {
   if (row >= next_.size()) next_.resize(row + 1, kNone);
-  next_[row] = heads_[entry];
-  heads_[entry] = row;
+  next_[row] = entries_[entry].head;
+  entries_[entry].head = row;
 }
 
 void EvalContext::StepKeys::RemapRows(
     const std::vector<std::uint32_t>& to_current) {
   std::vector<std::uint32_t> next(to_current.size(), kNone);
-  for (std::size_t e = 0; e < heads_.size(); ++e) {
+  for (Entry& e : entries_) {
     // Relink the chain's surviving rows under their new ids, in order.
-    std::uint32_t row = heads_[e];
+    std::uint32_t row = e.head;
     std::uint32_t tail = kNone;
-    heads_[e] = kNone;
+    e.head = kNone;
     for (; row != kNone; row = next_[row]) {
       const std::uint32_t moved = to_current[row];
       if (moved == kNone) continue;
-      (tail == kNone ? heads_[e] : next[tail]) = moved;
+      (tail == kNone ? e.head : next[tail]) = moved;
       tail = moved;
     }
   }

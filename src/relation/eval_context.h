@@ -58,11 +58,12 @@ struct LowWidthProbe {
 ///  2. a **plan tier**: the ProbeLowWidthStructure result (certified width,
 ///     decomposition, binding order) keyed by the *query shape* (atom
 ///     relation names + variable layout), so a warm hybrid run performs
-///     zero TreewidthExact calls. Each plan entry also keeps the state of
+///     zero TreewidthExact calls. Each plan entry also keeps the books of
 ///     its last semi-join reduction pass (SemijoinState), keyed by the
-///     relation generations it observed, so EvaluateHybridYannakakis skips
-///     the pass when nothing changed since and runs it in delta form when
-///     the journal can name what did.
+///     relation generations it observed, so the hybrid plan's one
+///     maintenance routine (a counting delta pass) does no work when
+///     nothing changed since and only the delta's work when the journal
+///     can name what did.
 ///
 /// Invalidation: trie entries snapshot Relation::generation() at build time
 /// and are refreshed (counted as a miss) when the relation mutated since.
@@ -150,7 +151,7 @@ class EvalContext {
                std::size_t target_rows);
     std::size_t width() const { return width_; }
     /// Number of distinct keys ever inserted since the last Reset.
-    std::size_t size() const { return counts_.size(); }
+    std::size_t size() const { return entries_.size(); }
 
     /// Entry holding `key` (`width()` values), or kNone.
     std::uint32_t Find(const Value* key) const;
@@ -158,14 +159,20 @@ class EvalContext {
     /// when new.
     std::uint32_t FindOrInsert(const Value* key);
 
-    std::uint32_t& count(std::uint32_t entry) { return counts_[entry]; }
-    std::uint32_t count(std::uint32_t entry) const { return counts_[entry]; }
+    std::uint32_t& count(std::uint32_t entry) {
+      return entries_[entry].count;
+    }
+    std::uint32_t count(std::uint32_t entry) const {
+      return entries_[entry].count;
+    }
 
     /// Prepends target row `row` to `entry`'s chain. A row is linked at
     /// most once per Reset.
     void Link(std::uint32_t entry, std::uint32_t row);
     /// First row of `entry`'s chain, or kNone.
-    std::uint32_t head(std::uint32_t entry) const { return heads_[entry]; }
+    std::uint32_t head(std::uint32_t entry) const {
+      return entries_[entry].head;
+    }
     /// The row after `row` in its chain, or kNone.
     std::uint32_t next_row(std::uint32_t row) const { return next_[row]; }
 
@@ -186,8 +193,14 @@ class EvalContext {
     std::size_t width_ = 0;
     /// Entry e's key is keys_[e * width_, (e + 1) * width_).
     std::vector<Value> keys_;
-    std::vector<std::uint32_t> counts_;
-    std::vector<std::uint32_t> heads_;
+    /// An entry's support count next to its chain head: a pass that
+    /// adjusts a count reads the head too, and finds both in one cache
+    /// line.
+    struct Entry {
+      std::uint32_t count;
+      std::uint32_t head;
+    };
+    std::vector<Entry> entries_;
     /// slot -> entry, kNone when free.
     std::vector<std::uint32_t> slots_;
     /// Target row -> next row of its chain (kNone ends it), indexed by
@@ -197,19 +210,25 @@ class EvalContext {
 
   /// Cached outcome of one semi-join reduction pass under a plan -- the
   /// working state of the counting delta pass -- keyed by the generation
-  /// vector it was computed at. Maintained by EvaluateHybridYannakakis;
+  /// vector it was computed at. Written only by that pass (RunDeltaPass in
+  /// relation/evaluate.cc), the hybrid plan's one maintenance routine;
   /// every field is guarded by CachedPlan's `skip_mu`.
   ///
-  /// Cost model: a full pass reads every live self-consistent row's key
-  /// once per schedule step it takes part in. A delta pass reads the keys
-  /// of the delta's rows, then walks only the chains of keys whose support
-  /// crossed zero; every per-row book it consults is an array read. Its
-  /// work is O(delta + rows sharing a changed key), never a scan of an
-  /// atom (EvalStats::semijoin_rows_visited counts it). A window in which
-  /// an atom compacted first remaps that atom's row-indexed books
-  /// (`drop_step` and the chains of the steps targeting it) onto current
-  /// row ids: O(|atom| + its keys) array work, no key reads, and nothing
-  /// for the atoms that did not compact.
+  /// Cost model: the pass brings the books forward by each atom's
+  /// mutation window. From empty books (the first pass, or a window the
+  /// journal cannot name) every live row counts as appended, and the pass
+  /// reads every live self-consistent row's key once per schedule step it
+  /// takes part in (as a source only while it survives). Otherwise it
+  /// reads the keys of the windows' rows -- an appended row at most once
+  /// per step of its atom -- then walks only the chains of keys whose
+  /// support crossed zero; every per-row book it consults is an array
+  /// read. That work is O(delta + rows sharing a changed key), never a
+  /// scan of an atom (EvalStats::semijoin_rows_visited counts it), and
+  /// nothing at all on empty windows. A window in which an atom compacted
+  /// first remaps that atom's row-indexed books (`drop_step` and the
+  /// chains of the steps targeting it) onto current row ids: O(|atom| +
+  /// its keys) array work, no key reads, and nothing for the atoms that
+  /// did not compact.
   struct SemijoinState {
     /// drop_step value of a row that survived every step.
     static constexpr std::uint32_t kSurvives = 0xFFFFFFFFu;
@@ -218,9 +237,11 @@ class EvalContext {
     static constexpr std::uint32_t kAbsent = 0xFFFFFFFEu;
 
     /// Atom i's relation generation observed when this state was computed
-    /// -- the survivor-view cache key. A run whose generation vector
-    /// matches reuses the survivor views outright (skipping the pass); a
-    /// partial bump invalidates (delta pass or full re-pass).
+    /// -- the survivor-view cache key, and the start of atom i's mutation
+    /// window for the next pass. A run whose generation vector matches
+    /// sees only empty windows and reuses the survivor views outright; a
+    /// window the journal cannot name (Relation::DeltasSince) resets the
+    /// books to empty.
     std::vector<std::uint64_t> generations;
     /// Per atom: true iff every live tuple of its relation survived the
     /// pass (dangling[i] == 0).
@@ -238,10 +259,10 @@ class EvalContext {
     /// key, a key hitting zero kills the target rows on its chain, and a
     /// key coming back from zero *revives* the chain's rows dropped at
     /// exactly this step. Every self-consistent target row present at the
-    /// last full pass or appended since sits on its key's chain, whatever
-    /// its fate; removed rows stay linked until a compaction drops them
-    /// (the remap unlinks them) and are filtered out by their kAbsent drop
-    /// step meanwhile.
+    /// last pass sits on its key's chain, whatever its fate (an appended
+    /// row joins it at its step's re-check); removed rows stay linked
+    /// until a compaction drops them (the remap unlinks them) and are
+    /// filtered out by their kAbsent drop step meanwhile.
     std::vector<StepKeys> steps;
     /// Per atom, per physical row of its store: the first schedule step
     /// that dropped the row, kSurvives, or kAbsent. Rows appended after
@@ -253,15 +274,15 @@ class EvalContext {
 
   /// One plan-tier entry. `probe` is filled exactly once (concurrent
   /// GetPlan calls for one shape run one probe, the rest wait) and is
-  /// immutable afterwards; the semi-join state is maintained by
-  /// EvaluateHybridYannakakis after each reduction pass and must only be
-  /// touched with `skip_mu` held.
+  /// immutable afterwards; the semi-join state is maintained by the
+  /// hybrid plan's reduction pass and must only be touched with `skip_mu`
+  /// held.
   struct CachedPlan {
     LowWidthProbe probe;
     /// Last completed reduction pass's outcome, or null before the first
     /// pass. Guarded by `skip_mu` (pointer and pointee -- the analysis
     /// rejects both unlocked reseats and unlocked dereferences); the hybrid
-    /// executor holds `skip_mu` across a (delta or full) pass, so
+    /// executor holds `skip_mu` across the pass, so
     /// concurrent post-mutation runs of one shape serialize the pass and
     /// late arrivals reuse the fresh state instead of duplicating it.
     std::unique_ptr<SemijoinState> semijoin CQB_GUARDED_BY(skip_mu)

@@ -457,9 +457,7 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
 
 /// Per-atom state of the semi-join reduction: the atom's distinct variables
 /// (with every tuple position each occupies), the decomposition bag the
-/// atom was assigned to, and its surviving rows (ids into the relation's
-/// own ColumnStore -- stable for the call, so the common nothing-dropped
-/// case copies no tuple at all).
+/// atom was assigned to, and the layout of its survivor trie.
 struct ReductionAtom {
   std::vector<int> vars;     // distinct variable ids, sorted
   std::vector<int> var_pos;  // a representative tuple position per var
@@ -468,14 +466,17 @@ struct ReductionAtom {
   std::vector<std::vector<int>> var_positions;
   int bag = -1;              // owning bag index, -1 for variable-free atoms
   int depth = 0;             // BFS depth of `bag` in the bag tree
-  const ColumnStore* store = nullptr;  // backing store of the rows below
-  std::vector<std::uint32_t> rows;     // surviving row ids
+  /// Level positions of the atom's survivor trie: the layout the
+  /// enumeration derives from the binding order, so the trie can stand in
+  /// for the atom's full-relation trie.
+  std::vector<std::vector<int>> trie_levels;
 };
 
 /// The cheap (tuple-free) part of survivor construction: variable layout
-/// only, so the delta pass can build the filter schedule without scanning
-/// any relation.
-ReductionAtom MakeReductionAtom(const Atom& atom) {
+/// only, so the pass can build the filter schedule without scanning any
+/// relation. `rank` is the binding order's rank of each variable.
+ReductionAtom MakeReductionAtom(const Atom& atom,
+                                const std::vector<int>& rank) {
   std::map<int, std::vector<int>> positions;  // var -> tuple positions
   for (std::size_t p = 0; p < atom.vars.size(); ++p) {
     positions[atom.vars[p]].push_back(static_cast<int>(p));
@@ -486,6 +487,7 @@ ReductionAtom MakeReductionAtom(const Atom& atom) {
     a.var_pos.push_back(ps.front());
     a.var_positions.push_back(std::move(ps));
   }
+  a.trie_levels = LayoutForAtom(atom, rank).level_positions;
   return a;
 }
 
@@ -503,20 +505,6 @@ bool SelfConsistent(const ReductionAtom& a, const RowView& src,
     }
   }
   return true;
-}
-
-/// Appends the live self-consistent row ids of rows [first, store.size())
-/// to `out`. The full pass collects from 0; the delta pass collects only
-/// the appended window.
-void CollectSelfConsistent(const ReductionAtom& a, const ColumnStore& store,
-                           std::size_t first,
-                           std::vector<std::uint32_t>* out) {
-  const RowView src(&store);
-  for (std::size_t row = first; row < store.size(); ++row) {
-    if (store.IsLive(row) && SelfConsistent(a, src, row)) {
-      out->push_back(static_cast<std::uint32_t>(row));
-    }
-  }
 }
 
 /// Assigns every atom to a bag of the certified decomposition (its distinct
@@ -643,85 +631,15 @@ void LoadKey(const RowView& src, std::uint32_t row,
   }
 }
 
-/// Executes the full reduction pass over `atoms` (whose row lists must
-/// hold every live self-consistent row in ascending order, with `store`
-/// set) and fills `state`'s books from scratch: per step, the key table
-/// holding the support counts of the source rows alive at that step, with
-/// every target row linked on its key's chain; per atom, each row's drop
-/// step and the dangling count. `state` may hold an earlier pass's books:
-/// they are overwritten in place, reusing their buffers. On return each
-/// atom's row list holds its survivors. Adds one to `*rows_visited` per
-/// row key read.
-void RunFullPass(const std::vector<FilterStep>& steps,
-                 std::vector<ReductionAtom>* atoms, SemijoinState* state,
-                 std::size_t* rows_visited) {
-  const std::size_t m = atoms->size();
-  state->drop_step.resize(m);
-  state->dangling.assign(m, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const ReductionAtom& a = (*atoms)[i];
-    std::vector<std::uint32_t>& drop = state->drop_step[i];
-    drop.assign(a.store->size(), kAbsent);
-    for (const std::uint32_t row : a.rows) drop[row] = kSurvives;
-  }
-  state->steps.resize(steps.size());
-  std::vector<Value> key;
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    const FilterStep& step = steps[s];
-    const ReductionAtom& source = (*atoms)[step.source];
-    const ReductionAtom& target = (*atoms)[step.target];
-    StepKeys& keys = state->steps[s];
-    // Source and target keys overlap in a useful join, so the larger side
-    // bounds the key count closely enough to size the table once.
-    keys.Reset(step.src_pos.size(),
-               std::max(source.rows.size(), target.rows.size()),
-               target.store->size());
-    key.resize(keys.width());
-    // A source row dropped at an earlier step already carries that step.
-    const std::vector<std::uint32_t>& src_drop = state->drop_step[step.source];
-    const RowView src(source.store);
-    for (const std::uint32_t row : source.rows) {
-      if (src_drop[row] != kSurvives) continue;
-      LoadKey(src, row, step.src_pos, key.data());
-      ++keys.count(keys.FindOrInsert(key.data()));
-      ++*rows_visited;
-    }
-    // Every target row joins its key's chain, dropped or not: a later
-    // delta pass may revive it here after an earlier step re-admits it.
-    std::vector<std::uint32_t>& tgt_drop = state->drop_step[step.target];
-    const RowView tgt(target.store);
-    for (const std::uint32_t row : target.rows) {
-      LoadKey(tgt, row, step.tgt_pos, key.data());
-      const std::uint32_t entry = keys.FindOrInsert(key.data());
-      keys.Link(entry, row);
-      if (tgt_drop[row] == kSurvives && keys.count(entry) == 0) {
-        tgt_drop[row] = static_cast<std::uint32_t>(s);
-      }
-    }
-    *rows_visited += target.rows.size();
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    std::vector<std::uint32_t>& rows = (*atoms)[i].rows;
-    const std::vector<std::uint32_t>& drop = state->drop_step[i];
-    const std::size_t initial = rows.size();
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [&drop](std::uint32_t row) {
-                                return drop[row] != kSurvives;
-                              }),
-               rows.end());
-    state->dangling[i] = initial - rows.size();
-  }
-}
-
 /// A row whose reduction fate may differ from the cached books during a
-/// delta pass: appended, removed, killed, or revived. Every untracked row
-/// provably keeps its recorded fate.
+/// delta pass: removed, killed, or revived. Appended rows are not tracked:
+/// they have no recorded fate to reconcile, so the pass writes theirs
+/// straight into `drop_step`. Every other row provably keeps its recorded
+/// fate.
 struct TrackedRow {
   std::uint32_t row;
   bool present_new;        // live in the new relation state
-  bool appended;           // arrived in this delta window
   std::uint32_t old_drop;  // recorded drop step; kSurvives if it survived
-                           // (or just arrived)
   std::uint32_t new_drop;  // new pass's first drop step so far
 };
 
@@ -763,36 +681,71 @@ void RemapAtom(const std::vector<FilterStep>& schedule, std::size_t atom,
   }
 }
 
-/// The counting delta pass: extends `state` (computed at an earlier
-/// generation vector) by each atom's mutation window `deltas[i]`, leaving
-/// `state`'s books for the caller to settle from the returned tracked
-/// rows. Removed rows are tracked under ghost ids past their store's end
+/// The semi-join reduction's one maintenance routine, a counting delta
+/// pass: brings `state`'s books from the generation vector they were
+/// computed at to the atoms' current one by each atom's mutation window
+/// (Relation::DeltasSince). Books of another shape, or a window the journal
+/// cannot name (a Clear, or a snapshot past epoch retention), are reset to
+/// empty and every live row counts as appended -- a full pass is a delta
+/// pass from the empty state. Matching generations leave every window
+/// empty, so the pass does no work and the survivor views stand.
+///
+/// Removed rows are tracked under ghost ids past their store's end
 /// (Relation::DeltaSet::Removed), which no live row can share, and their
 /// keys come from the saved codes; an atom that compacted inside its window
 /// has its books remapped to current row ids first (RemapAtom). Per step
-/// it adjusts the support counts by the tracked source rows
-/// whose aliveness at that step changed, then propagates only the *net*
-/// key transitions: a key newly at support zero kills the target rows on
-/// its chain that were alive at this step, a key back from zero revives
-/// the chain's rows this step dropped, and appended or revived rows meet
-/// each later step individually. Kills and revivals cascade (a changed row
-/// is tracked, so it re-enters phase one wherever its atom is a source),
-/// and the resulting fates are identical to a from-scratch pass. Appended
-/// rows are linked on their keys' chains here. Adds the delta size to
-/// `stats->delta_tuples_processed` and the rows whose key it read or whose
-/// chain link it followed to `stats->semijoin_rows_visited`.
-std::vector<TrackedRows> RunDeltaPass(
-    const std::vector<FilterStep>& schedule,
-    const std::vector<ReductionAtom>& atoms,
-    const std::vector<const Relation*>& rels,
-    const std::vector<Relation::DeltaSet>& deltas, SemijoinState* state,
-    EvalStats* stats) {
+/// the pass adjusts the support counts by the source rows whose aliveness
+/// at that step changed, then propagates only the *net* key transitions: a
+/// key newly at support zero kills the target rows on its chain that were
+/// alive at this step, a key back from zero revives the chain's rows this
+/// step dropped, and appended or revived rows meet each later step
+/// individually. Kills and revivals cascade (a changed row is tracked, so
+/// it re-enters phase one wherever its atom is a source), and the resulting
+/// fates are identical to a from-scratch pass. An appended row joins its
+/// key's chain at its target step's re-check, one key read per step it is
+/// a target of, and a key whose chain is still empty has nothing to kill
+/// or revive, so its transitions go unrecorded: from the empty state that
+/// is every key, and the pass reads exactly the keys a plain up-and-down
+/// semi-join would.
+///
+/// Finally it settles each atom's dangling census and survivor trie
+/// (unpatched by the survivor-set delta when one is cached, built over the
+/// survivors otherwise) and the generation vector. Stats: the pass flags,
+/// the drop/kill/revival counts, `delta_tuples_processed` (the windows'
+/// rows; zero from the empty state), `semijoin_rows_visited` (the rows
+/// whose key it read or whose chain link it followed), and the survivor
+/// tries' builds as trie misses.
+void RunDeltaPass(const std::vector<FilterStep>& schedule,
+                  const std::vector<ReductionAtom>& atoms,
+                  const std::vector<const Relation*>& rels,
+                  SemijoinState* state, EvalStats* stats) {
   const std::size_t m = atoms.size();
+  std::vector<Relation::DeltaSet> deltas(m);
+  bool from_empty = state->generations.size() != m ||
+                    state->steps.size() != schedule.size();
+  bool unchanged = !from_empty;
+  for (std::size_t i = 0; i < m && !from_empty; ++i) {
+    from_empty = !rels[i]->DeltasSince(state->generations[i], &deltas[i]);
+    unchanged = unchanged && rels[i]->generation() == state->generations[i];
+  }
+  if (from_empty) {
+    // Empty books, refilled in place: their buffers keep their capacity.
+    unchanged = false;
+    deltas.assign(m, Relation::DeltaSet{});
+    state->generations.resize(m);
+    state->drop_step.resize(m);
+    state->dangling.assign(m, 0);
+    state->all_survive.assign(m, true);
+    state->survivor_tries.assign(m, nullptr);
+    state->steps.resize(schedule.size());
+  }
+
   std::vector<TrackedRows> tracked(m);
+  // Per atom: its appended self-consistent rows, ascending.
+  std::vector<std::vector<std::uint32_t>> appended(m);
   // Per atom: its store, with the window's removed rows as ghosts.
   std::vector<RowView> sources;
   sources.reserve(m);
-  std::vector<Value> key;
   for (std::size_t i = 0; i < m; ++i) {
     const ColumnStore& store = rels[i]->store();
     const Relation::DeltaSet& delta = deltas[i];
@@ -801,14 +754,27 @@ std::vector<TrackedRows> RunDeltaPass(
     std::vector<std::uint32_t>& drop = state->drop_step[i];
     stats->delta_tuples_processed +=
         delta.appended_rows.size() + delta.removed_rows.size();
+    // Rows failing the repeated-variable filter stay off the books.
+    const auto admit = [&](std::uint32_t row) {
+      if (!SelfConsistent(atoms[i], src, row)) return;
+      appended[i].push_back(row);
+      drop[row] = kSurvives;
+    };
+    if (from_empty) {
+      drop.assign(store.size(), kAbsent);
+      appended[i].reserve(rels[i]->size());
+      for (std::size_t row = 0; row < store.size(); ++row) {
+        if (store.IsLive(row)) admit(static_cast<std::uint32_t>(row));
+      }
+      continue;
+    }
     // Removed rows leave the books first, carrying the fate recorded under
-    // their snapshot id. Rows the base pass never saw (the
-    // repeated-variable filter) leave no books to balance.
+    // their snapshot id.
     for (std::size_t k = 0; k < src.rows.size(); ++k) {
       if (!SelfConsistent(atoms[i], src, src.rows[k])) continue;
       const std::uint32_t snapshot_row = delta.removed_rows[k];
       tracked[i].Add(
-          TrackedRow{src.rows[k], false, false, drop[snapshot_row], kSurvives});
+          TrackedRow{src.rows[k], false, drop[snapshot_row], kSurvives});
       drop[snapshot_row] = kAbsent;
     }
     if (!delta.compacted_rows.empty()) {
@@ -816,20 +782,10 @@ std::vector<TrackedRows> RunDeltaPass(
     }
     // Rows appended since the state was computed lie past the book's end.
     drop.resize(store.size(), kAbsent);
-    for (const std::uint32_t row : delta.appended_rows) {
-      if (!SelfConsistent(atoms[i], src, row)) continue;
-      tracked[i].Add(TrackedRow{row, true, true, kSurvives, kSurvives});
-      for (std::size_t s = 0; s < schedule.size(); ++s) {
-        if (schedule[s].target != i) continue;
-        StepKeys& keys = state->steps[s];
-        key.resize(keys.width());
-        LoadKey(src, row, schedule[s].tgt_pos, key.data());
-        keys.Link(keys.FindOrInsert(key.data()), row);
-        ++stats->semijoin_rows_visited;
-      }
-    }
+    for (const std::uint32_t row : delta.appended_rows) admit(row);
   }
 
+  std::vector<Value> key;
   // (entry, support before its first adjustment this step)
   std::vector<std::pair<std::uint32_t, std::uint32_t>> touched;
   std::vector<std::uint32_t> vanished;
@@ -837,27 +793,45 @@ std::vector<TrackedRows> RunDeltaPass(
   for (std::size_t s = 0; s < schedule.size(); ++s) {
     const FilterStep& step = schedule[s];
     StepKeys& keys = state->steps[s];
+    if (from_empty) {
+      // Emptied at first use, so its slot table is fresh in cache. Source
+      // and target keys overlap in a useful join, so the larger side bounds
+      // the key count closely enough to size the table once.
+      keys.Reset(step.src_pos.size(),
+                 std::max(appended[step.source].size(),
+                          appended[step.target].size()),
+                 rels[step.target]->store().size());
+    }
     key.resize(keys.width());
     const RowView& src = sources[step.source];
     const RowView& tgt = sources[step.target];
     const auto s32 = static_cast<std::uint32_t>(s);
-    // Phase 1: adjust this step's support counts by every tracked source
-    // row whose aliveness at this step changed.
+    // Phase 1: adjust this step's support counts by every source row whose
+    // aliveness at this step changed: tracked rows whose fate moved across
+    // it, and appended rows alive at it.
     touched.clear();
-    for (const TrackedRow& t : tracked[step.source].rows) {
-      const bool c_old = !t.appended && t.old_drop > s32;
-      const bool c_new = t.present_new && t.new_drop > s32;
-      if (c_old == c_new) continue;
-      LoadKey(src, t.row, step.src_pos, key.data());
+    const auto adjust = [&](std::uint32_t row, bool up) {
+      LoadKey(src, row, step.src_pos, key.data());
       ++stats->semijoin_rows_visited;
       const std::uint32_t entry = keys.FindOrInsert(key.data());
-      touched.emplace_back(entry, keys.count(entry));
-      if (c_new) {
+      if (keys.head(entry) != StepKeys::kNone) {
+        touched.emplace_back(entry, keys.count(entry));
+      }
+      if (up) {
         ++keys.count(entry);
       } else {
         CQB_CHECK(keys.count(entry) > 0);
         --keys.count(entry);
       }
+    };
+    for (const TrackedRow& t : tracked[step.source].rows) {
+      const bool c_old = t.old_drop > s32;
+      const bool c_new = t.present_new && t.new_drop > s32;
+      if (c_old != c_new) adjust(t.row, c_new);
+    }
+    const std::vector<std::uint32_t>& src_drop = state->drop_step[step.source];
+    for (const std::uint32_t row : appended[step.source]) {
+      if (src_drop[row] > s32) adjust(row, true);
     }
     // Phase 2: net key transitions. Only 0 -> + and + -> 0 matter; a key
     // removed and re-added within one window nets out, so no kill/revive
@@ -876,7 +850,7 @@ std::vector<TrackedRows> RunDeltaPass(
       if (before > 0 && now == 0) vanished.push_back(entry);
     }
     TrackedRows& target = tracked[step.target];
-    const std::vector<std::uint32_t>& tgt_drop = state->drop_step[step.target];
+    std::vector<std::uint32_t>& tgt_drop = state->drop_step[step.target];
     // Phase 3: kills. A vanished key strands every chained target row that
     // was leaning on it (alive at this step in the old pass); rows already
     // tracked settle their fate in the re-check below.
@@ -886,7 +860,7 @@ std::vector<TrackedRows> RunDeltaPass(
         ++stats->semijoin_rows_visited;
         const std::uint32_t d = tgt_drop[row];
         if (d == kAbsent || d <= s32 || target.Contains(row)) continue;
-        target.Add(TrackedRow{row, true, false, d, s32});
+        target.Add(TrackedRow{row, true, d, s32});
       }
     }
     // Phase 4: revivals. A key back from zero re-admits exactly the
@@ -897,15 +871,17 @@ std::vector<TrackedRows> RunDeltaPass(
            row = keys.next_row(row)) {
         ++stats->semijoin_rows_visited;
         if (tgt_drop[row] != s32 || target.Contains(row)) continue;
-        target.Add(TrackedRow{row, true, false, s32, kSurvives});
+        target.Add(TrackedRow{row, true, s32, kSurvives});
       }
     }
-    // Phase 5: individual re-checks against the settled counts --
-    // appended rows meet each step for the first time, and tracked rows
-    // past their old drop step have no recorded fate to reuse.
+    // Phase 5: individual re-checks against the settled counts -- tracked
+    // rows past their old drop step have no recorded fate to reuse, and
+    // appended rows meet the step for the first time, joining their key's
+    // chain whatever their fate (a later pass may revive them here).
     for (TrackedRow& t : target.rows) {
-      if (!t.present_new || t.new_drop != kSurvives) continue;
-      if (!t.appended && t.old_drop > s32) continue;
+      if (!t.present_new || t.new_drop != kSurvives || t.old_drop > s32) {
+        continue;
+      }
       LoadKey(tgt, t.row, step.tgt_pos, key.data());
       ++stats->semijoin_rows_visited;
       const std::uint32_t entry = keys.Find(key.data());
@@ -913,8 +889,87 @@ std::vector<TrackedRows> RunDeltaPass(
         t.new_drop = s32;
       }
     }
+    for (const std::uint32_t row : appended[step.target]) {
+      LoadKey(tgt, row, step.tgt_pos, key.data());
+      ++stats->semijoin_rows_visited;
+      const std::uint32_t entry = keys.FindOrInsert(key.data());
+      keys.Link(entry, row);
+      if (tgt_drop[row] == kSurvives && keys.count(entry) == 0) {
+        tgt_drop[row] = s32;
+      }
+    }
   }
-  return tracked;
+
+  stats->semijoin_pass_skipped = unchanged;
+  stats->semijoin_pass_ran = !unchanged;
+  stats->semijoin_delta_pass = !unchanged && !from_empty;
+  for (std::size_t i = 0; i < m; ++i) {
+    state->generations[i] = rels[i]->generation();
+    // Settle each tracked row's drop step and the dangling census, and
+    // collect the survivor-set delta (rows entering/leaving the view) that
+    // feeds the survivor trie unpatch. Removed rows carry ghost ids,
+    // resolved from the window's saved codes, and left the books when the
+    // pass began.
+    const ColumnStore& store = rels[i]->store();
+    RowView added(&store);
+    RowView gone(&store);
+    gone.ghosts = &deltas[i].removed_codes;
+    std::vector<std::uint32_t>& drop = state->drop_step[i];
+    std::size_t& dangling = state->dangling[i];
+    std::shared_ptr<const TrieIndex>& view = state->survivor_tries[i];
+    for (const TrackedRow& t : tracked[i].rows) {
+      const bool now_in = t.present_new && t.new_drop == kSurvives;
+      const bool was_in = t.old_drop == kSurvives;
+      const bool now_dangling = t.present_new && !now_in;
+      if (now_in && !was_in) added.rows.push_back(t.row);
+      if (was_in && !now_in) gone.rows.push_back(t.row);
+      if (t.present_new) {
+        if (!was_in && now_in) ++stats->semijoin_revived_tuples;
+        if (was_in && now_dangling) ++stats->semijoin_killed_tuples;
+        drop[t.row] = t.new_drop;
+      }
+      if (now_dangling && was_in) ++stats->semijoin_dropped_tuples;
+      dangling = dangling + now_dangling - !was_in;
+    }
+    for (const std::uint32_t row : appended[i]) {
+      if (drop[row] != kSurvives) {
+        ++dangling;
+        ++stats->semijoin_dropped_tuples;
+      } else if (view != nullptr) {
+        added.rows.push_back(row);  // else a new view is built from `drop`
+      }
+    }
+    state->all_survive[i] = dangling == 0;
+    stats->semijoin_dangling_tuples += dangling;
+    if (dangling == 0) {
+      // Every live tuple survives: the trie tier's full-relation trie
+      // serves enumeration, no view needed.
+      view = nullptr;
+    } else if (view == nullptr) {
+      // No cached view to unpatch (the books are new, or every live row
+      // survived until now): build one over the survivors.
+      RowView survivors(&store);
+      survivors.rows.reserve(drop.size() - dangling);
+      for (std::size_t row = 0; row < drop.size(); ++row) {
+        if (drop[row] == kSurvives) {
+          survivors.rows.push_back(static_cast<std::uint32_t>(row));
+        }
+      }
+      ++stats->trie_cache_misses;
+      view = std::make_shared<const TrieIndex>(survivors, atoms[i].trie_levels);
+      stats->indexed_tuples += view->num_tuples();
+    } else if (!added.empty() || !gone.empty()) {
+      // Unpatch the cached view by the survivor-set delta instead of
+      // rebuilding it over the full survivor set. A window that only moved
+      // the books (a dropped row re-dropped at another step) keeps it.
+      std::sort(added.rows.begin(), added.rows.end());
+      std::sort(gone.rows.begin(), gone.rows.end());
+      ++stats->trie_cache_misses;
+      view = std::make_shared<const TrieIndex>(*view, added, gone,
+                                               atoms[i].trie_levels);
+      stats->indexed_tuples += view->num_tuples();
+    }
+  }
 }
 
 /// Variable-intersection graph of `query` (the Gaifman graph of the
@@ -968,6 +1023,11 @@ LowWidthProbe ProbeLowWidthStructure(const Query& query) {
   return probe;
 }
 
+namespace {
+
+/// The generic-join plan through `ctx` (may be null; must be attached to
+/// `db`), its enumeration fanned out over `pool` when non-null (see
+/// RunPartitionedDepth0).
 Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
                                      const std::vector<int>& variable_order,
                                      EvalContext* ctx, ThreadPool* pool,
@@ -981,20 +1041,12 @@ Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
   return result;
 }
 
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalContext* ctx, EvalStats* stats) {
-  return EvaluateGenericJoin(query, db, variable_order, ctx, /*pool=*/nullptr,
-                             stats);
-}
-
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalStats* stats) {
-  return EvaluateGenericJoin(query, db, variable_order, /*ctx=*/nullptr,
-                             /*pool=*/nullptr, stats);
-}
-
+/// The kHybridYannakakis plan (see PlanKind): on a certified width <=
+/// kHybridWidthThreshold, the semi-join reduction over the certified
+/// decomposition (RunDeltaPass, its books kept in `ctx`'s plan tier when
+/// attached) and a generic join over the survivors, bound along the
+/// reverse elimination order; otherwise the generic join over
+/// DefaultGenericJoinOrder. Only enumeration fans out over `pool`.
 Result<Relation> EvaluateHybridYannakakis(const Query& query,
                                           const Database& db, EvalContext* ctx,
                                           ThreadPool* pool, EvalStats* stats) {
@@ -1047,208 +1099,48 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
     for (std::size_t d = 0; d < order.size(); ++d) {
       rank[order[d]] = static_cast<int>(d);
     }
-    auto build_survivor_trie = [&query, &rank,
-                                &local](std::size_t i, const RowView& view) {
-      AtomLayout layout = LayoutForAtom(query.atoms()[i], rank);
-      ++local.trie_cache_misses;
-      auto trie =
-          std::make_shared<const TrieIndex>(view, layout.level_positions);
-      local.indexed_tuples += trie->num_tuples();
-      return trie;
-    };
-
     std::vector<ReductionAtom> atoms;
     atoms.reserve(m);
     for (const Atom& atom : query.atoms()) {
-      atoms.push_back(MakeReductionAtom(atom));
+      atoms.push_back(MakeReductionAtom(atom, rank));
     }
 
-    // Full pass: collect every atom's live self-consistent rows, run the
-    // schedule into `state`'s books, and build a survivor trie for each
-    // atom that lost rows.
-    auto run_full_pass = [&](const std::vector<FilterStep>& schedule,
-                             SemijoinState* state) {
+    // Brings `state` up to date and hands every atom that lost tuples its
+    // survivor view. On matching generations that is the cached view --
+    // a survivor-view hit.
+    const auto reduce = [&](SemijoinState* state) {
+      RunDeltaPass(BuildFilterSchedule(atoms), atoms, rels, state, &local);
       for (std::size_t i = 0; i < m; ++i) {
-        atoms[i].store = &rels[i]->store();
-        atoms[i].rows.reserve(rels[i]->size());
-        CollectSelfConsistent(atoms[i], rels[i]->store(), 0,
-                              &atoms[i].rows);
-      }
-      RunFullPass(schedule, &atoms, state, &local.semijoin_rows_visited);
-      local.semijoin_pass_ran = true;
-      state->generations.clear();
-      for (const Relation* rel : rels) {
-        state->generations.push_back(rel->generation());
-      }
-      state->all_survive.assign(m, true);
-      state->survivor_tries.assign(m, nullptr);
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t dropped = state->dangling[i];
-        if (dropped == 0) continue;  // full-relation trie stays usable
-        local.semijoin_dropped_tuples += dropped;
-        local.semijoin_dangling_tuples += dropped;
-        state->all_survive[i] = false;
-        RowView view(atoms[i].store);
-        view.rows = std::move(atoms[i].rows);
-        state->survivor_tries[i] = build_survivor_trie(i, view);
         overrides[i] = state->survivor_tries[i];
+        if (overrides[i] != nullptr && local.semijoin_pass_skipped) {
+          ++local.survivor_view_hits;
+        }
       }
     };
 
     if (plan != nullptr) {
-      // Delta-aware path. The whole decision (reuse / delta / full) and
-      // any pass run under the plan's mutex: concurrent post-mutation
-      // evaluations of one shape serialize the pass, and the late arrivals
-      // then find matching generations and reuse the fresh survivor views
+      // The pass runs under the plan's mutex: concurrent post-mutation
+      // evaluations of one shape serialize it, and the late arrivals then
+      // find matching generations and reuse the fresh survivor views
       // instead of duplicating the work. Mutations themselves never
       // overlap evaluations (the context's readers-xor-writer contract),
       // so the generation vector cannot move underneath the pass.
       MutexLock lock(plan->skip_mu);
-      SemijoinState* state = plan->semijoin.get();
-      bool gens_match =
-          state != nullptr && state->generations.size() == m;
-      if (gens_match) {
-        for (std::size_t i = 0; i < m; ++i) {
-          if (rels[i]->generation() != state->generations[i]) {
-            gens_match = false;
-            break;
-          }
-        }
-      }
-      if (gens_match) {
-        // Survivor-view cache hit: the generation vector matches the
-        // state's key, so the previous pass's outcome -- clean or not --
-        // is still exact. Atoms that lost tuples reuse their cached
-        // survivor tries; the rest go through the trie tier as usual.
-        local.semijoin_pass_skipped = true;
-        for (std::size_t i = 0; i < m; ++i) {
-          local.semijoin_dangling_tuples += state->dangling[i];
-          if (state->survivor_tries[i] != nullptr) {
-            overrides[i] = state->survivor_tries[i];
-            ++local.survivor_view_hits;
-          }
-        }
-      } else if (!AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
+      if (!AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
         // Uncertified bag assignment: abandon the pass visibly (ran stays
         // false) and drop any cached state rather than serving views that
         // no schedule can maintain.
         plan->semijoin.reset();
       } else {
-        const std::vector<FilterStep> schedule = BuildFilterSchedule(atoms);
-        // The counting delta pass (RunDeltaPass) extends any cached state
-        // -- clean or dirty -- whose per-atom mutation window the journal
-        // can still name both sides of (Relation::DeltasSince), across
-        // compactions too; only a Clear, or a window past the journal's
-        // epoch retention, forces the full pass.
-        std::vector<Relation::DeltaSet> deltas(m);
-        bool delta_ok = state != nullptr && state->generations.size() == m &&
-                        state->steps.size() == schedule.size() &&
-                        state->drop_step.size() == m;
-        if (delta_ok) {
-          for (std::size_t i = 0; i < m; ++i) {
-            if (!rels[i]->DeltasSince(state->generations[i], &deltas[i])) {
-              delta_ok = false;
-              break;
-            }
-          }
+        if (plan->semijoin == nullptr) {
+          plan->semijoin = std::make_unique<SemijoinState>();
         }
-        if (delta_ok) {
-          const std::vector<TrackedRows> tracked =
-              RunDeltaPass(schedule, atoms, rels, deltas, state, &local);
-          local.semijoin_pass_ran = true;
-          local.semijoin_delta_pass = true;
-          for (std::size_t i = 0; i < m; ++i) {
-            state->generations[i] = rels[i]->generation();
-            if (tracked[i].rows.empty()) {
-              if (state->survivor_tries[i] != nullptr) {
-                overrides[i] = state->survivor_tries[i];
-              }
-              local.semijoin_dangling_tuples += state->dangling[i];
-              continue;
-            }
-            // Settle each tracked row's drop step and the dangling count,
-            // and collect the survivor-set delta (rows entering/leaving
-            // the view) that feeds the survivor trie unpatch. Removed rows
-            // carry ghost ids, resolved from the window's saved codes, and
-            // left the books when the pass began.
-            RowView added(&rels[i]->store());
-            RowView gone(&rels[i]->store());
-            gone.ghosts = &deltas[i].removed_codes;
-            std::vector<std::uint32_t>& drop = state->drop_step[i];
-            std::size_t& dangling = state->dangling[i];
-            for (const TrackedRow& t : tracked[i].rows) {
-              const bool now_in = t.present_new && t.new_drop == kSurvives;
-              const bool was_in = !t.appended && t.old_drop == kSurvives;
-              const bool now_dangling = t.present_new && !now_in;
-              const bool was_dangling = !t.appended && !was_in;
-              if (now_in && !was_in) added.rows.push_back(t.row);
-              if (was_in && !now_in) gone.rows.push_back(t.row);
-              if (!t.appended && t.present_new) {
-                if (was_dangling && now_in) ++local.semijoin_revived_tuples;
-                if (was_in && now_dangling) ++local.semijoin_killed_tuples;
-              }
-              if (now_dangling && !was_dangling) {
-                ++local.semijoin_dropped_tuples;
-              }
-              dangling = dangling + now_dangling - was_dangling;
-              if (t.present_new) drop[t.row] = t.new_drop;
-            }
-            state->all_survive[i] = dangling == 0;
-            local.semijoin_dangling_tuples += dangling;
-            std::sort(added.rows.begin(), added.rows.end());
-            std::sort(gone.rows.begin(), gone.rows.end());
-            if (dangling == 0) {
-              // Every live tuple survives again: the trie tier's
-              // full-relation trie serves enumeration, no view needed.
-              state->survivor_tries[i] = nullptr;
-            } else if (added.rows.empty() && gone.rows.empty() &&
-                       state->survivor_tries[i] != nullptr) {
-              // Only the books moved (e.g. a dropped row re-dropped at
-              // another step); the survivor row set -- and its cached
-              // view -- are unchanged. A null cached view does NOT
-              // qualify: it stood for "every live row survives", and the
-              // base relation may just have grown past the survivors
-              // (an appended row that arrived dangling).
-              overrides[i] = state->survivor_tries[i];
-            } else if (state->survivor_tries[i] != nullptr) {
-              // Unpatch the cached survivor view by the row delta instead
-              // of rebuilding it over the full survivor set.
-              AtomLayout layout = LayoutForAtom(query.atoms()[i], rank);
-              ++local.trie_cache_misses;
-              auto trie = std::make_shared<const TrieIndex>(
-                  *state->survivor_tries[i], added, gone,
-                  layout.level_positions);
-              local.indexed_tuples += trie->num_tuples();
-              state->survivor_tries[i] = trie;
-              overrides[i] = trie;
-            } else {
-              // First drops for this atom since the full pass: no cached
-              // view to unpatch, build one over the survivors (a scan of
-              // the drop steps, no bigger than the build itself).
-              RowView view(&rels[i]->store());
-              for (std::size_t row = 0; row < drop.size(); ++row) {
-                if (drop[row] == kSurvives) {
-                  view.rows.push_back(static_cast<std::uint32_t>(row));
-                }
-              }
-              state->survivor_tries[i] = build_survivor_trie(i, view);
-              overrides[i] = state->survivor_tries[i];
-            }
-          }
-        } else {
-          // Refill a stale state in place: its buffers are already sized
-          // for this shape, and no second copy of the books is ever live.
-          if (state == nullptr) {
-            plan->semijoin = std::make_unique<SemijoinState>();
-            state = plan->semijoin.get();
-          }
-          run_full_pass(schedule, state);
-        }
+        reduce(plan->semijoin.get());
       }
     } else if (AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
-      // No context: the same full pass into a state nobody keeps.
+      // No context: the same pass from empty books nobody keeps.
       SemijoinState transient;
-      run_full_pass(BuildFilterSchedule(atoms), &transient);
+      reduce(&transient);
     }
   } else {
     order = DefaultGenericJoinOrder(query);
@@ -1261,10 +1153,13 @@ Result<Relation> EvaluateHybridYannakakis(const Query& query,
   return result;
 }
 
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db, EvalContext* ctx,
-                                          EvalStats* stats) {
-  return EvaluateHybridYannakakis(query, db, ctx, /*pool=*/nullptr, stats);
+}  // namespace
+
+Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
+                                     const std::vector<int>& variable_order,
+                                     EvalStats* stats) {
+  return EvaluateGenericJoin(query, db, variable_order, /*ctx=*/nullptr,
+                             /*pool=*/nullptr, stats);
 }
 
 const char* PlanKindName(PlanKind kind) {

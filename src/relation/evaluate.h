@@ -38,8 +38,18 @@ enum class PlanKind {
   /// runs up and down the certified TreeDecomposition, filtering dangling
   /// tuples out of every atom before a generic-join enumeration over the
   /// reduced relations (whose intermediates are a subset of the plain
-  /// generic join's, so the AGM envelope still holds). High-width queries
-  /// fall back to plain generic join. See docs/EVALUATION.md.
+  /// generic join's, so the AGM envelope still holds), binding along the
+  /// reverse elimination order. High-width queries fall back to plain
+  /// generic join over DefaultGenericJoinOrder. The reduction is
+  /// zero-copy: atoms that lost tuples hand a filtered view of their
+  /// survivors straight to trie construction. Through an EvalContext the
+  /// width probe runs once per query shape and the reduction's books are
+  /// kept in the plan tier and maintained by one counting delta pass
+  /// (docs/EVALUATION.md "Delta maintenance"): from empty books on first
+  /// use or after a Clear, by the mutation windows afterwards, and with no
+  /// work at all on unchanged generations, where the cached survivor views
+  /// are reused outright -- zero TreewidthExact calls, zero semi-joins,
+  /// zero trie builds, zero tuple copies.
   kHybridYannakakis,
 };
 
@@ -109,19 +119,21 @@ struct EvalStats {
   /// Yannakakis semi-join reduction pass (0 when the plan fell back to
   /// plain generic join or nothing dangled).
   std::size_t semijoin_dropped_tuples = 0;
-  /// Hybrid plan only: true iff the semi-join reduction pass actually
-  /// executed. False when the plan fell back to plain generic join, when
-  /// the pass was skipped as provably redundant (see
-  /// semijoin_pass_skipped), or when an uncertified bag assignment
+  /// Hybrid plan only: true iff the semi-join reduction pass did work:
+  /// from empty books (the first pass of a plan, every pass without a
+  /// context, or after a Clear or a window past the journal's epoch
+  /// retention) or as a delta pass (semijoin_delta_pass). False when the
+  /// plan fell back to plain generic join, when the pass found nothing to
+  /// do (see semijoin_pass_skipped), or when an uncertified bag assignment
   /// abandoned it -- previously that abandonment was silent and the stats
   /// read as if the hybrid had engaged.
   bool semijoin_pass_ran = false;
-  /// Hybrid plan only: true iff the pass was skipped because the cached
-  /// semi-join state's generation vector matches every atom relation's
-  /// current generation -- the previous pass's outcome (clean or not) is
-  /// still exact, so its survivor views are reused outright
-  /// (survivor_view_hits counts the atoms that reused a cached survivor
-  /// trie).
+  /// Hybrid plan only: true iff the cached semi-join books' generation
+  /// vector matches every atom relation's current generation, so every
+  /// mutation window was empty and the pass did no work: the previous
+  /// pass's outcome (clean or not) is still exact, and its survivor views
+  /// are reused outright (survivor_view_hits counts the atoms that reused
+  /// a cached survivor trie).
   bool semijoin_pass_skipped = false;
   /// Trie tier: cache misses served by *patching* a cached trie -- the
   /// journal names the window since the cached build (Relation::
@@ -148,15 +160,16 @@ struct EvalStats {
   /// plan, keyed by the atom relations' generation vector -- no re-filter,
   /// no survivor-trie rebuild.
   std::size_t survivor_view_hits = 0;
-  /// Appended tuples routed through a delta path this call: tuples merged
-  /// into patched tries plus delta candidates filtered by the incremental
-  /// semi-join pass (the "k" in the O(k . index work) cost of a small
-  /// insert).
+  /// Mutated tuples routed through a delta path this call: tuples spliced
+  /// into patched tries plus the appended and removed rows of the
+  /// semi-join pass's mutation windows (the "k" in the O(k . index work)
+  /// cost of a small mutation). A pass from empty books has no window and
+  /// adds nothing here.
   std::size_t delta_tuples_processed = 0;
-  /// Hybrid plan only: true iff the semi-join reduction ran as a counting
-  /// *delta pass* -- the cached SemijoinState's per-step key support counts
-  /// were adjusted by the mutation delta instead of re-reducing the
-  /// database. A delta pass sets semijoin_pass_ran too; a full re-reduce
+  /// Hybrid plan only: true iff the semi-join reduction ran on cached
+  /// books -- the SemijoinState's per-step key support counts were
+  /// adjusted by the mutation windows instead of re-reducing the database.
+  /// A delta pass sets semijoin_pass_ran too; a pass from empty books
   /// leaves this false.
   bool semijoin_delta_pass = false;
   /// Hybrid delta pass only: previously-dropped tuples revived because a
@@ -173,10 +186,12 @@ struct EvalStats {
   std::size_t semijoin_dangling_tuples = 0;
   /// Hybrid plan: row visits of the semi-join pass that ran this call --
   /// one per row key a step read, plus one per row reached through a key's
-  /// chain (the delta pass's kill and revival walks). A full pass visits
-  /// every live row once per step it takes part in; a delta pass visits
-  /// the delta and the rows sharing a key whose support crossed zero. 0
-  /// when the pass was skipped.
+  /// chain (the kill and revival walks). A pass from empty books visits
+  /// every live self-consistent row once per step it takes part in (as a
+  /// source only while it survives); a delta pass visits each appended row
+  /// at most once per step it takes part in, plus the removed rows and the
+  /// rows sharing a key whose support crossed zero. 0 when the pass found
+  /// nothing to do.
   std::size_t semijoin_rows_visited = 0;
   /// Generic join: sibling scans truncated by the projection-aware early
   /// exit -- once the bound prefix covers every head variable, a single
@@ -194,7 +209,7 @@ struct EvalStats {
 /// Evaluates `query` over `db`, producing the head relation Q(D) with set
 /// semantics: all tuples theta(u0) for substitutions theta satisfying every
 /// body atom (Section 2 of the paper). PlanKind::kGenericJoin runs
-/// EvaluateGenericJoin over DefaultGenericJoinOrder (use
+/// EvaluateGenericJoin's executor over DefaultGenericJoinOrder (use
 /// ChooseGenericJoinOrder in core/join_plan.h for the LP/treewidth-derived
 /// order).
 ///
@@ -216,9 +231,22 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
                                EvalStats* stats);
 
 /// As above, additionally fanning the trie-based plans' enumeration out
-/// over `pool` (may be null for serial execution; see EvaluateGenericJoin's
-/// pool overload for the partitioning scheme and its limits). The
-/// binary-join plans ignore the pool.
+/// over `pool` (util/thread_pool.h; may be null for serial execution) by
+/// partitioning the depth-0 leapfrog intersection: the matches of the first
+/// variable in the binding order are enumerated once (cheap -- one trie
+/// level), then claimed dynamically by the pool's workers plus the calling
+/// thread, each descending its claimed subtrees with private scratch and a
+/// private output relation; outputs and stats are merged (set semantics
+/// dedups overlapping head tuples) when every subtree finishes. Every
+/// worker's per-depth binding counts still sum to the serial run's, so the
+/// AGM envelope guarantee is unchanged -- as are results, exactly. The
+/// search stays serial when `pool` is null or has no workers, when there
+/// are fewer than two depth-0 matches to split, or when the head is
+/// variable-free (a pure existence check, where the serial early exit stops
+/// at the first witness and parallel fan-out would only waste work);
+/// EvalStats::parallel_workers reports the fan-out actually used. The
+/// hybrid's semi-join reduction itself stays serial, and the binary-join
+/// plans ignore the pool. Safe for concurrent callers sharing one `ctx`.
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,
                                PlanKind kind, EvalContext* ctx,
                                ThreadPool* pool, EvalStats* stats);
@@ -227,77 +255,15 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
 /// `variable_order` (which must enumerate every body variable exactly once)
 /// and binds variables in that order with leapfrog intersections. Any order
 /// preserves the AGM envelope on intermediates; the order affects constants
-/// (seek counts), not the worst-case guarantee.
+/// (seek counts), not the worst-case guarantee. Serial and context-free;
+/// EvaluateQuery's kGenericJoin runs the same executor over
+/// DefaultGenericJoinOrder through a context and a pool.
 ///
 /// Errors: as EvaluateQuery, plus kInvalidArgument if `variable_order` is
 /// not a permutation of the body variables.
 Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
                                      const std::vector<int>& variable_order,
                                      EvalStats* stats = nullptr);
-
-/// As above through `ctx` (may be null; must be attached to `db`).
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalContext* ctx, EvalStats* stats);
-
-/// As above, parallelized over `pool` (util/thread_pool.h) by partitioning
-/// the depth-0 leapfrog intersection: the matches of the first variable in
-/// `variable_order` are enumerated once (cheap -- one trie level), then
-/// claimed dynamically by the pool's workers plus the calling thread, each
-/// descending its claimed subtrees with private scratch and a private
-/// output relation; outputs and stats are merged (set semantics dedups
-/// overlapping head tuples) when every subtree finishes. Every worker's
-/// per-depth binding counts still sum to the serial run's, so the AGM
-/// envelope guarantee is unchanged -- as are results, exactly.
-///
-/// Falls back to the serial search when `pool` is null or has no workers,
-/// when there are fewer than two depth-0 matches to split, or when the head
-/// is variable-free (a pure existence check, where the serial early exit
-/// stops at the first witness and parallel fan-out would only waste work).
-/// EvalStats::parallel_workers reports the fan-out actually used.
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalContext* ctx, ThreadPool* pool,
-                                     EvalStats* stats);
-
-/// The kHybridYannakakis executor. Probes the query's
-/// variable-intersection graph with the certified exact treewidth engine
-/// (graph/treewidth_bb.h) -- through `ctx`'s plan tier when attached, so
-/// only the first evaluation of a query shape pays for TreewidthExact; on
-/// width <= kHybridWidthThreshold it runs a semi-join reduction pass up
-/// and down the certified TreeDecomposition (dropping tuples that cannot
-/// contribute to any answer -- counted in
-/// EvalStats::semijoin_dropped_tuples) and then enumerates with the
-/// generic join over the reduced relations, binding along the reverse
-/// elimination order. Otherwise it is exactly EvaluateGenericJoin over
-/// DefaultGenericJoinOrder. The reduction is zero-copy: atoms that lost
-/// tuples hand a borrowed filtered view of their survivors straight to
-/// trie construction (no reduced Relation is ever materialized). With
-/// `ctx` attached the pass is delta-maintained (docs/EVALUATION.md "Delta
-/// maintenance"): the plan caches the last pass's outcome keyed by the
-/// atom relations' generation vector, so a run on matching generations
-/// skips the pass and reuses the cached survivor views outright
-/// (EvalStats::semijoin_pass_skipped / survivor_view_hits), and a run
-/// after appends-only mutations of a clean state filters just the
-/// appended tuples against cached per-step key sets
-/// (EvalStats::delta_tuples_processed) instead of re-scanning the
-/// database. Atoms untouched by the reduction still use `ctx`-cached
-/// tries; freshly built survivor tries are counted as misses. A fully
-/// warm run on unchanged generations therefore performs zero
-/// TreewidthExact calls, zero semi-joins, zero trie builds, and zero
-/// tuple copies.
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db,
-                                          EvalContext* ctx = nullptr,
-                                          EvalStats* stats = nullptr);
-
-/// As above with the enumeration phase fanned out over `pool` (the
-/// semi-join reduction pass itself stays serial -- it is a linear scan the
-/// skip state usually elides anyway). Safe for concurrent callers sharing
-/// one `ctx`: the plan entry's skip state is mutex-guarded.
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db, EvalContext* ctx,
-                                          ThreadPool* pool, EvalStats* stats);
 
 /// A dependency-light default variable order: greedy by atom-degree
 /// (variables constrained by more atoms first), extending connected-first so

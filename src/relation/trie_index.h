@@ -31,7 +31,8 @@ struct TrieBuildStats {
 TrieBuildStats GetTrieBuildStats();
 
 /// A sorted-column trie over one relation instance, the per-atom index of
-/// the worst-case-optimal generic-join executor (EvaluateGenericJoin).
+/// the worst-case-optimal generic-join executor (PlanKind::kGenericJoin
+/// and the hybrid plan's enumeration, relation/evaluate.h).
 ///
 /// Level l of the trie holds the distinct values of the atom's l-th key
 /// variable, grouped under their level-(l-1) parent and sorted within each

@@ -35,10 +35,12 @@
 
 #include "cq/parser.h"
 #include "cq/random_query.h"
+#include "relation/column_store.h"
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
 #include "relation/generator.h"
 #include "mutation_harness.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -95,6 +97,45 @@ void ExpectSameOutcome(const Relation& want, const EvalStats& want_stats,
       << context;
   EXPECT_EQ(want_stats.trie_patches, 0u) << context;
   EXPECT_EQ(want_stats.trie_unpatches, 0u) << context;
+}
+
+/// Asserts the warm context's semi-join books for `q` agree with a fresh
+/// context's on everything a from-scratch pass determines: per atom the
+/// dangling census, the all-survive flag, and the drop step of every live
+/// row. Both contexts read `db`, so row ids line up; removed rows may stay
+/// on the warm books (as kAbsent) until a compaction drops them.
+void ExpectSameBooks(EvalContext* warm, EvalContext* fresh, const Query& q,
+                     const Database& db, const std::string& context) {
+  EvalContext::CachedPlan& got_plan = warm->GetPlan(q, nullptr);
+  EvalContext::CachedPlan& want_plan = fresh->GetPlan(q, nullptr);
+  MutexLock got_lock(got_plan.skip_mu);
+  MutexLock want_lock(want_plan.skip_mu);
+  const EvalContext::SemijoinState* got = got_plan.semijoin.get();
+  const EvalContext::SemijoinState* want = want_plan.semijoin.get();
+  ASSERT_EQ(got == nullptr, want == nullptr) << context;
+  if (want == nullptr) return;
+  EXPECT_EQ(got->dangling, want->dangling) << context;
+  EXPECT_EQ(got->all_survive, want->all_survive) << context;
+  ASSERT_EQ(got->drop_step.size(), q.atoms().size()) << context;
+  ASSERT_EQ(want->drop_step.size(), q.atoms().size()) << context;
+  for (std::size_t i = 0; i < q.atoms().size(); ++i) {
+    const ColumnStore& store = db.Find(q.atoms()[i].relation)->store();
+    ASSERT_EQ(got->drop_step[i].size(), store.size()) << context;
+    ASSERT_EQ(want->drop_step[i].size(), store.size()) << context;
+    std::size_t mismatches = 0;
+    std::size_t first = 0;
+    for (std::size_t row = 0; row < store.size(); ++row) {
+      if (!store.IsLive(row) ||
+          got->drop_step[i][row] == want->drop_step[i][row]) {
+        continue;
+      }
+      if (mismatches++ == 0) first = row;
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << context << ": atom " << i << ", first at row " << first
+        << " (warm " << got->drop_step[i][first] << ", fresh "
+        << want->drop_step[i][first] << ")";
+  }
 }
 
 // --- The randomized oracle -------------------------------------------------
@@ -184,6 +225,9 @@ TEST_P(DeltaOracleTest, MutationScriptsMatchFromScratchOracle) {
         ASSERT_TRUE(want.ok()) << tag;
         ExpectSameOutcome(*want, want_stats, *got[i].value(), got_stats[i],
                           tag);
+        if (kind == PlanKind::kHybridYannakakis) {
+          ExpectSameBooks(&delta_ctx, &fresh_ctx, q, db, tag);
+        }
 
         // The delta guarantee: once every layout is cached (round 0 warms
         // the plan), a history of appends and tombstone removals never
@@ -458,6 +502,7 @@ EvalStats EvaluateAndCrossCheck(const Query& q, const Database& db,
   EXPECT_TRUE(fresh.ok()) << tag;
   if (warm.ok() && fresh.ok()) {
     ExpectSameOutcome(*fresh, fresh_stats, *warm, stats, tag);
+    ExpectSameBooks(ctx, &fresh_ctx, q, db, tag);
   }
   return stats;
 }
@@ -662,6 +707,58 @@ TEST(DeltaCostTest, CompactionOfASmallAtomVisitsOnlyTheDelta) {
   const std::size_t large = RowsVisitedAcrossACompaction(100000);
   EXPECT_LE(large, 64u);
   EXPECT_EQ(small, large);
+}
+
+/// The semi-join rows visited when three rows arrive in the middle atom of
+/// the chain Q() :- R(X,Y), S(Y,Z), T(Z,W) over `rows` base rows per atom,
+/// R(i,i), S(i,i) and T(i,i) for every i: `full` for the first pass from
+/// empty books, `delta` for the pass over the append window. The appended
+/// rows S(i,i+1) join existing keys, so they survive and no key's support
+/// crosses zero.
+struct AppendVisits {
+  std::size_t full = 0;
+  std::size_t delta = 0;
+};
+
+AppendVisits RowsVisitedByAnAppendWindow(int rows) {
+  auto parsed = ParseQuery("Q(X) :- R(X,Y), S(Y,Z), T(Z,W).");
+  CQB_CHECK(parsed.ok());
+  Query q = *parsed;
+  q.SetHead(q.head_relation(), {});
+  Database db;
+  std::vector<Value> diagonal;
+  for (int i = 0; i < rows; ++i) diagonal.insert(diagonal.end(), {i, i});
+  for (const char* name : {"R", "S", "T"}) {
+    db.AddRelation(name, 2)->InsertFlat(diagonal,
+                                        static_cast<std::size_t>(rows));
+  }
+  EvalContext ctx(db);
+  const std::string tag = std::to_string(rows) + " base rows";
+  AppendVisits visits;
+  EvalStats stats = EvaluateAndCrossCheck(q, db, &ctx, tag + ": full pass");
+  EXPECT_TRUE(stats.semijoin_pass_ran && !stats.semijoin_delta_pass) << tag;
+  EXPECT_EQ(stats.delta_tuples_processed, 0u) << tag;
+  visits.full = stats.semijoin_rows_visited;
+
+  db.FindMutable("S")->InsertBatch({{5, 6}, {7, 8}, {9, 10}});
+  stats = EvaluateAndCrossCheck(q, db, &ctx, tag + ": append window");
+  EXPECT_TRUE(stats.semijoin_delta_pass) << tag;
+  EXPECT_EQ(stats.semijoin_dangling_tuples, 0u) << tag;
+  visits.delta = stats.semijoin_rows_visited;
+  return visits;
+}
+
+TEST(DeltaCostTest, AppendedRowsAreVisitedOncePerStep) {
+  // S takes part in all four steps of the schedule (two as the source, two
+  // as the target). A pass from empty books reads every row's key once
+  // per step it takes part in; an appended row is read once per step too,
+  // its chain link riding on its target step's re-check.
+  const AppendVisits small = RowsVisitedByAnAppendWindow(10000);
+  const AppendVisits large = RowsVisitedByAnAppendWindow(100000);
+  EXPECT_EQ(small.full, 8u * 10000);
+  EXPECT_EQ(large.full, 8u * 100000);
+  EXPECT_EQ(small.delta, large.delta);
+  EXPECT_LE(large.delta, 3u * 4);
 }
 
 // --- Compactions between evaluations ---------------------------------------
