@@ -6,7 +6,10 @@
 // leapfrog intersection -- the matches of the first variable in the global
 // order -- across a ThreadPool's workers plus the calling thread, each
 // descending its claimed subtrees with private scratch and a private
-// output, merged (with exact per-depth counter sums) at the end.
+// answer sink, merged (with exact per-depth counter sums) at the end.
+// Full CQs emit answers as codes into per-worker buffers that merge once,
+// in depth-0 order; the twohop1e5 timers isolate that emission at ~10^5
+// answers.
 //
 // The tables are deterministic: results, per-depth binding counts and the
 // AGM-envelope accounting are *identical* to the serial run's at every
@@ -82,8 +85,27 @@ ThreadPool& PoolOf(int workers) {
   }
 }
 
+// Two-hop paths on the chorded cycle: 36 answers per vertex, so ~10^5
+// answers whose emission -- not the search -- dominates the op.
+constexpr int kTwoHopN = 2800;
+Query& TwoHopQ() {
+  static Query q = ParseQuery("P(X,Y,Z) :- E(X,Y), E(Y,Z).").ValueOrDie();
+  return q;
+}
+Database& TwoHopDb() {
+  static Database db = ChordedCycle(kTwoHopN);
+  return db;
+}
+EvalContext& TwoHopCtx() {
+  static EvalContext ctx(TwoHopDb());
+  return ctx;
+}
+
 void PrepareTimerFixtures() {
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+      .ValueOrDie();
+  EvaluateQuery(TwoHopQ(), TwoHopDb(), PlanKind::kGenericJoin, &TwoHopCtx(),
+                nullptr)
       .ValueOrDie();
 }
 
@@ -175,6 +197,23 @@ CQB_BENCH_TIMED("triangle300/threads8", [] {
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(),
                 &PoolOf(7), nullptr)
       .ValueOrDie();
+})
+
+// Emission at ~10^5 answers, serial and over the pool: the workers' code
+// buffers merge once, in depth-0 order. Seconds per rep / 100800 is the
+// cost per answer.
+CQB_BENCH_TIMED("twohop1e5/threads1", [] {
+  CQB_CHECK(EvaluateQuery(TwoHopQ(), TwoHopDb(), PlanKind::kGenericJoin,
+                          &TwoHopCtx(), nullptr)
+                .ValueOrDie()
+                .size() == 36u * kTwoHopN);
+})
+
+CQB_BENCH_TIMED("twohop1e5/threads4", [] {
+  CQB_CHECK(EvaluateQuery(TwoHopQ(), TwoHopDb(), PlanKind::kGenericJoin,
+                          &TwoHopCtx(), &PoolOf(3), nullptr)
+                .ValueOrDie()
+                .size() == 36u * kTwoHopN);
 })
 
 void BM_ParallelTriangles(benchmark::State& state) {

@@ -20,9 +20,10 @@
 //      10^6 bindings through a warm context (cache hits, zero rebuilds).
 //
 // Wall times live in the timed sections: per-tuple insert loop vs one
-// InsertFlat call at 10^6, the 10^6-row radix build, the warm join, and
-// the text reader and writer at 10^5 tuples (seconds per rep / 10^5 is
-// their per-row cost).
+// InsertFlat call at 10^6, the 10^6-row radix build, the warm join, the
+// text reader and writer at 10^5 tuples (seconds per rep / 10^5 is their
+// per-row cost), and answer emission at 10^5 rows: per-row Insert vs the
+// coded-rows door.
 
 #include <cstddef>
 #include <iostream>
@@ -103,6 +104,30 @@ const Database& CycleTextDb() {
     return d;
   }();
   return db;
+}
+
+/// The 100800 answers of the full two-hop query over a 2800-vertex cycle
+/// with chords at offsets +-1..3, row-major (x, y, z): the emission
+/// fixture. Rows are distinct; values repeat, as a search's answers do.
+constexpr std::size_t kEmitRows = 100800;
+const std::vector<Value>& TwoHopAnswers() {
+  static const std::vector<Value> flat = [] {
+    constexpr Value kN = 2800;
+    const Value offsets[] = {1, 2, 3, kN - 1, kN - 2, kN - 3};
+    std::vector<Value> f;
+    f.reserve(kEmitRows * 3);
+    for (Value x = 0; x < kN; ++x) {
+      for (Value d1 : offsets) {
+        for (Value d2 : offsets) {
+          f.push_back(x);
+          f.push_back((x + d1) % kN);
+          f.push_back((x + d1 + d2) % kN);
+        }
+      }
+    }
+    return f;
+  }();
+  return flat;
 }
 
 void PrintTables() {
@@ -264,6 +289,29 @@ CQB_BENCH_TIMED("text1e5/read", [] {
 CQB_BENCH_TIMED("text1e5/write", [] {
   CQB_CHECK(WriteDatabaseTextToString(CycleTextDb()).ValueOrDie() ==
             CycleText());
+})
+
+// Emitting 10^5 answers (arity 3), starting from their values either way:
+// a Tuple and a deduplicating Insert per row, against coding each row into
+// a CodedRows buffer (what a search worker does) and one InsertCoded.
+// Seconds per rep / 100800 is the cost per answer row.
+CQB_BENCH_TIMED("emit1e5/insert-loop", [] {
+  Relation r("P", 3);
+  const std::vector<Value>& flat = TwoHopAnswers();
+  for (std::size_t i = 0; i < kEmitRows; ++i) {
+    r.Insert({flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]});
+  }
+  CQB_CHECK(r.size() == kEmitRows);
+})
+
+CQB_BENCH_TIMED("emit1e5/bulk-append", [] {
+  std::vector<CodedRows> buffer(1);
+  for (Value v : TwoHopAnswers()) {
+    buffer[0].codes.push_back(buffer[0].dict.Intern(v));
+  }
+  buffer[0].num_rows = kEmitRows;
+  Relation r("P", 3);
+  CQB_CHECK(r.InsertCoded(buffer, {{0, 0, kEmitRows}}) == kEmitRows);
 })
 
 void BM_ColumnarIngest(benchmark::State& state) {

@@ -14,6 +14,31 @@ std::size_t HashValue(Value v) {
   return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
+/// Lazy code translation from a foreign dictionary into `into`: a source
+/// code is interned on first use, so codes are minted in exactly the order
+/// a row-wise decode-and-intern pass would mint them, and each distinct
+/// source code costs one intern however many rows carry it.
+class CodeRemap {
+ public:
+  CodeRemap(const ValueDictionary& from, ValueDictionary* into)
+      : from_(&from),
+        into_(into),
+        map_(from.size(), ValueDictionary::kNoCode) {}
+
+  std::uint32_t operator()(std::uint32_t code) {
+    std::uint32_t& mapped = map_[code];
+    if (mapped == ValueDictionary::kNoCode) {
+      mapped = into_->Intern(from_->ValueOf(code));
+    }
+    return mapped;
+  }
+
+ private:
+  const ValueDictionary* from_;
+  ValueDictionary* into_;
+  std::vector<std::uint32_t> map_;
+};
+
 }  // namespace
 
 std::size_t ValueDictionary::ProbeSlot(Value v) const {
@@ -95,7 +120,9 @@ std::size_t ColumnStore::ProbeSlot(const std::uint32_t* codes) const {
 }
 
 void ColumnStore::EnsureSlotCapacity(std::size_t upcoming_rows) {
-  // Keep load factor under 1/2; power-of-two table for mask probing.
+  // Keep load factor under 1/2; power-of-two table for mask probing. The
+  // early return keeps the per-row call in AppendCodedRow a compare.
+  if (!slots_.empty() && upcoming_rows * 2 <= slots_.size()) return;
   std::size_t want = 16;
   while (want < upcoming_rows * 2) want <<= 1;
   if (want <= slots_.size()) return;
@@ -226,15 +253,47 @@ std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
 std::size_t ColumnStore::AppendFrom(const ColumnStore& other) {
   CQB_CHECK(other.arity_ == arity_);
   EnsureSlotCapacity(rows_ + other.live_size());
+  CodeRemap remap(other.dict_, &dict_);
   const std::size_t first = rows_;
   std::size_t added = 0;
   for (std::size_t row = 0; row < other.rows_; ++row) {
     if (!other.IsLive(row)) continue;
     for (int c = 0; c < arity_; ++c) {
-      scratch_[static_cast<std::size_t>(c)] =
-          dict_.Intern(other.ValueAt(row, c));
+      scratch_[static_cast<std::size_t>(c)] = remap(other.CodeAt(row, c));
     }
     if (AppendCodedRow(scratch_.data())) ++added;
+  }
+  RecordAppend(first, added, /*seal=*/true);
+  return added;
+}
+
+std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
+                                     const std::vector<CodedSlice>& slices) {
+  const auto width = static_cast<std::size_t>(arity_);
+  for (const CodedRows& src : sources) {
+    CQB_CHECK(src.codes.size() == src.num_rows * width);
+  }
+  std::size_t incoming = 0;
+  for (const CodedSlice& s : slices) {
+    CQB_CHECK(s.source < sources.size() && s.begin <= s.end &&
+              s.end <= sources[s.source].num_rows);
+    incoming += s.end - s.begin;
+  }
+  EnsureSlotCapacity(rows_ + incoming);
+  for (auto& col : columns_) col.reserve(rows_ + incoming);
+  std::vector<CodeRemap> remaps;
+  remaps.reserve(sources.size());
+  for (const CodedRows& src : sources) remaps.emplace_back(src.dict, &dict_);
+  const std::size_t first = rows_;
+  std::size_t added = 0;
+  for (const CodedSlice& s : slices) {
+    CodeRemap& remap = remaps[s.source];
+    const std::uint32_t* codes =
+        sources[s.source].codes.data() + s.begin * width;
+    for (std::size_t r = s.begin; r < s.end; ++r, codes += width) {
+      for (std::size_t c = 0; c < width; ++c) scratch_[c] = remap(codes[c]);
+      if (AppendCodedRow(scratch_.data())) ++added;
+    }
   }
   RecordAppend(first, added, /*seal=*/true);
   return added;

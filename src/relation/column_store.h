@@ -57,6 +57,24 @@ class ValueDictionary {
   std::vector<std::uint32_t> slots_;
 };
 
+/// Rows coded in a dictionary of their own: the flat buffer a producer
+/// (a search worker) fills without touching any store -- no Tuple, no row
+/// index -- and hands to ColumnStore::AppendCoded. `codes` holds
+/// `num_rows` rows of the target store's arity, row-major, every code
+/// minted by `dict`. `num_rows` is kept apart so nullary rows count.
+struct CodedRows {
+  ValueDictionary dict;
+  std::vector<std::uint32_t> codes;
+  std::size_t num_rows = 0;
+};
+
+/// Rows [begin, end) of `sources[source]`: one run of an AppendCoded merge.
+struct CodedSlice {
+  std::size_t source = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
 /// Dictionary-encoded columnar tuple storage with set semantics: `arity`
 /// contiguous uint32_t code columns plus an open-addressing hash index over
 /// row ids (no per-row heap nodes, no shadow tuple copies). Row order is
@@ -160,8 +178,20 @@ class ColumnStore {
   /// `num_rows * arity()` values (empty for nullary stores).
   std::size_t AppendFlat(const std::vector<Value>& flat, std::size_t num_rows);
 
-  /// As AppendBatch reading straight from another store's columns.
+  /// As AppendBatch reading straight from another store's columns, its
+  /// codes remapped lazily as in AppendCoded.
   std::size_t AppendFrom(const ColumnStore& other);
+
+  /// The bulk door for rows coded in foreign dictionaries: appends the rows
+  /// of `slices`, slice after slice. Source codes are remapped lazily --
+  /// each interned into this store's dictionary on first use -- so the
+  /// codes minted are exactly those a row-wise Append of the decoded rows
+  /// would mint. Every row is probed against the row index once and
+  /// skipped when already present: a producer that wrongly claims its rows
+  /// distinct costs speed, never answers. Returns the number of rows added;
+  /// seals them as one new segment when nonzero.
+  std::size_t AppendCoded(const std::vector<CodedRows>& sources,
+                          const std::vector<CodedSlice>& slices);
 
   /// Removes `t` if present. The common case is a tombstone: O(arity), row
   /// ids stable, the open-addressing index untouched. When the tombstone

@@ -121,7 +121,12 @@ Status ValidateGenericJoinInputs(const Query& query,
 /// State of the leapfrog search: one trie per atom plus a stack of sibling
 /// ranges tracking each trie's descent along the global variable order.
 struct GenericJoinSearch {
-  Relation* output;
+  /// Where answers go; exactly one is non-null. A search whose answers are
+  /// distinct by construction (see RunGenericJoin) writes head values as
+  /// codes into `emit`; any other search inserts them into `dedup`, whose
+  /// set semantics absorb repeats.
+  CodedRows* emit = nullptr;
+  Relation* dedup = nullptr;
   EvalStats* stats;
 
   /// Variable ids in binding order.
@@ -140,18 +145,19 @@ struct GenericJoinSearch {
   /// Deepest depth whose variable occurs in the head (-1 when the head is
   /// variable-free). Past it the search only needs *one* witness per bound
   /// prefix -- the head tuple is already determined -- so Run returns as
-  /// soon as a completion is found instead of enumerating every witness
-  /// for output->Insert to dedup away.
+  /// soon as a completion is found: each binding of order[0..last] emits
+  /// at most one answer.
   int last_head_depth = -1;
+  /// Reused head tuple for the `dedup` sink.
+  Tuple head;
   /// Per-depth leapfrog scratch (cursor and trie level per participating
   /// atom), allocated once -- Run visits thousands of nodes and must not
   /// allocate per node.
   std::vector<std::vector<std::size_t>> cursor_scratch;
   std::vector<std::vector<int>> level_scratch;
 
-  GenericJoinSearch(Relation* out, EvalStats* st,
-                    const std::vector<int>& var_order)
-      : output(out), stats(st), order(var_order) {}
+  GenericJoinSearch(EvalStats* st, const std::vector<int>& var_order)
+      : stats(st), order(var_order) {}
 
   /// Binds order[depth..] recursively; every match at a depth increments
   /// that depth's intermediate counter (the quantity the AGM envelope
@@ -159,11 +165,18 @@ struct GenericJoinSearch {
   /// this node -- the signal the projection-aware early exit keys on.
   bool Run(std::size_t depth) {
     if (depth == order.size()) {
-      Tuple head(head_vars.size());
-      for (std::size_t i = 0; i < head_vars.size(); ++i) {
-        head[i] = assignment[head_vars[i]];
+      if (emit != nullptr) {
+        for (int v : head_vars) {
+          emit->codes.push_back(emit->dict.Intern(assignment[v]));
+        }
+        ++emit->num_rows;
+      } else {
+        head.resize(head_vars.size());
+        for (std::size_t i = 0; i < head_vars.size(); ++i) {
+          head[i] = assignment[head_vars[i]];
+        }
+        dedup->Insert(head);
       }
-      output->Insert(head);
       return true;
     }
     // Past the last head variable a single witness suffices.
@@ -231,8 +244,11 @@ struct GenericJoinSearch {
 /// which every atom participating at depth 0 agrees within its root range
 /// -- without descending. The same intersection the serial search's first
 /// level runs, reified into a work list the parallel executor partitions.
-/// Seeks are charged to `search.stats`.
-std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search) {
+/// Seeks are charged to `search.stats`. `first` receives each depth-0
+/// atom's root position of the first match, so a lone match is descended
+/// without seeking again.
+std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search,
+                                        std::vector<std::size_t>* first) {
   std::vector<Value> matches;
   const std::vector<int>& atoms = search.atoms_at[0];
   std::vector<std::size_t> cursor(atoms.size());
@@ -259,80 +275,122 @@ std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search) {
       }
     }
     if (!aligned) continue;
+    if (matches.empty()) *first = cursor;
     matches.push_back(target);
     if (++cursor[0] >= search.range_stack[atoms[0]][0].end) return matches;
     target = search.tries[atoms[0]]->ValueAt(0, cursor[0]);
   }
 }
 
-/// The parallel executor: partitions the depth-0 matches of `proto` across
-/// `pool`'s workers plus the calling thread. Each thread claims matches
-/// dynamically (skewed subtree costs self-balance), binds the claimed value
-/// and descends with a private copy of the search state -- per-depth
-/// scratch, range stacks, assignment and output are all thread-local by
-/// construction, so the only shared mutable state is the claim counter.
-/// Outputs and per-depth counters are merged at the end; the merged
-/// counters equal a serial run's, so the AGM-envelope accounting is
-/// unchanged. Returns false (leaving `proto` and `local` untouched beyond
-/// the depth-0 seeks) when there are fewer than two matches to split --
-/// the caller then runs the serial search over the already-known matches'
-/// level, which re-seeks but stays correct.
-bool RunPartitionedDepth0(const GenericJoinSearch& proto, ThreadPool* pool,
-                          Relation* output, EvalStats* local) {
-  const std::vector<Value> matches = CollectDepth0Matches(proto);
-  if (matches.size() < 2) return false;
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(pool->num_workers()) + 1, matches.size());
+/// Runs `proto` and writes its answers into `output` (empty on entry).
+///
+/// Without a pool the whole search is one claim, run on the calling thread.
+/// With one, the claims are the depth-0 matches of `proto`, taken
+/// dynamically by the pool's workers plus the calling thread (skewed
+/// subtree costs self-balance); each binds its match and descends with a
+/// private copy of the search state, so the only shared mutable state is
+/// the claim counter. A claimed match is re-located in each depth-0 atom's
+/// root range by a galloping seek -- the only duplicated work of the
+/// fan-out -- except a lone match, descended from where it was collected.
+/// Per-depth counters merge exactly, so the AGM-envelope accounting equals
+/// a serial run's.
+///
+/// When `distinct` holds -- every variable of order[0..last_head_depth] is
+/// a head variable -- each binding of that prefix emits at most one answer
+/// (the witness-only exit), and distinct bindings give distinct head
+/// tuples. Each worker then writes head values as codes of a private
+/// dictionary into a flat buffer and records the rows of each claim as a
+/// slice; one bulk append takes the slices in claim order, which is the
+/// serial emission order, so the output equals the serial run's row for
+/// row whatever the thread timing. Other searches insert into a private
+/// relation that dedups as it goes (the output itself with one worker),
+/// merged into the output in worker order.
+void RunGenericJoin(const GenericJoinSearch& proto, bool distinct,
+                    ThreadPool* pool, Relation* output, EvalStats* local) {
+  std::vector<Value> matches;
+  std::vector<std::size_t> lone;
+  if (pool != nullptr) {
+    matches = CollectDepth0Matches(proto, &lone);
+    if (matches.empty()) return;
+    local->intermediate_sizes[0] += matches.size();
+  }
+  const std::size_t claims = pool == nullptr ? 1 : matches.size();
+  const std::size_t workers =
+      pool == nullptr ? 1
+                      : std::min<std::size_t>(
+                            static_cast<std::size_t>(pool->num_workers()) + 1,
+                            matches.size());
   const std::vector<int>& order = proto.order;
 
-  std::atomic<std::size_t> next{0};
-  std::vector<Relation> outputs(workers,
-                                Relation(output->name(), output->arity()));
+  std::vector<CodedRows> buffers(distinct ? workers : 0);
+  std::vector<Relation> relations(distinct || workers == 1 ? 0 : workers);
+  std::vector<CodedSlice> slices(distinct ? claims : 0);
   std::vector<EvalStats> worker_stats(workers);
-  pool->ParallelFor(workers, [&](std::size_t w) {
-    GenericJoinSearch ws(&outputs[w], &worker_stats[w], order);
-    ws.tries = proto.tries;
-    ws.atoms_at = proto.atoms_at;
-    ws.range_stack = proto.range_stack;  // root ranges only at this point
-    ws.assignment = proto.assignment;
-    ws.head_vars = proto.head_vars;
-    ws.last_head_depth = proto.last_head_depth;
-    ws.cursor_scratch = proto.cursor_scratch;
-    ws.level_scratch = proto.level_scratch;
-    worker_stats[w].intermediate_sizes.assign(order.size(), 0);
-    const std::vector<int>& atoms0 = ws.atoms_at[0];
-    for (std::size_t i = next.fetch_add(1); i < matches.size();
-         i = next.fetch_add(1)) {
-      const Value v = matches[i];
-      ws.assignment[order[0]] = v;
-      for (int a : atoms0) {
-        // Re-locate the match in this atom's root range (galloping, so
-        // O(log) per atom -- the only duplicated work of the fan-out).
-        const std::size_t pos = ws.tries[a]->SeekGE(0, ws.range_stack[a][0], v);
-        ++ws.stats->intersection_seeks;
-        ws.range_stack[a].push_back(ws.tries[a]->ChildRange(0, pos));
-      }
-      ws.Run(1);
-      for (int a : atoms0) ws.range_stack[a].pop_back();
+  std::atomic<std::size_t> next{0};
+  auto work = [&](std::size_t w) {
+    // The sink and counters the hot path writes live on this thread's
+    // stack and are handed over once at the end: adjacent elements of the
+    // shared vectors would put several workers' hot fields on one cache
+    // line.
+    CodedRows rows;
+    Relation relation(output->name(), output->arity());
+    EvalStats stats;
+    stats.intermediate_sizes.assign(order.size(), 0);
+    GenericJoinSearch ws = proto;
+    ws.stats = &stats;
+    if (distinct) {
+      ws.emit = &rows;
+    } else {
+      ws.dedup = workers == 1 ? output : &relation;
     }
-  });
+    const std::vector<int>& atoms0 = ws.atoms_at[0];
+    for (std::size_t i = next.fetch_add(1); i < claims;
+         i = next.fetch_add(1)) {
+      const std::size_t begin = rows.num_rows;
+      if (pool == nullptr) {
+        ws.Run(0);
+      } else {
+        const Value v = matches[i];
+        ws.assignment[order[0]] = v;
+        for (std::size_t k = 0; k < atoms0.size(); ++k) {
+          const int a = atoms0[k];
+          std::size_t pos = lone[k];
+          if (claims > 1) {
+            pos = ws.tries[a]->SeekGE(0, ws.range_stack[a][0], v);
+            ++stats.intersection_seeks;
+          }
+          ws.range_stack[a].push_back(ws.tries[a]->ChildRange(0, pos));
+        }
+        ws.Run(1);
+        for (int a : atoms0) ws.range_stack[a].pop_back();
+      }
+      if (distinct) slices[i] = CodedSlice{w, begin, rows.num_rows};
+    }
+    if (distinct) buffers[w] = std::move(rows);
+    if (!distinct && workers > 1) relations[w] = std::move(relation);
+    worker_stats[w] = std::move(stats);
+  };
+  if (workers == 1) {
+    work(0);
+  } else {
+    pool->ParallelFor(workers, work);
+    local->parallel_workers = workers;
+  }
 
-  local->intermediate_sizes[0] += matches.size();
-  for (std::size_t w = 0; w < workers; ++w) {
-    const EvalStats& s = worker_stats[w];
-    for (std::size_t d = 1; d < s.intermediate_sizes.size(); ++d) {
+  for (const EvalStats& s : worker_stats) {
+    for (std::size_t d = 0; d < s.intermediate_sizes.size(); ++d) {
       local->intermediate_sizes[d] += s.intermediate_sizes[d];
     }
     local->intersection_seeks += s.intersection_seeks;
     local->projection_subtrees_skipped += s.projection_subtrees_skipped;
-    // Set semantics dedups head tuples that distinct depth-0 subtrees both
-    // derived (possible whenever the head projects order[0] away). The
-    // merge reads the worker's columns directly -- one batch append per
-    // worker, no per-tuple materialization.
-    output->InsertFrom(outputs[w]);
   }
-  local->parallel_workers = workers;
-  return true;
+  if (distinct) {
+    output->InsertCoded(buffers, slices);
+  } else {
+    // Set semantics dedups head tuples that distinct depth-0 subtrees both
+    // derived (possible whenever the head projects order[0] away).
+    for (const Relation& r : relations) output->InsertFrom(r);
+  }
 }
 
 /// Per-atom trie overrides for the hybrid plan: atom i enumerates over
@@ -348,9 +406,8 @@ using TrieOverrides = std::vector<std::shared_ptr<const TrieIndex>>;
 /// through `ctx` when provided. Fills `local` (assumed zeroed); the caller
 /// owns publishing it to the user-facing stats pointer. A non-null `pool`
 /// with workers runs the search partitioned over the depth-0 matches (see
-/// RunPartitionedDepth0); a null pool, a worker-less pool, a variable-free
-/// head (where the serial early exit beats any fan-out) or fewer than two
-/// depth-0 matches all fall back to the serial search.
+/// RunGenericJoin); a null pool, a worker-less pool or a variable-free
+/// head (where the serial early exit beats any fan-out) run it serially.
 Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
                                  const std::vector<int>& variable_order,
                                  EvalContext* ctx, ThreadPool* pool,
@@ -365,7 +422,7 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
     rank[variable_order[d]] = static_cast<int>(d);
   }
 
-  GenericJoinSearch search(&output, local, variable_order);
+  GenericJoinSearch search(local, variable_order);
   search.assignment.assign(query.num_variables(), 0);
   search.head_vars = query.head_vars();
   search.atoms_at.resize(variable_order.size());
@@ -373,6 +430,14 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
   for (std::size_t d = 0; d < variable_order.size(); ++d) {
     if (head_set.count(variable_order[d])) {
       search.last_head_depth = static_cast<int>(d);
+    }
+  }
+  // Distinct by construction: the bound prefix up to the last head
+  // variable holds head variables only (see RunGenericJoin).
+  bool distinct = true;
+  for (int d = 0; d <= search.last_head_depth; ++d) {
+    if (!head_set.count(variable_order[static_cast<std::size_t>(d)])) {
+      distinct = false;
     }
   }
   local->intermediate_sizes.assign(variable_order.size(), 0);
@@ -438,9 +503,8 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
     const bool parallel = pool != nullptr && pool->num_workers() > 0 &&
                           search.last_head_depth >= 0 &&
                           !search.atoms_at[0].empty();
-    if (!parallel || !RunPartitionedDepth0(search, pool, &output, local)) {
-      search.Run(0);
-    }
+    RunGenericJoin(search, distinct, parallel ? pool : nullptr, &output,
+                   local);
   } else if (query.atoms().empty()) {
     output.Insert(Tuple{});  // empty body: the single empty substitution
   }
@@ -1027,7 +1091,7 @@ namespace {
 
 /// The generic-join plan through `ctx` (may be null; must be attached to
 /// `db`), its enumeration fanned out over `pool` when non-null (see
-/// RunPartitionedDepth0).
+/// RunGenericJoin).
 Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
                                      const std::vector<int>& variable_order,
                                      EvalContext* ctx, ThreadPool* pool,

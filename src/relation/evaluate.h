@@ -236,14 +236,17 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
 /// variable in the binding order are enumerated once (cheap -- one trie
 /// level), then claimed dynamically by the pool's workers plus the calling
 /// thread, each descending its claimed subtrees with private scratch and a
-/// private output relation; outputs and stats are merged (set semantics
-/// dedups overlapping head tuples) when every subtree finishes. Every
-/// worker's per-depth binding counts still sum to the serial run's, so the
-/// AGM envelope guarantee is unchanged -- as are results, exactly. The
-/// search stays serial when `pool` is null or has no workers, when there
-/// are fewer than two depth-0 matches to split, or when the head is
-/// variable-free (a pure existence check, where the serial early exit stops
-/// at the first witness and parallel fan-out would only waste work);
+/// private answer sink; answers and stats are merged when every subtree
+/// finishes. Every worker's per-depth binding counts still sum to the
+/// serial run's, so the AGM envelope guarantee is unchanged -- as are
+/// results, exactly. When the answers are distinct by construction (every
+/// variable bound up to the last head variable is a head variable: full
+/// CQs and prefix projections) the merge takes them in depth-0 match
+/// order, so even the row order equals the serial run's. The search stays
+/// serial when `pool` is null or has no workers, when there are fewer
+/// than two depth-0 matches to split, or when the head is variable-free (a
+/// pure existence check, where the serial early exit stops at the first
+/// witness and parallel fan-out would only waste work);
 /// EvalStats::parallel_workers reports the fan-out actually used. The
 /// hybrid's semi-join reduction itself stays serial, and the binary-join
 /// plans ignore the pool. Safe for concurrent callers sharing one `ctx`.

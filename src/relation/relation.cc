@@ -33,6 +33,13 @@ std::size_t Relation::InsertFrom(const Relation& other) {
   return added;
 }
 
+std::size_t Relation::InsertCoded(const std::vector<CodedRows>& sources,
+                                  const std::vector<CodedSlice>& slices) {
+  const std::size_t added = store_.AppendCoded(sources, slices);
+  generation_ += added;
+  return added;
+}
+
 bool Relation::Remove(const Tuple& t) {
   CQB_CHECK(static_cast<int>(t.size()) == arity());
   std::uint32_t row = 0;

@@ -110,6 +110,12 @@ class Relation {
   /// As InsertBatch reading straight from another relation's columns.
   std::size_t InsertFrom(const Relation& other);
 
+  /// As InsertBatch over rows coded in foreign dictionaries, slice after
+  /// slice -- the bulk door of ColumnStore::AppendCoded: codes minted as a
+  /// row-wise Insert would mint them, present rows skipped, one segment.
+  std::size_t InsertCoded(const std::vector<CodedRows>& sources,
+                          const std::vector<CodedSlice>& slices);
+
   /// Removes `t` if present; returns true if removed. Preserves the order
   /// of the remaining tuples. A removal is a *tombstone*: row ids stay
   /// stable, the removal is journaled in the removed-row log, and

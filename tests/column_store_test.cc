@@ -163,6 +163,136 @@ TEST(ColumnStoreTest, AppendFromCrossesDictionaries) {
   EXPECT_EQ(target.Row(2), (Tuple{300, 100}));
 }
 
+TEST(ColumnStoreTest, AppendFromMintsTheCodesOfARowWiseAppend) {
+  // The lazy remap interns each source code on first use: same rows, same
+  // order, same codes as decoding and appending row by row.
+  ColumnStore source(2);
+  source.Append({5, 6});
+  source.Append({7, 8});
+  source.Append({6, 5});
+  source.Append({6, 6});
+  // The dead row is skipped and its values are never interned.
+  ASSERT_EQ(source.Erase({7, 8}), ColumnStore::EraseResult::kTombstoned);
+  ColumnStore bulk(2);
+  ColumnStore slow(2);
+  bulk.Append({8, 6});
+  slow.Append({8, 6});
+  EXPECT_EQ(bulk.AppendFrom(source), 3u);
+  slow.Append({5, 6});
+  slow.Append({6, 5});
+  slow.Append({6, 6});
+  ASSERT_EQ(bulk.size(), slow.size());
+  for (std::size_t r = 0; r < bulk.size(); ++r) {
+    for (int c = 0; c < 2; ++c) EXPECT_EQ(bulk.CodeAt(r, c), slow.CodeAt(r, c));
+  }
+  EXPECT_EQ(bulk.dict().size(), slow.dict().size());
+}
+
+// --- The coded-rows door (AppendCoded) --------------------------------------
+
+/// `rows` coded in a fresh dictionary that first interns `unused` -- values
+/// no row carries, so source codes and target codes disagree.
+CodedRows Coded(const std::vector<Tuple>& rows,
+                const std::vector<Value>& unused = {}) {
+  CodedRows out;
+  for (Value v : unused) out.dict.Intern(v);
+  for (const Tuple& t : rows) {
+    for (Value v : t) out.codes.push_back(out.dict.Intern(v));
+    ++out.num_rows;
+  }
+  return out;
+}
+
+TEST(ColumnStoreTest, CodedDoorMintsTheCodesOfRowWiseAppends) {
+  std::vector<CodedRows> sources;
+  sources.push_back(Coded({{40, 10}, {10, 40}, {20, 20}}, {99, 98}));
+  sources.push_back(Coded({{30, 40}, {50, 10}}, {97}));
+  // Slices interleave the sources: rows land slice after slice.
+  const std::vector<CodedSlice> slices = {
+      {1, 1, 2}, {0, 0, 2}, {1, 0, 1}, {0, 2, 3}};
+  ColumnStore bulk(2);
+  ColumnStore slow(2);
+  bulk.Append({10, 60});  // pre-seeded: 10 already has a code
+  slow.Append({10, 60});
+  EXPECT_EQ(bulk.AppendCoded(sources, slices), 5u);
+  for (const Tuple& t : std::vector<Tuple>{
+           {50, 10}, {40, 10}, {10, 40}, {30, 40}, {20, 20}}) {
+    slow.Append(t);
+  }
+  ASSERT_EQ(bulk.size(), slow.size());
+  for (std::size_t r = 0; r < bulk.size(); ++r) {
+    EXPECT_EQ(bulk.Row(r), slow.Row(r)) << "row " << r;
+    for (int c = 0; c < 2; ++c) EXPECT_EQ(bulk.CodeAt(r, c), slow.CodeAt(r, c));
+  }
+  // Only values some row carries were interned: 99, 98 and 97 never were.
+  EXPECT_EQ(bulk.dict().size(), slow.dict().size());
+  EXPECT_EQ(bulk.dict().CodeOf(99), ValueDictionary::kNoCode);
+}
+
+TEST(ColumnStoreTest, CodedDoorSkipsRowsAlreadyPresent) {
+  ColumnStore store(2);
+  store.Append({1, 2});
+  store.Append({5, 6});
+  store.Append({7, 7});
+  store.Append({8, 8});
+  ASSERT_EQ(store.Erase({5, 6}), ColumnStore::EraseResult::kTombstoned);
+  std::vector<CodedRows> sources;
+  sources.push_back(Coded({{1, 2}, {3, 4}, {3, 4}, {5, 6}}));
+  // Present rows and repeats within the batch are probed away; a
+  // tombstoned tuple comes back under a fresh row id.
+  EXPECT_EQ(store.AppendCoded(sources, {{0, 0, 4}}), 2u);
+  ASSERT_EQ(store.size(), 6u);
+  EXPECT_EQ(store.live_size(), 5u);
+  EXPECT_EQ(store.Row(4), (Tuple{3, 4}));
+  EXPECT_EQ(store.Row(5), (Tuple{5, 6}));
+  EXPECT_EQ(store.AppendCoded(sources, {{0, 0, 4}}), 0u);
+}
+
+TEST(ColumnStoreTest, CodedDoorAdvancesTheGenerationByRowsAdded) {
+  Relation rel("R", 2);
+  rel.Insert({1, 2});
+  const std::uint64_t before = rel.generation();
+  std::vector<CodedRows> sources;
+  sources.push_back(Coded({{1, 2}, {3, 4}}));
+  sources.push_back(Coded({{3, 4}, {5, 6}}));
+  EXPECT_EQ(rel.InsertCoded(sources, {{0, 0, 2}, {1, 0, 2}}), 2u);
+  EXPECT_EQ(rel.generation(), before + 2);
+  EXPECT_EQ(rel.InsertCoded(sources, {{1, 0, 2}}), 0u);
+  EXPECT_EQ(rel.generation(), before + 2);  // nothing added, nothing moved
+}
+
+TEST(ColumnStoreTest, CodedDoorSealsExactlyOneSegment) {
+  ColumnStore store(1);
+  store.Append({1});
+  std::vector<CodedRows> sources;
+  sources.push_back(Coded({{2}, {3}}));
+  sources.push_back(Coded({{4}}));
+  // Three slices from two sources still make one segment.
+  EXPECT_EQ(store.AppendCoded(sources, {{0, 0, 1}, {1, 0, 1}, {0, 1, 2}}),
+            3u);
+  ASSERT_EQ(store.segments().size(), 2u);
+  EXPECT_EQ(store.segments()[1].begin, 1u);
+  EXPECT_EQ(store.segments()[1].end, 4u);
+  // An append that adds nothing seals nothing.
+  EXPECT_EQ(store.AppendCoded(sources, {{1, 0, 1}}), 0u);
+  EXPECT_EQ(store.segments().size(), 2u);
+  store.Append({5});  // the sealed boundary survives a later single append
+  EXPECT_EQ(store.segments().size(), 3u);
+}
+
+TEST(ColumnStoreTest, CodedDoorOnANullaryStore) {
+  // Nullary rows carry no codes; num_rows alone counts them, and set
+  // semantics keep at most the empty tuple.
+  ColumnStore store(0);
+  std::vector<CodedRows> sources(1);
+  sources[0].num_rows = 3;
+  EXPECT_EQ(store.AppendCoded(sources, {{0, 0, 3}}), 1u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_TRUE(store.Contains(Tuple{}));
+  EXPECT_EQ(store.AppendCoded(sources, {{0, 1, 2}}), 0u);
+  EXPECT_EQ(store.size(), 1u);
+}
+
 TEST(ColumnStoreTest, EraseTombstonesWithoutMovingRows) {
   ColumnStore store(2);
   for (Value v : {1, 2, 3, 4, 5}) store.Append({v, v * 10});

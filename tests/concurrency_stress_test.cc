@@ -215,6 +215,98 @@ TEST(ParallelGenericJoinTest, MatchesSerialOnRandomQueries) {
   }
 }
 
+TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
+  // Full CQs and prefix projections are distinct by construction: workers
+  // emit codes, and the merge appends their per-match slices in depth-0
+  // order. The parallel output is then the serial output as a *sequence*,
+  // whatever the thread timing.
+  struct Case {
+    std::string label;
+    Query query;
+    Database db;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"triangle",
+                   ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).")
+                       .ValueOrDie(),
+                   TriangleDatabase(60)});
+  cases.push_back({"two-hop",
+                   ParseQuery("P(X,Y,Z) :- E(X,Y), E(Y,Z).").ValueOrDie(),
+                   TriangleDatabase(60)});
+  // Binds Y, X, then Z: the head {X, Y} is the bound prefix, and the
+  // witness-only exit emits each (X, Y) once.
+  cases.push_back({"two-hop prefix projection",
+                   ParseQuery("P(X,Y) :- E(X,Y), E(Y,Z).").ValueOrDie(),
+                   TriangleDatabase(60)});
+  Rng rng(20261017);
+  for (int trial = 0; trial < 8; ++trial) {
+    RandomQueryOptions options;
+    options.num_variables = 2 + static_cast<int>(rng.NextBelow(4));
+    options.num_atoms = 2 + static_cast<int>(rng.NextBelow(3));
+    options.max_arity = 3;
+    Query q = RandomQuery(options, &rng);
+    RandomDatabaseOptions opts;
+    opts.seed = rng.Next();
+    opts.tuples_per_relation = 40;
+    opts.domain_size = 6;
+    Database db = RandomDatabase(q, opts);
+    cases.push_back({"random " + q.ToString(), q, std::move(db)});
+  }
+
+  ThreadPool pool1(1), pool3(3), pool7(7);
+  for (const Case& c : cases) {
+    EvalStats serial_stats;
+    auto serial = EvaluateQuery(c.query, c.db, PlanKind::kGenericJoin,
+                                nullptr, &serial_stats);
+    ASSERT_TRUE(serial.ok()) << c.label;
+    const std::vector<Tuple> serial_rows = serial->tuples();
+    for (ThreadPool* pool : {&pool1, &pool3, &pool7}) {
+      const std::string tag =
+          c.label + " pool " + std::to_string(pool->num_workers());
+      EvalContext ctx(c.db);
+      EvalStats stats;
+      auto parallel = EvaluateQuery(c.query, c.db, PlanKind::kGenericJoin,
+                                    &ctx, pool, &stats);
+      ASSERT_TRUE(parallel.ok()) << tag;
+      EXPECT_EQ(parallel->tuples(), serial_rows) << tag;
+      EXPECT_EQ(parallel->generation(), serial->generation()) << tag;
+      EXPECT_EQ(stats.intermediate_sizes, serial_stats.intermediate_sizes)
+          << tag;
+      EXPECT_EQ(stats.projection_subtrees_skipped,
+                serial_stats.projection_subtrees_skipped)
+          << tag;
+    }
+  }
+}
+
+TEST(ParallelGenericJoinTest, LoneDepth0MatchChargesSeeksOnce) {
+  // X binds first (it is in both atoms) and has a single match, so the
+  // pool path has nothing to split: it descends from the collected match
+  // instead of re-running depth 0, and charges exactly the serial seeks.
+  auto q = ParseQuery("T(X,Y) :- E(X,Y), F(X).");
+  ASSERT_TRUE(q.ok());
+  Database db;
+  Relation* e = db.AddRelation("E", 2);
+  for (int y = 0; y < 20; ++y) e->Insert({7, y});
+  db.AddRelation("F", 1)->Insert({7});
+
+  EvalStats serial_stats;
+  auto serial = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr,
+                              &serial_stats);
+  ASSERT_TRUE(serial.ok());
+  ThreadPool pool(3);
+  EvalStats pool_stats;
+  auto pooled = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr, &pool,
+                              &pool_stats);
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_EQ(pooled->tuples(), serial->tuples());
+  ASSERT_EQ(serial_stats.intermediate_sizes.size(), 2u);
+  EXPECT_EQ(serial_stats.intermediate_sizes[0], 1u);
+  EXPECT_EQ(pool_stats.intermediate_sizes, serial_stats.intermediate_sizes);
+  EXPECT_EQ(pool_stats.intersection_seeks, serial_stats.intersection_seeks);
+  EXPECT_EQ(pool_stats.parallel_workers, 0u);
+}
+
 // --- Shared-context stress -------------------------------------------------
 
 /// The tentpole stress: T threads evaluate concurrently through ONE
