@@ -250,23 +250,6 @@ std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
   return added;
 }
 
-std::size_t ColumnStore::AppendFrom(const ColumnStore& other) {
-  CQB_CHECK(other.arity_ == arity_);
-  EnsureSlotCapacity(rows_ + other.live_size());
-  CodeRemap remap(other.dict_, &dict_);
-  const std::size_t first = rows_;
-  std::size_t added = 0;
-  for (std::size_t row = 0; row < other.rows_; ++row) {
-    if (!other.IsLive(row)) continue;
-    for (int c = 0; c < arity_; ++c) {
-      scratch_[static_cast<std::size_t>(c)] = remap(other.CodeAt(row, c));
-    }
-    if (AppendCodedRow(scratch_.data())) ++added;
-  }
-  RecordAppend(first, added, /*seal=*/true);
-  return added;
-}
-
 std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
                                      const std::vector<CodedSlice>& slices) {
   const auto width = static_cast<std::size_t>(arity_);

@@ -178,18 +178,15 @@ class ColumnStore {
   /// `num_rows * arity()` values (empty for nullary stores).
   std::size_t AppendFlat(const std::vector<Value>& flat, std::size_t num_rows);
 
-  /// As AppendBatch reading straight from another store's columns, its
-  /// codes remapped lazily as in AppendCoded.
-  std::size_t AppendFrom(const ColumnStore& other);
-
   /// The bulk door for rows coded in foreign dictionaries: appends the rows
   /// of `slices`, slice after slice. Source codes are remapped lazily --
   /// each interned into this store's dictionary on first use -- so the
   /// codes minted are exactly those a row-wise Append of the decoded rows
   /// would mint. Every row is probed against the row index once and
-  /// skipped when already present: a producer that wrongly claims its rows
-  /// distinct costs speed, never answers. Returns the number of rows added;
-  /// seals them as one new segment when nonzero.
+  /// skipped when already present, so repeats -- within the slices or
+  /// against the store -- keep their first occurrence: producers need not
+  /// dedup. Returns the number of rows added; seals them as one new segment
+  /// when nonzero.
   std::size_t AppendCoded(const std::vector<CodedRows>& sources,
                           const std::vector<CodedSlice>& slices);
 

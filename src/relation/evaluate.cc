@@ -121,12 +121,10 @@ Status ValidateGenericJoinInputs(const Query& query,
 /// State of the leapfrog search: one trie per atom plus a stack of sibling
 /// ranges tracking each trie's descent along the global variable order.
 struct GenericJoinSearch {
-  /// Where answers go; exactly one is non-null. A search whose answers are
-  /// distinct by construction (see RunGenericJoin) writes head values as
-  /// codes into `emit`; any other search inserts them into `dedup`, whose
-  /// set semantics absorb repeats.
+  /// Where answers go: head values as codes of the buffer's own
+  /// dictionary. A projection's repeats may be left in (the merge drops
+  /// them, see RunGenericJoin).
   CodedRows* emit = nullptr;
-  Relation* dedup = nullptr;
   EvalStats* stats;
 
   /// Variable ids in binding order.
@@ -148,8 +146,6 @@ struct GenericJoinSearch {
   /// soon as a completion is found: each binding of order[0..last] emits
   /// at most one answer.
   int last_head_depth = -1;
-  /// Reused head tuple for the `dedup` sink.
-  Tuple head;
   /// Per-depth leapfrog scratch (cursor and trie level per participating
   /// atom), allocated once -- Run visits thousands of nodes and must not
   /// allocate per node.
@@ -165,17 +161,18 @@ struct GenericJoinSearch {
   /// this node -- the signal the projection-aware early exit keys on.
   bool Run(std::size_t depth) {
     if (depth == order.size()) {
-      if (emit != nullptr) {
-        for (int v : head_vars) {
-          emit->codes.push_back(emit->dict.Intern(assignment[v]));
-        }
-        ++emit->num_rows;
+      std::vector<std::uint32_t>& codes = emit->codes;
+      for (int v : head_vars) codes.push_back(emit->dict.Intern(assignment[v]));
+      // A projection often re-derives the row it just emitted. Dropping an
+      // adjacent repeat keeps every first occurrence (this buffer's earlier
+      // rows merge first) and keeps the buffer near the answer count.
+      const auto width = static_cast<std::ptrdiff_t>(head_vars.size());
+      if (emit->num_rows > 0 &&
+          std::equal(codes.end() - width, codes.end(),
+                     codes.end() - 2 * width)) {
+        codes.resize(codes.size() - head_vars.size());
       } else {
-        head.resize(head_vars.size());
-        for (std::size_t i = 0; i < head_vars.size(); ++i) {
-          head[i] = assignment[head_vars[i]];
-        }
-        dedup->Insert(head);
+        ++emit->num_rows;
       }
       return true;
     }
@@ -295,18 +292,15 @@ std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search,
 /// Per-depth counters merge exactly, so the AGM-envelope accounting equals
 /// a serial run's.
 ///
-/// When `distinct` holds -- every variable of order[0..last_head_depth] is
-/// a head variable -- each binding of that prefix emits at most one answer
-/// (the witness-only exit), and distinct bindings give distinct head
-/// tuples. Each worker then writes head values as codes of a private
-/// dictionary into a flat buffer and records the rows of each claim as a
-/// slice; one bulk append takes the slices in claim order, which is the
-/// serial emission order, so the output equals the serial run's row for
-/// row whatever the thread timing. Other searches insert into a private
-/// relation that dedups as it goes (the output itself with one worker),
-/// merged into the output in worker order.
-void RunGenericJoin(const GenericJoinSearch& proto, bool distinct,
-                    ThreadPool* pool, Relation* output, EvalStats* local) {
+/// Each worker writes head values as codes of a private dictionary into a
+/// flat buffer and records the rows of each claim as a slice. One bulk
+/// append takes the slices in claim order, which is the serial emission
+/// order, and its per-row probe keeps the first occurrence of every head
+/// tuple (a projection may derive one from several bindings). The output
+/// therefore equals the serial run's row for row whatever the thread
+/// timing.
+void RunGenericJoin(const GenericJoinSearch& proto, ThreadPool* pool,
+                    Relation* output, EvalStats* local) {
   std::vector<Value> matches;
   std::vector<std::size_t> lone;
   if (pool != nullptr) {
@@ -322,9 +316,8 @@ void RunGenericJoin(const GenericJoinSearch& proto, bool distinct,
                             matches.size());
   const std::vector<int>& order = proto.order;
 
-  std::vector<CodedRows> buffers(distinct ? workers : 0);
-  std::vector<Relation> relations(distinct || workers == 1 ? 0 : workers);
-  std::vector<CodedSlice> slices(distinct ? claims : 0);
+  std::vector<CodedRows> buffers(workers);
+  std::vector<CodedSlice> slices(claims);
   std::vector<EvalStats> worker_stats(workers);
   std::atomic<std::size_t> next{0};
   auto work = [&](std::size_t w) {
@@ -333,16 +326,11 @@ void RunGenericJoin(const GenericJoinSearch& proto, bool distinct,
     // shared vectors would put several workers' hot fields on one cache
     // line.
     CodedRows rows;
-    Relation relation(output->name(), output->arity());
     EvalStats stats;
     stats.intermediate_sizes.assign(order.size(), 0);
     GenericJoinSearch ws = proto;
     ws.stats = &stats;
-    if (distinct) {
-      ws.emit = &rows;
-    } else {
-      ws.dedup = workers == 1 ? output : &relation;
-    }
+    ws.emit = &rows;
     const std::vector<int>& atoms0 = ws.atoms_at[0];
     for (std::size_t i = next.fetch_add(1); i < claims;
          i = next.fetch_add(1)) {
@@ -364,10 +352,9 @@ void RunGenericJoin(const GenericJoinSearch& proto, bool distinct,
         ws.Run(1);
         for (int a : atoms0) ws.range_stack[a].pop_back();
       }
-      if (distinct) slices[i] = CodedSlice{w, begin, rows.num_rows};
+      slices[i] = CodedSlice{w, begin, rows.num_rows};
     }
-    if (distinct) buffers[w] = std::move(rows);
-    if (!distinct && workers > 1) relations[w] = std::move(relation);
+    buffers[w] = std::move(rows);
     worker_stats[w] = std::move(stats);
   };
   if (workers == 1) {
@@ -384,13 +371,7 @@ void RunGenericJoin(const GenericJoinSearch& proto, bool distinct,
     local->intersection_seeks += s.intersection_seeks;
     local->projection_subtrees_skipped += s.projection_subtrees_skipped;
   }
-  if (distinct) {
-    output->InsertCoded(buffers, slices);
-  } else {
-    // Set semantics dedups head tuples that distinct depth-0 subtrees both
-    // derived (possible whenever the head projects order[0] away).
-    for (const Relation& r : relations) output->InsertFrom(r);
-  }
+  output->InsertCoded(buffers, slices);
 }
 
 /// Per-atom trie overrides for the hybrid plan: atom i enumerates over
@@ -430,14 +411,6 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
   for (std::size_t d = 0; d < variable_order.size(); ++d) {
     if (head_set.count(variable_order[d])) {
       search.last_head_depth = static_cast<int>(d);
-    }
-  }
-  // Distinct by construction: the bound prefix up to the last head
-  // variable holds head variables only (see RunGenericJoin).
-  bool distinct = true;
-  for (int d = 0; d <= search.last_head_depth; ++d) {
-    if (!head_set.count(variable_order[static_cast<std::size_t>(d)])) {
-      distinct = false;
     }
   }
   local->intermediate_sizes.assign(variable_order.size(), 0);
@@ -503,8 +476,7 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
     const bool parallel = pool != nullptr && pool->num_workers() > 0 &&
                           search.last_head_depth >= 0 &&
                           !search.atoms_at[0].empty();
-    RunGenericJoin(search, distinct, parallel ? pool : nullptr, &output,
-                   local);
+    RunGenericJoin(search, parallel ? pool : nullptr, &output, local);
   } else if (query.atoms().empty()) {
     output.Insert(Tuple{});  // empty body: the single empty substitution
   }

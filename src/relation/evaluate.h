@@ -239,10 +239,9 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
 /// private answer sink; answers and stats are merged when every subtree
 /// finishes. Every worker's per-depth binding counts still sum to the
 /// serial run's, so the AGM envelope guarantee is unchanged -- as are
-/// results, exactly. When the answers are distinct by construction (every
-/// variable bound up to the last head variable is a head variable: full
-/// CQs and prefix projections) the merge takes them in depth-0 match
-/// order, so even the row order equals the serial run's. The search stays
+/// results, exactly. The merge takes the answers in depth-0 match order
+/// and keeps each head tuple's first occurrence, so for every query even
+/// the row order equals the serial run's. The search stays
 /// serial when `pool` is null or has no workers, when there are fewer
 /// than two depth-0 matches to split, or when the head is variable-free (a
 /// pure existence check, where the serial early exit stops at the first

@@ -27,12 +27,6 @@ std::size_t Relation::InsertFlat(const std::vector<Value>& flat_values,
   return added;
 }
 
-std::size_t Relation::InsertFrom(const Relation& other) {
-  const std::size_t added = store_.AppendFrom(other.store_);
-  generation_ += added;
-  return added;
-}
-
 std::size_t Relation::InsertCoded(const std::vector<CodedRows>& sources,
                                   const std::vector<CodedSlice>& slices) {
   const std::size_t added = store_.AppendCoded(sources, slices);

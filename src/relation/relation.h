@@ -35,6 +35,10 @@ namespace cqbounds {
 /// not have.
 class Relation {
  public:
+  /// The widest arity a database file may declare (a store allocates one
+  /// column per position up front); far above any arity the engine builds.
+  static constexpr int kMaxArity = 4096;
+
   Relation() : name_("R"), store_(0) {}
   Relation(std::string name, int arity)
       : name_(std::move(name)), store_(arity) {
@@ -106,9 +110,6 @@ class Relation {
   /// entries) -- the bulk-ingestion path: no per-tuple Tuple allocation.
   std::size_t InsertFlat(const std::vector<Value>& flat_values,
                          std::size_t num_rows);
-
-  /// As InsertBatch reading straight from another relation's columns.
-  std::size_t InsertFrom(const Relation& other);
 
   /// As InsertBatch over rows coded in foreign dictionaries, slice after
   /// slice -- the bulk door of ColumnStore::AppendCoded: codes minted as a

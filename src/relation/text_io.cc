@@ -190,9 +190,11 @@ Status ParseDatabaseText(std::string_view buf, Database* db) {
       int arity = -1;
       const auto parsed = std::from_chars(ar, ar_end, arity);
       if (name == name_end || ar == ar_end || parsed.ec != std::errc() ||
-          parsed.ptr != ar_end || arity < 0) {
-        return Status::ParseError("line " + std::to_string(line_number) +
-                                  ": expected 'relation NAME ARITY'");
+          parsed.ptr != ar_end || arity < 0 || arity > Relation::kMaxArity) {
+        return Status::ParseError(
+            "line " + std::to_string(line_number) +
+            ": expected 'relation NAME ARITY', ARITY at most " +
+            std::to_string(Relation::kMaxArity));
       }
       scratch.assign(name, static_cast<std::size_t>(name_end - name));
       if (db->AddRelation(scratch, arity) == nullptr) {

@@ -149,45 +149,6 @@ TEST(ColumnStoreTest, FlatAppendMatchesTupleAppend) {
   }
 }
 
-TEST(ColumnStoreTest, AppendFromCrossesDictionaries) {
-  // The source's codes mean nothing to the target: AppendFrom must copy by
-  // value, re-interning into the target's own dictionary.
-  ColumnStore source(2);
-  source.Append({100, 200});
-  source.Append({300, 100});
-  ColumnStore target(2);
-  target.Append({999, 100});  // pre-seeds a different code assignment
-  EXPECT_EQ(target.AppendFrom(source), 2u);
-  ASSERT_EQ(target.size(), 3u);
-  EXPECT_EQ(target.Row(1), (Tuple{100, 200}));
-  EXPECT_EQ(target.Row(2), (Tuple{300, 100}));
-}
-
-TEST(ColumnStoreTest, AppendFromMintsTheCodesOfARowWiseAppend) {
-  // The lazy remap interns each source code on first use: same rows, same
-  // order, same codes as decoding and appending row by row.
-  ColumnStore source(2);
-  source.Append({5, 6});
-  source.Append({7, 8});
-  source.Append({6, 5});
-  source.Append({6, 6});
-  // The dead row is skipped and its values are never interned.
-  ASSERT_EQ(source.Erase({7, 8}), ColumnStore::EraseResult::kTombstoned);
-  ColumnStore bulk(2);
-  ColumnStore slow(2);
-  bulk.Append({8, 6});
-  slow.Append({8, 6});
-  EXPECT_EQ(bulk.AppendFrom(source), 3u);
-  slow.Append({5, 6});
-  slow.Append({6, 5});
-  slow.Append({6, 6});
-  ASSERT_EQ(bulk.size(), slow.size());
-  for (std::size_t r = 0; r < bulk.size(); ++r) {
-    for (int c = 0; c < 2; ++c) EXPECT_EQ(bulk.CodeAt(r, c), slow.CodeAt(r, c));
-  }
-  EXPECT_EQ(bulk.dict().size(), slow.dict().size());
-}
-
 // --- The coded-rows door (AppendCoded) --------------------------------------
 
 /// `rows` coded in a fresh dictionary that first interns `unused` -- values
@@ -668,16 +629,12 @@ TEST(RelationJournalTest, ClearStillBreaksDeltasAcrossEpochs) {
   EXPECT_EQ(ds.appended_rows, Ids({0}));
 }
 
-TEST(RelationJournalTest, FlatAndFromInsertsMatchTupleInserts) {
+TEST(RelationJournalTest, FlatInsertsMatchTupleInserts) {
   Relation flat("F", 2);
   EXPECT_EQ(flat.InsertFlat({1, 2, 3, 4, 1, 2}, 3), 2u);
   EXPECT_EQ(flat.generation(), 2u);
-
-  Relation from("G", 2);
-  from.Insert({3, 4});
-  EXPECT_EQ(from.InsertFrom(flat), 1u);  // {3,4} already present
-  ASSERT_EQ(from.size(), 2u);
-  EXPECT_EQ(from.store().Row(1), (Tuple{1, 2}));
+  ASSERT_EQ(flat.size(), 2u);
+  EXPECT_EQ(flat.store().Row(1), (Tuple{3, 4}));
 }
 
 TEST(RelationJournalTest, MaterializingAccessorMatchesStoreRows) {

@@ -117,6 +117,21 @@ Database TriangleDatabase(int n) {
   return db;
 }
 
+/// A symmetric circulant graph: every vertex adjacent to its neighbours at
+/// offsets 1, 2 and 3 in both directions, so every multi-hop path has many
+/// derivations of each endpoint pair.
+Database ChordedCycle(int n) {
+  Database db;
+  Relation* e = db.AddRelation("E", 2);
+  for (int i = 0; i < n; ++i) {
+    for (int d = 1; d <= 3; ++d) {
+      e->Insert({i, (i + d) % n});
+      e->Insert({(i + d) % n, i});
+    }
+  }
+  return db;
+}
+
 TEST(ParallelGenericJoinTest, MatchesSerialOnTriangles) {
   auto q = ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).");
   ASSERT_TRUE(q.ok());
@@ -216,14 +231,16 @@ TEST(ParallelGenericJoinTest, MatchesSerialOnRandomQueries) {
 }
 
 TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
-  // Full CQs and prefix projections are distinct by construction: workers
-  // emit codes, and the merge appends their per-match slices in depth-0
-  // order. The parallel output is then the serial output as a *sequence*,
-  // whatever the thread timing.
+  // Workers emit every answer as codes, repeats included, and the merge
+  // appends their per-match slices in depth-0 order, keeping each head
+  // tuple's first occurrence. The parallel output is then the serial output
+  // as a *sequence*, whatever the thread timing -- for full CQs, prefix
+  // projections and general projections alike, under both trie plans.
   struct Case {
     std::string label;
     Query query;
     Database db;
+    PlanKind kind = PlanKind::kGenericJoin;
   };
   std::vector<Case> cases;
   cases.push_back({"triangle",
@@ -238,6 +255,14 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
   cases.push_back({"two-hop prefix projection",
                    ParseQuery("P(X,Y) :- E(X,Y), E(Y,Z).").ValueOrDie(),
                    TriangleDatabase(60)});
+  // A general projection: the order binds a body-only variable before the
+  // last head variable, so one (A, C) pair is derived from several depth-0
+  // subtrees and the merge must keep its serial (first) occurrence.
+  const Query three_hop =
+      ParseQuery("Q(A,C) :- E(A,X), E(X,B), E(B,C).").ValueOrDie();
+  cases.push_back({"three-hop projection", three_hop, ChordedCycle(2000)});
+  cases.push_back({"three-hop projection (hybrid)", three_hop,
+                   ChordedCycle(2000), PlanKind::kHybridYannakakis});
   Rng rng(20261017);
   for (int trial = 0; trial < 8; ++trial) {
     RandomQueryOptions options;
@@ -256,8 +281,8 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
   ThreadPool pool1(1), pool3(3), pool7(7);
   for (const Case& c : cases) {
     EvalStats serial_stats;
-    auto serial = EvaluateQuery(c.query, c.db, PlanKind::kGenericJoin,
-                                nullptr, &serial_stats);
+    auto serial =
+        EvaluateQuery(c.query, c.db, c.kind, nullptr, &serial_stats);
     ASSERT_TRUE(serial.ok()) << c.label;
     const std::vector<Tuple> serial_rows = serial->tuples();
     for (ThreadPool* pool : {&pool1, &pool3, &pool7}) {
@@ -265,8 +290,8 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
           c.label + " pool " + std::to_string(pool->num_workers());
       EvalContext ctx(c.db);
       EvalStats stats;
-      auto parallel = EvaluateQuery(c.query, c.db, PlanKind::kGenericJoin,
-                                    &ctx, pool, &stats);
+      auto parallel =
+          EvaluateQuery(c.query, c.db, c.kind, &ctx, pool, &stats);
       ASSERT_TRUE(parallel.ok()) << tag;
       EXPECT_EQ(parallel->tuples(), serial_rows) << tag;
       EXPECT_EQ(parallel->generation(), serial->generation()) << tag;

@@ -47,6 +47,19 @@ TEST(TextIoTest, Errors) {
   EXPECT_EQ(ReadDatabaseTextFromString(
                 "relation R 2\nrelation R 3\n", &db3).code(),
             StatusCode::kParseError);  // re-declared
+  // An arity past Relation::kMaxArity is refused before any store is sized
+  // by it; the error names the line.
+  Database db4;
+  const Status wide =
+      ReadDatabaseTextFromString("relation E 2\nrelation R 2000000000\n", &db4);
+  EXPECT_EQ(wide.code(), StatusCode::kParseError);
+  EXPECT_NE(wide.message().find("line 2"), std::string::npos) << wide;
+  EXPECT_EQ(db4.Find("R"), nullptr);
+  Database db5;
+  EXPECT_TRUE(ReadDatabaseTextFromString(
+                  "relation R " + std::to_string(Relation::kMaxArity) + "\n",
+                  &db5)
+                  .ok());
 }
 
 TEST(TextIoTest, RoundTrip) {
