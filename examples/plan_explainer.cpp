@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   std::cout << "query: " << query_text << "\n\n" << plan->ToString(*q);
 
   EvalStats stats;
-  auto result = ExecuteJoinPlan(*q, *plan, db, &stats);
+  auto result = ExecuteJoinPlan(*q, plan->steps, db, &stats);
   if (!result.ok()) {
     std::cerr << "execution error: " << result.status() << "\n";
     return 1;

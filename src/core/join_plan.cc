@@ -1,13 +1,9 @@
 #include "core/join_plan.h"
 
-#include <algorithm>
 #include <set>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/color_number.h"
-#include "relation/tuple.h"
 
 namespace cqbounds {
 
@@ -98,143 +94,6 @@ Result<JoinPlan> BuildJoinProjectPlan(const Query& query) {
   std::set<int> body = query.BodyVarSet();
   plan.guaranteed = query.AllFdsSimple() && head == body;
   return plan;
-}
-
-Result<Relation> ExecuteJoinPlan(const Query& query, const JoinPlan& plan,
-                                 const Database& db, EvalStats* stats) {
-  // Same contract as the relation/ evaluators: never leave a reused
-  // EvalStats holding the previous run's counters on an error return.
-  if (stats != nullptr) *stats = EvalStats{};
-  if (plan.steps.size() != query.atoms().size()) {
-    return Status::InvalidArgument("plan does not cover all atoms");
-  }
-  EvalStats local;
-  std::vector<int> bound_vars;
-  std::vector<Tuple> bindings = {Tuple{}};
-
-  for (const JoinPlanStep& step : plan.steps) {
-    if (step.atom_index < 0 ||
-        step.atom_index >= static_cast<int>(query.atoms().size())) {
-      return Status::InvalidArgument("plan step atom index out of range");
-    }
-    const Atom& atom = query.atoms()[step.atom_index];
-    const Relation* rel = db.Find(atom.relation);
-    if (rel == nullptr) {
-      return Status::NotFound("relation '" + atom.relation + "' missing");
-    }
-    if (rel->arity() != static_cast<int>(atom.vars.size())) {
-      return Status::InvalidArgument("arity mismatch for " + atom.relation);
-    }
-    // Join positions vs new positions (with intra-atom repeats).
-    std::vector<std::pair<int, int>> join_pos;
-    std::vector<std::pair<int, int>> new_pos;
-    std::vector<int> first_seen(query.num_variables(), -1);
-    for (std::size_t p = 0; p < atom.vars.size(); ++p) {
-      int var = atom.vars[p];
-      auto it = std::find(bound_vars.begin(), bound_vars.end(), var);
-      if (it != bound_vars.end()) {
-        join_pos.emplace_back(static_cast<int>(p),
-                              static_cast<int>(it - bound_vars.begin()));
-      } else if (first_seen[var] >= 0) {
-        join_pos.emplace_back(static_cast<int>(p), -1 - first_seen[var]);
-      } else {
-        first_seen[var] = static_cast<int>(p);
-        new_pos.emplace_back(static_cast<int>(p), var);
-      }
-    }
-    // Index row ids, not tuple pointers: rows are read back through the
-    // column store, which stays untouched for the step's lifetime.
-    const ColumnStore& store = rel->store();
-    std::unordered_map<Tuple, std::vector<std::size_t>, TupleHash> index;
-    for (std::size_t row = 0; row < store.size(); ++row) {
-      if (!store.IsLive(row)) continue;
-      bool ok = true;
-      Tuple key;
-      for (const auto& [pos, ref] : join_pos) {
-        if (ref < 0) {
-          if (store.ValueAt(row, pos) != store.ValueAt(row, -1 - ref)) {
-            ok = false;
-            break;
-          }
-        } else {
-          key.push_back(store.ValueAt(row, pos));
-        }
-      }
-      if (ok) {
-        index[key].push_back(row);
-        ++local.indexed_tuples;
-      }
-    }
-    std::vector<int> joined_vars = bound_vars;
-    for (const auto& [pos, var] : new_pos) {
-      (void)pos;
-      joined_vars.push_back(var);
-    }
-    std::vector<Tuple> joined;
-    for (const Tuple& binding : bindings) {
-      Tuple key;
-      for (const auto& [pos, ref] : join_pos) {
-        (void)pos;
-        if (ref >= 0) key.push_back(binding[ref]);
-      }
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (std::size_t match : it->second) {
-        Tuple extended = binding;
-        for (const auto& [pos, var] : new_pos) {
-          (void)var;
-          extended.push_back(store.ValueAt(match, pos));
-        }
-        joined.push_back(std::move(extended));
-      }
-    }
-    // Project onto the plan's keep set.
-    std::vector<int> keep_positions;
-    for (int v : step.keep_vars) {
-      auto it = std::find(joined_vars.begin(), joined_vars.end(), v);
-      if (it == joined_vars.end()) {
-        return Status::InvalidArgument(
-            "plan keeps a variable that is not bound yet: " +
-            query.variable_name(v));
-      }
-      keep_positions.push_back(static_cast<int>(it - joined_vars.begin()));
-    }
-    std::unordered_set<Tuple, TupleHash> dedup;
-    std::vector<Tuple> projected;
-    for (const Tuple& binding : joined) {
-      Tuple p;
-      p.reserve(keep_positions.size());
-      for (int pos : keep_positions) p.push_back(binding[pos]);
-      if (dedup.insert(p).second) projected.push_back(std::move(p));
-    }
-    bound_vars = step.keep_vars;
-    bindings = std::move(projected);
-    local.intermediate_sizes.push_back(bindings.size());
-    local.max_intermediate = std::max(local.max_intermediate, bindings.size());
-    local.total_intermediate += bindings.size();
-  }
-
-  Relation output(query.head_relation(),
-                  static_cast<int>(query.head_vars().size()));
-  std::vector<int> head_positions;
-  for (int var : query.head_vars()) {
-    auto it = std::find(bound_vars.begin(), bound_vars.end(), var);
-    if (it == bound_vars.end()) {
-      return Status::InvalidArgument(
-          "plan dropped head variable '" + query.variable_name(var) + "'");
-    }
-    head_positions.push_back(static_cast<int>(it - bound_vars.begin()));
-  }
-  Tuple head_tuple(head_positions.size());
-  for (const Tuple& binding : bindings) {
-    for (std::size_t i = 0; i < head_positions.size(); ++i) {
-      head_tuple[i] = binding[head_positions[i]];
-    }
-    output.Insert(head_tuple);
-  }
-  local.output_size = output.size();
-  if (stats != nullptr) *stats = local;
-  return output;
 }
 
 const char* VariableOrderSourceName(VariableOrderSource source) {

@@ -12,16 +12,9 @@
 
 namespace cqbounds {
 
-/// One step of a join-project plan: join the given body atom into the
-/// current bindings, then project the bindings onto `keep_vars`.
-struct JoinPlanStep {
-  int atom_index = 0;
-  /// Variable ids kept after the join (sorted).
-  std::vector<int> keep_vars;
-};
-
 /// An explicit join-project plan in the sense of Corollary 4.8 / Atserias
-/// et al. Theorem 15: an atom order plus per-step projections.
+/// et al. Theorem 15: an atom order plus per-step projections. Run it with
+/// ExecuteJoinPlan(query, plan.steps, db, stats) (relation/evaluate.h).
 struct JoinPlan {
   std::vector<JoinPlanStep> steps;
   /// The Corollary 4.8 time-budget exponent: intermediates stay within
@@ -47,12 +40,6 @@ struct JoinPlan {
 ///    variables of not-yet-joined atoms;
 ///  - the cost exponent is C(chase(Q)) + 1 from the simple-FD pipeline.
 Result<JoinPlan> BuildJoinProjectPlan(const Query& query);
-
-/// Executes `plan` over `db`, producing Q(D). Equivalent to
-/// EvaluateQuery(query, db, PlanKind::kJoinProject) up to join order;
-/// tests assert result equality. `stats` may be null.
-Result<Relation> ExecuteJoinPlan(const Query& query, const JoinPlan& plan,
-                                 const Database& db, EvalStats* stats);
 
 /// How ChooseGenericJoinOrder derived its variable order.
 enum class VariableOrderSource {

@@ -174,20 +174,6 @@ bool ColumnStore::AppendCodedRow(const std::uint32_t* codes) {
   return true;
 }
 
-void ColumnStore::RecordAppend(std::size_t first_row, std::size_t added,
-                               bool seal) {
-  if (added == 0) return;
-  // Single appends coalesce into the trailing segment -- unless it was
-  // sealed by a batch, whose boundary must survive later appends.
-  if (!seal && !trailing_sealed_ && !segments_.empty() &&
-      segments_.back().end == first_row) {
-    segments_.back().end = first_row + added;
-    return;
-  }
-  segments_.push_back(Segment{first_row, first_row + added});
-  trailing_sealed_ = seal;
-}
-
 bool ColumnStore::Contains(const Tuple& t) const {
   CQB_CHECK(static_cast<int>(t.size()) == arity_);
   if (rows_ == 0) return false;
@@ -207,15 +193,11 @@ bool ColumnStore::Append(const Tuple& t) {
     scratch_[static_cast<std::size_t>(c)] =
         dict_.Intern(t[static_cast<std::size_t>(c)]);
   }
-  const std::size_t first = rows_;
-  if (!AppendCodedRow(scratch_.data())) return false;
-  RecordAppend(first, 1, /*seal=*/false);
-  return true;
+  return AppendCodedRow(scratch_.data());
 }
 
 std::size_t ColumnStore::AppendBatch(const std::vector<Tuple>& batch) {
   EnsureSlotCapacity(rows_ + batch.size());
-  const std::size_t first = rows_;
   std::size_t added = 0;
   for (const Tuple& t : batch) {
     CQB_CHECK(static_cast<int>(t.size()) == arity_);
@@ -225,7 +207,6 @@ std::size_t ColumnStore::AppendBatch(const std::vector<Tuple>& batch) {
     }
     if (AppendCodedRow(scratch_.data())) ++added;
   }
-  RecordAppend(first, added, /*seal=*/true);
   return added;
 }
 
@@ -237,7 +218,6 @@ std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
   for (int c = 0; c < arity_; ++c) {
     columns_[static_cast<std::size_t>(c)].reserve(rows_ + num_rows);
   }
-  const std::size_t first = rows_;
   std::size_t added = 0;
   const std::size_t width = static_cast<std::size_t>(arity_);
   for (std::size_t r = 0; r < num_rows; ++r) {
@@ -246,7 +226,6 @@ std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
     }
     if (AppendCodedRow(scratch_.data())) ++added;
   }
-  RecordAppend(first, added, /*seal=*/true);
   return added;
 }
 
@@ -267,7 +246,6 @@ std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
   std::vector<CodeRemap> remaps;
   remaps.reserve(sources.size());
   for (const CodedRows& src : sources) remaps.emplace_back(src.dict, &dict_);
-  const std::size_t first = rows_;
   std::size_t added = 0;
   for (const CodedSlice& s : slices) {
     CodeRemap& remap = remaps[s.source];
@@ -278,7 +256,6 @@ std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
       if (AppendCodedRow(scratch_.data())) ++added;
     }
   }
-  RecordAppend(first, added, /*seal=*/true);
   return added;
 }
 
@@ -349,9 +326,6 @@ void ColumnStore::Compact(CompactionRecord* record) {
   dead_.clear();
   dead_count_ = 0;
   RehashAll();
-  segments_.clear();
-  if (rows_ != 0) segments_.push_back(Segment{0, rows_});
-  trailing_sealed_ = false;
 }
 
 void ColumnStore::Clear() {
@@ -360,8 +334,6 @@ void ColumnStore::Clear() {
   dead_.clear();
   dead_count_ = 0;
   slots_.clear();
-  segments_.clear();
-  trailing_sealed_ = false;
 }
 
 ColumnStats ColumnStore::Stats(int col) const {

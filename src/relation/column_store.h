@@ -97,11 +97,8 @@ struct CodedSlice {
 /// re-appended later gets a NEW physical row id (ids never resurrect), and
 /// the row index always points at the newest row for a code-set.
 ///
-/// Rows are grouped into *segments*: segment 0 is the base (the rows present
-/// as of the last compaction or Clear) and every bulk append seals one new
-/// segment; single-row appends extend the trailing append segment. A reader
-/// holding a row-count watermark finds everything appended since as the
-/// suffix [watermark, size()).
+/// Appends land at the end: a reader holding a row-count watermark finds
+/// everything appended since as the suffix [watermark, size()).
 ///
 /// Same concurrency contract as Relation (externally synchronized:
 /// readers-xor-writer, owned by EvalContext's documented discipline). All
@@ -109,15 +106,9 @@ struct CodedSlice {
 /// so any number of concurrent readers are safe between mutations.
 class ColumnStore {
  public:
-  /// One contiguous run of rows appended together: [begin, end).
-  struct Segment {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
   /// What Erase did. kTombstoned leaves row ids stable; kCompacted means
   /// the deferred compaction ran -- row ids shifted down over the dropped
-  /// dead rows and the segment list collapsed.
+  /// dead rows.
   enum class EraseResult { kNotFound, kTombstoned, kCompacted };
 
   /// What one compaction dropped, read before the copy-down: the physical
@@ -166,12 +157,11 @@ class ColumnStore {
   bool Contains(const Tuple& t) const;
 
   /// Appends `t` unless already present; returns true iff a row was added.
-  /// Extends the trailing append segment.
   bool Append(const Tuple& t);
 
   /// Bulk appends with one dedup pass (each candidate is a single probe of
   /// the row index -- no per-tuple node allocation). Returns the number of
-  /// rows actually added; seals them as one new segment when nonzero.
+  /// rows actually added.
   std::size_t AppendBatch(const std::vector<Tuple>& batch);
 
   /// As AppendBatch over row-major flat values: `flat` holds
@@ -185,8 +175,7 @@ class ColumnStore {
   /// would mint. Every row is probed against the row index once and
   /// skipped when already present, so repeats -- within the slices or
   /// against the store -- keep their first occurrence: producers need not
-  /// dedup. Returns the number of rows added; seals them as one new segment
-  /// when nonzero.
+  /// dedup. Returns the number of rows added.
   std::size_t AppendCoded(const std::vector<CodedRows>& sources,
                           const std::vector<CodedSlice>& slices);
 
@@ -194,7 +183,7 @@ class ColumnStore {
   /// ids stable, the open-addressing index untouched. When the tombstone
   /// pushes the dead fraction past the compaction threshold (dead rows >
   /// 1/4 of physical rows) the store compacts as well -- O(size * arity),
-  /// row ids shift, segments collapse -- and reports kCompacted, filling
+  /// row ids shift -- and reports kCompacted, filling
   /// `*compaction` (when non-null) so the journal above can record what
   /// was dropped. `*removed_row` (when non-null) receives the removed
   /// row's id, before any compaction.
@@ -207,9 +196,6 @@ class ColumnStore {
   void Clear();
 
   const ValueDictionary& dict() const { return dict_; }
-
-  /// Live segments, in row order, partitioning [0, size()).
-  const std::vector<Segment>& segments() const { return segments_; }
 
   /// min/max/distinct over the LIVE rows of column `col`, one scan. Pure
   /// read.
@@ -231,16 +217,11 @@ class ColumnStore {
   /// rows; tombstoned rows end up unindexed.
   void ReindexInto(std::size_t capacity);
   /// Deferred structural pass: copies the live rows down in order, drops
-  /// the tombstone bitmap, rebuilds the index, collapses segments to one
-  /// base segment. Row ids shift. Records the dropped rows in `*record`
-  /// when non-null.
+  /// the tombstone bitmap, rebuilds the index. Row ids shift. Records the
+  /// dropped rows in `*record` when non-null.
   void Compact(CompactionRecord* record);
-  /// Probes and appends one coded row; true iff it was new. Does not touch
-  /// segments (callers manage segment boundaries).
+  /// Probes and appends one coded row; true iff it was new.
   bool AppendCodedRow(const std::uint32_t* codes);
-  /// Extends the trailing append segment by `added` rows, or opens a new
-  /// one at `first_row` when `seal` asks for a fresh segment boundary.
-  void RecordAppend(std::size_t first_row, std::size_t added, bool seal);
 
   int arity_;
   ValueDictionary dict_;
@@ -252,11 +233,6 @@ class ColumnStore {
   std::size_t dead_count_ = 0;
   /// Open-addressing row index: slot -> row id, kEmptySlot when free.
   std::vector<std::uint32_t> slots_;
-  std::vector<Segment> segments_;
-  /// True when the trailing segment was sealed by a bulk append: its
-  /// boundary is a journal fact, so later single appends open a new segment
-  /// instead of growing it.
-  bool trailing_sealed_ = false;
   /// Scratch code buffer for probe/append paths (non-const methods only).
   std::vector<std::uint32_t> scratch_;
 };

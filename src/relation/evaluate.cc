@@ -22,21 +22,69 @@ namespace cqbounds {
 
 namespace {
 
-/// Suffix variable sets, computed once per query: needed_after[j] holds the
-/// head variables plus the variables of atoms j..m-1, so the kJoinProject
-/// projection at step `step` reads needed_after[step+1]. One backward pass,
-/// O(m * vars) total -- recomputing from scratch at every step made the
-/// join-project path O(m^2 * vars) in the number of atoms.
-std::vector<std::set<int>> NeededVarsBySuffix(const Query& query) {
+/// The query-order binary plan: step i joins atom i and keeps the variables
+/// bound so far -- all of them (kNaive), or only those the head or a later
+/// atom reads (kJoinProject, Cor 4.8's projection). The suffix unions grow
+/// in one backward pass, O(m * vars): recomputing them at every step made
+/// the join-project path O(m^2 * vars) in the number of atoms.
+std::vector<JoinPlanStep> QueryOrderPlan(const Query& query, bool project) {
   const std::size_t m = query.atoms().size();
-  std::vector<std::set<int>> needed_after(m + 1);
-  needed_after[m] = query.HeadVarSet();
-  for (std::size_t j = m; j-- > 0;) {
-    needed_after[j] = needed_after[j + 1];
-    const Atom& a = query.atoms()[j];
-    needed_after[j].insert(a.vars.begin(), a.vars.end());
+  std::vector<JoinPlanStep> steps(m);
+  std::set<int> bound;
+  for (std::size_t i = 0; i < m; ++i) {
+    bound.insert(query.atoms()[i].vars.begin(), query.atoms()[i].vars.end());
+    steps[i].atom_index = static_cast<int>(i);
+    steps[i].keep_vars.assign(bound.begin(), bound.end());
   }
-  return needed_after;
+  if (!project) return steps;
+  std::set<int> needed = query.HeadVarSet();  // head + atoms after step i
+  for (std::size_t i = m; i-- > 0;) {
+    std::vector<int>& keep = steps[i].keep_vars;
+    keep.erase(std::remove_if(keep.begin(), keep.end(),
+                              [&needed](int v) { return !needed.count(v); }),
+               keep.end());
+    needed.insert(query.atoms()[i].vars.begin(), query.atoms()[i].vars.end());
+  }
+  return steps;
+}
+
+/// Checks `steps` against `query` as ExecuteJoinPlan documents, reading no
+/// data. A valid keep set holds bound variables only, each once.
+Status ValidateJoinPlan(const Query& query,
+                        const std::vector<JoinPlanStep>& steps) {
+  auto invalid = [](const std::string& why) {
+    return Status::InvalidArgument("invalid join plan: " + why);
+  };
+  const std::size_t m = query.atoms().size();
+  const int n = query.num_variables();
+  if (steps.size() != m) return invalid("it needs one step per body atom");
+  std::vector<char> joined(m, 0);
+  std::vector<char> bound(n, 0);    // in the bindings after the join
+  std::vector<char> dropped(n, 0);  // projected away by an earlier step
+  for (std::size_t s = 0; s < m; ++s) {
+    const int a = steps[s].atom_index;
+    if (a < 0 || a >= static_cast<int>(m) || joined[a]) {
+      return invalid("a step joins no new atom");
+    }
+    joined[a] = 1;
+    for (int v : query.atoms()[a].vars) {
+      if (dropped[v]) return invalid("an atom reads a dropped variable");
+      bound[v] = 1;
+    }
+    std::vector<char> kept(n, 0);
+    for (int v : steps[s].keep_vars) {
+      if (v < 0 || v >= n || !bound[v] || kept[v]) {
+        return invalid("a keep set names an unbound or repeated variable");
+      }
+      kept[v] = 1;
+    }
+    for (int v = 0; v < n; ++v) dropped[v] |= bound[v] && !kept[v];
+    bound = std::move(kept);
+  }
+  for (int v : query.head_vars()) {
+    if (!bound[v]) return invalid("the last step drops a head variable");
+  }
+  return Status::OK();
 }
 
 /// Resolves and checks the relation behind `atom`, the shared precondition
@@ -450,6 +498,7 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
       }
     } else {
       ++local->trie_cache_misses;
+      ++local->trie_rebuilds;
       owned.emplace_back(*rels[i], layout.level_positions);
       trie = &owned.back();
       local->indexed_tuples += trie->num_tuples();
@@ -1252,21 +1301,11 @@ std::vector<int> DefaultGenericJoinOrder(const Query& query) {
   });
 }
 
-Result<Relation> EvaluateQuery(const Query& query, const Database& db,
-                               PlanKind kind, EvalContext* ctx,
-                               ThreadPool* pool, EvalStats* stats) {
-  if (kind == PlanKind::kGenericJoin) {
-    return EvaluateGenericJoin(query, db, DefaultGenericJoinOrder(query), ctx,
-                               pool, stats);
-  }
-  if (kind == PlanKind::kHybridYannakakis) {
-    return EvaluateHybridYannakakis(query, db, ctx, pool, stats);
-  }
-
-  // Binary-join plans: `ctx` is accepted for interface uniformity but the
-  // per-step hash indexes are query-position-specific and not cached.
+Result<Relation> ExecuteJoinPlan(const Query& query,
+                                 const std::vector<JoinPlanStep>& steps,
+                                 const Database& db, EvalStats* stats) {
   if (stats != nullptr) *stats = EvalStats{};
-  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
+  CQB_RETURN_NOT_OK(ValidateJoinPlan(query, steps));
   EvalStats local;
   // Bindings are tuples over `bound_vars` (parallel layout); var_slot maps
   // a variable id to its position in `bound_vars` (-1 when unbound), so
@@ -1275,12 +1314,9 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
   std::vector<int> bound_vars;
   std::vector<int> var_slot(query.num_variables(), -1);
   std::vector<Tuple> bindings = {Tuple{}};
-  const std::vector<std::set<int>> needed_after =
-      kind == PlanKind::kJoinProject ? NeededVarsBySuffix(query)
-                                     : std::vector<std::set<int>>();
 
-  for (std::size_t step = 0; step < query.atoms().size(); ++step) {
-    const Atom& atom = query.atoms()[step];
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    const Atom& atom = query.atoms()[steps[step].atom_index];
     const Relation* rel;
     CQB_ASSIGN_OR_RETURN(rel, ResolveAtom(atom, db));
 
@@ -1339,61 +1375,49 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
       }
     }
 
-    // Probe.
-    std::vector<int> next_vars = bound_vars;
+    // Probe; the new variables take the slots after the bound ones.
     for (const auto& [pos, var] : new_pos) {
-      (void)pos;
-      var_slot[var] = static_cast<int>(next_vars.size());
-      next_vars.push_back(var);
+      var_slot[var] = static_cast<int>(bound_vars.size());
+      bound_vars.push_back(var);
     }
     std::vector<Tuple> next;
     for (const Tuple& binding : bindings) {
       Tuple key;
-      for (const auto& [pos, ref] : join_pos) {
-        (void)pos;
-        if (ref >= 0) key.push_back(binding[ref]);
+      for (const auto& jp : join_pos) {
+        if (jp.second >= 0) key.push_back(binding[jp.second]);
       }
       auto it = index.find(key);
       if (it == index.end()) continue;
       for (const std::uint32_t row : it->second) {
         Tuple extended = binding;
-        for (const auto& [pos, var] : new_pos) {
-          (void)var;
-          extended.push_back(store.ValueAt(row, pos));
+        for (const auto& np : new_pos) {
+          extended.push_back(store.ValueAt(row, np.first));
         }
         next.push_back(std::move(extended));
       }
     }
-    bound_vars = std::move(next_vars);
     bindings = std::move(next);
 
-    if (kind == PlanKind::kJoinProject) {
-      // Keep only the variables needed by the head or by future atoms.
-      const std::set<int>& needed = needed_after[step + 1];
+    // Project onto the step's keep set (bound variables, each once) when it
+    // drops a bound variable; otherwise the bindings are already distinct.
+    const std::vector<int>& keep = steps[step].keep_vars;
+    if (keep.size() != bound_vars.size()) {
       std::vector<int> kept_positions;
-      std::vector<int> kept_vars;
-      for (std::size_t i = 0; i < bound_vars.size(); ++i) {
-        if (needed.count(bound_vars[i])) {
-          kept_positions.push_back(static_cast<int>(i));
-          kept_vars.push_back(bound_vars[i]);
-        }
+      for (int v : keep) kept_positions.push_back(var_slot[v]);
+      std::unordered_set<Tuple, TupleHash> dedup;
+      std::vector<Tuple> projected;
+      for (const Tuple& binding : bindings) {
+        Tuple p;
+        p.reserve(kept_positions.size());
+        for (int pos : kept_positions) p.push_back(binding[pos]);
+        if (dedup.insert(p).second) projected.push_back(std::move(p));
       }
-      if (kept_vars.size() != bound_vars.size()) {
-        std::unordered_set<Tuple, TupleHash> dedup;
-        std::vector<Tuple> projected;
-        for (const Tuple& binding : bindings) {
-          Tuple p;
-          p.reserve(kept_positions.size());
-          for (int pos : kept_positions) p.push_back(binding[pos]);
-          if (dedup.insert(p).second) projected.push_back(std::move(p));
-        }
-        for (int v : bound_vars) var_slot[v] = -1;
-        for (std::size_t i = 0; i < kept_vars.size(); ++i) {
-          var_slot[kept_vars[i]] = static_cast<int>(i);
-        }
-        bound_vars = std::move(kept_vars);
-        bindings = std::move(projected);
+      for (int v : bound_vars) var_slot[v] = -1;
+      for (std::size_t i = 0; i < keep.size(); ++i) {
+        var_slot[keep[i]] = static_cast<int>(i);
       }
+      bound_vars = keep;
+      bindings = std::move(projected);
     }
 
     local.intermediate_sizes.push_back(bindings.size());
@@ -1410,10 +1434,8 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
   std::vector<int> head_positions;
   head_positions.reserve(query.head_vars().size());
   if (!bindings.empty()) {
-    for (int var : query.head_vars()) {
-      CQB_CHECK(var_slot[var] >= 0);  // Validate() guarantees this
-      head_positions.push_back(var_slot[var]);
-    }
+    // The last keep set holds the head (ValidateJoinPlan).
+    for (int var : query.head_vars()) head_positions.push_back(var_slot[var]);
   }
   Tuple head_tuple(query.head_vars().size());
   for (const Tuple& binding : bindings) {
@@ -1425,6 +1447,25 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
   local.output_size = output.size();
   if (stats != nullptr) *stats = std::move(local);
   return output;
+}
+
+Result<Relation> EvaluateQuery(const Query& query, const Database& db,
+                               PlanKind kind, EvalContext* ctx,
+                               ThreadPool* pool, EvalStats* stats) {
+  if (kind == PlanKind::kGenericJoin) {
+    return EvaluateGenericJoin(query, db, DefaultGenericJoinOrder(query), ctx,
+                               pool, stats);
+  }
+  if (kind == PlanKind::kHybridYannakakis) {
+    return EvaluateHybridYannakakis(query, db, ctx, pool, stats);
+  }
+
+  // Binary-join plans: `ctx` is accepted for interface uniformity but the
+  // per-step hash indexes are query-position-specific and not cached.
+  if (stats != nullptr) *stats = EvalStats{};
+  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
+  return ExecuteJoinPlan(
+      query, QueryOrderPlan(query, kind == PlanKind::kJoinProject), db, stats);
 }
 
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,

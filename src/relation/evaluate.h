@@ -206,6 +206,28 @@ struct EvalStats {
   std::size_t parallel_workers = 0;
 };
 
+/// One step of a binary join plan: join body atom `atom_index` into the
+/// current bindings, then project the bindings onto `keep_vars`.
+struct JoinPlanStep {
+  int atom_index = 0;
+  /// Variable ids kept after the join, each once.
+  std::vector<int> keep_vars;
+};
+
+/// The one binary-join executor (kNaive and kJoinProject run their
+/// query-order plans through it): left-deep hash joins in `steps` order,
+/// each projected and deduped onto its keep set when that drops a bound
+/// variable. Once no binding survives, later atoms are resolved but not
+/// indexed.
+///
+/// Errors: kInvalidArgument, before any data is read, unless `steps` is a
+/// permutation of the body atoms, each keep set is bound after its step,
+/// no step drops a variable a later atom reads, and the last keep set
+/// holds the head; otherwise as EvaluateQuery, `stats` included.
+Result<Relation> ExecuteJoinPlan(const Query& query,
+                                 const std::vector<JoinPlanStep>& steps,
+                                 const Database& db, EvalStats* stats);
+
 /// Evaluates `query` over `db`, producing the head relation Q(D) with set
 /// semantics: all tuples theta(u0) for substitutions theta satisfying every
 /// body atom (Section 2 of the paper). PlanKind::kGenericJoin runs

@@ -102,8 +102,8 @@ class Relation {
   bool Insert(const Tuple& t);
 
   /// Bulk insert with a single dedup pass and one journal bump (the
-  /// generation advances by the number of rows actually added, sealed as
-  /// one column segment). Returns that count.
+  /// generation advances by the number of rows actually added). Returns
+  /// that count.
   std::size_t InsertBatch(const std::vector<Tuple>& batch);
 
   /// As InsertBatch over row-major flat values (`num_rows * arity()`
@@ -113,7 +113,7 @@ class Relation {
 
   /// As InsertBatch over rows coded in foreign dictionaries, slice after
   /// slice -- the bulk door of ColumnStore::AppendCoded: codes minted as a
-  /// row-wise Insert would mint them, present rows skipped, one segment.
+  /// row-wise Insert would mint them, present rows skipped.
   std::size_t InsertCoded(const std::vector<CodedRows>& sources,
                           const std::vector<CodedSlice>& slices);
 

@@ -207,6 +207,18 @@ TEST(ColumnStoreTest, CodedDoorSkipsRowsAlreadyPresent) {
   EXPECT_EQ(store.Row(4), (Tuple{3, 4}));
   EXPECT_EQ(store.Row(5), (Tuple{5, 6}));
   EXPECT_EQ(store.AppendCoded(sources, {{0, 0, 4}}), 0u);
+
+  // Three slices from two sources add their three rows in one call; a
+  // merge of rows already present adds none.
+  ColumnStore unary(1);
+  unary.Append({1});
+  std::vector<CodedRows> two;
+  two.push_back(Coded({{2}, {3}}));
+  two.push_back(Coded({{4}}));
+  EXPECT_EQ(unary.AppendCoded(two, {{0, 0, 1}, {1, 0, 1}, {0, 1, 2}}), 3u);
+  EXPECT_EQ(unary.size(), 4u);
+  EXPECT_EQ(unary.AppendCoded(two, {{1, 0, 1}}), 0u);
+  EXPECT_EQ(unary.size(), 4u);
 }
 
 TEST(ColumnStoreTest, CodedDoorAdvancesTheGenerationByRowsAdded) {
@@ -220,25 +232,6 @@ TEST(ColumnStoreTest, CodedDoorAdvancesTheGenerationByRowsAdded) {
   EXPECT_EQ(rel.generation(), before + 2);
   EXPECT_EQ(rel.InsertCoded(sources, {{1, 0, 2}}), 0u);
   EXPECT_EQ(rel.generation(), before + 2);  // nothing added, nothing moved
-}
-
-TEST(ColumnStoreTest, CodedDoorSealsExactlyOneSegment) {
-  ColumnStore store(1);
-  store.Append({1});
-  std::vector<CodedRows> sources;
-  sources.push_back(Coded({{2}, {3}}));
-  sources.push_back(Coded({{4}}));
-  // Three slices from two sources still make one segment.
-  EXPECT_EQ(store.AppendCoded(sources, {{0, 0, 1}, {1, 0, 1}, {0, 1, 2}}),
-            3u);
-  ASSERT_EQ(store.segments().size(), 2u);
-  EXPECT_EQ(store.segments()[1].begin, 1u);
-  EXPECT_EQ(store.segments()[1].end, 4u);
-  // An append that adds nothing seals nothing.
-  EXPECT_EQ(store.AppendCoded(sources, {{1, 0, 1}}), 0u);
-  EXPECT_EQ(store.segments().size(), 2u);
-  store.Append({5});  // the sealed boundary survives a later single append
-  EXPECT_EQ(store.segments().size(), 3u);
 }
 
 TEST(ColumnStoreTest, CodedDoorOnANullaryStore) {
@@ -330,39 +323,7 @@ TEST(ColumnStoreTest, ClearOnAlreadyEmptyStoreIsIdempotent) {
   store.Clear();  // clearing a compacted-to-empty store
   store.Clear();
   EXPECT_TRUE(store.empty());
-  EXPECT_TRUE(store.segments().empty());
   EXPECT_TRUE(store.Append({1, 2}));
-}
-
-TEST(ColumnStoreTest, SegmentsJournalAppendsAndCollapseOnMutation) {
-  ColumnStore store(1);
-  store.Append({1});
-  store.Append({2});
-  ASSERT_EQ(store.segments().size(), 1u);  // single appends coalesce
-  EXPECT_EQ(store.segments()[0].begin, 0u);
-  EXPECT_EQ(store.segments()[0].end, 2u);
-
-  store.AppendBatch({{3}, {4}});  // a batch seals its own segment
-  ASSERT_EQ(store.segments().size(), 2u);
-  EXPECT_EQ(store.segments()[1].begin, 2u);
-  EXPECT_EQ(store.segments()[1].end, 4u);
-
-  store.Append({5});  // opens a fresh trailing append segment
-  ASSERT_EQ(store.segments().size(), 3u);
-  EXPECT_EQ(store.segments()[2].begin, 4u);
-  EXPECT_EQ(store.segments()[2].end, 5u);
-
-  // A tombstoning erase leaves the physical layout -- and the journal's
-  // segments -- untouched; only compaction collapses them.
-  ASSERT_EQ(store.Erase({1}), ColumnStore::EraseResult::kTombstoned);
-  ASSERT_EQ(store.segments().size(), 3u);
-  ASSERT_EQ(store.Erase({2}), ColumnStore::EraseResult::kCompacted);
-  ASSERT_EQ(store.segments().size(), 1u);
-  EXPECT_EQ(store.segments()[0].begin, 0u);
-  EXPECT_EQ(store.segments()[0].end, 3u);
-
-  store.Clear();
-  EXPECT_TRUE(store.segments().empty());
 }
 
 TEST(ColumnStoreTest, StatsComputeMinMaxDistinctPerColumn) {

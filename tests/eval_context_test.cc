@@ -545,7 +545,8 @@ TEST(EvalStatsResetTest, ErrorPathsClearReusedStats) {
 
     // Second call errors (missing relation): the reused stats must not
     // leak the previous run's counters. The delta counters are seeded with
-    // garbage first -- a successful context-free run leaves them zero, so
+    // garbage first -- a successful context-free run leaves all but
+    // trie_rebuilds zero (and that one zero on the binary-join plans), so
     // without the seeding a missing reset would be invisible.
     stats.trie_patches = 99;
     stats.trie_rebuilds = 99;
@@ -573,6 +574,10 @@ TEST(EvalStatsResetTest, ErrorPathsClearReusedStats) {
   ASSERT_TRUE(
       EvaluateGenericJoin(*q, db, DefaultGenericJoinOrder(*q), &stats).ok());
   ASSERT_GT(stats.output_size, 0u);
+  // Without a context every trie is a transient from-scratch build: each
+  // counts as a miss and as a rebuild.
+  EXPECT_EQ(stats.trie_cache_misses, 2u);
+  EXPECT_EQ(stats.trie_rebuilds, 2u);
   std::vector<int> bad_order = DefaultGenericJoinOrder(*q);
   bad_order.pop_back();
   stats.trie_patches = 99;

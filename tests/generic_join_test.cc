@@ -94,7 +94,7 @@ TEST(TrieIndexTest, PatchMatchesFromScratchRebuild) {
   TrieIndex base(r, {{0}, {1}});
 
   // Appends interleave with existing keys on both levels. The delta is the
-  // column segment past the snapshot's watermark: rows [4, 7).
+  // tail past the snapshot's watermark: rows [4, 7).
   r.Insert({2, 20});
   r.Insert({9, 5});   // new child under an existing level-0 value
   r.Insert({11, 1});  // past the old maximum
@@ -119,7 +119,7 @@ TEST(TrieIndexTest, PatchIsSetSemanticAndFiltersSelfInconsistent) {
 
   // The delta repeats a base key, adds one genuinely new key, and carries a
   // self-inconsistent tuple: the patch must grow by exactly one. A scratch
-  // relation stands in for the appended column segment.
+  // relation stands in for the appended tail.
   Relation d("D", 3);
   d.Insert({1, 2, 1});  // repeats a base key
   d.Insert({6, 7, 6});  // genuinely new
