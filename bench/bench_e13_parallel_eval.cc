@@ -11,6 +11,8 @@
 // once, in depth-0 order, the merge dropping a projection's repeats; the
 // twohop1e5 timers isolate that emission at ~10^5 answers, and the
 // proj2hop timers the same path when ~2/3 of the bindings are repeats.
+// The skewtri1e5 timer is the serial triangle on a skewed 10^5-edge graph,
+// where the leapfrog's seeks, not emission, are the op.
 //
 // The tables are deterministic: results, per-depth binding counts and the
 // AGM-envelope accounting are *identical* to the serial run's at every
@@ -20,6 +22,9 @@
 // and on a single-core host the curve is honestly flat -- the fan-out adds
 // a small re-seek overhead per depth-0 match and gains nothing.
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,6 +32,7 @@
 #include "cq/parser.h"
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace cqbounds {
@@ -110,7 +116,48 @@ Query& ProjQ() {
   return q;
 }
 
+// The serial triangle on a skewed graph: Chung-Lu style, endpoint i of
+// 20000 drawn with weight (i+1)^-0.75, 10^5 distinct directed edges from a
+// fixed seed, so a few hubs carry most triangles. The op is 2.8*10^6
+// seeks for 2.3*10^5 bindings and 1.3*10^5 answers, so this timer isolates
+// the leapfrog's seek kernel.
+constexpr int kSkewVertices = 20000;
+constexpr std::size_t kSkewEdges = 100000;
+Database SkewedGraph(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> cdf(kSkewVertices);
+  double total = 0;
+  for (int i = 0; i < kSkewVertices; ++i) {
+    total += std::pow(i + 1.0, -0.75);
+    cdf[static_cast<std::size_t>(i)] = total;
+  }
+  auto draw = [&] {
+    const double x = static_cast<double>(rng.Next() >> 11) * 0x1.0p-53 * total;
+    return static_cast<Value>(std::upper_bound(cdf.begin(), cdf.end(), x) -
+                              cdf.begin());
+  };
+  Database db;
+  Relation* e = db.AddRelation("E", 2);
+  while (e->size() < kSkewEdges) {
+    const Value u = draw();
+    Value v = draw();
+    while (v == u) v = draw();
+    e->Insert({u, v});
+  }
+  return db;
+}
+Database& SkewDb() {
+  static Database db = SkewedGraph(7919);
+  return db;
+}
+EvalContext& SkewCtx() {
+  static EvalContext ctx(SkewDb());
+  return ctx;
+}
+
 void PrepareTimerFixtures() {
+  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx(), nullptr)
+      .ValueOrDie();
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
       .ValueOrDie();
   EvaluateQuery(TwoHopQ(), TwoHopDb(), PlanKind::kGenericJoin, &TwoHopCtx(),
@@ -241,6 +288,11 @@ CQB_BENCH_TIMED("proj2hop/threads4", [] {
                           &TwoHopCtx(), &PoolOf(3), nullptr)
                 .ValueOrDie()
                 .size() == kProjAnswers);
+})
+
+CQB_BENCH_TIMED("skewtri1e5/threads1", [] {
+  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx(), nullptr)
+      .ValueOrDie();
 })
 
 void BM_ParallelTriangles(benchmark::State& state) {

@@ -7,16 +7,31 @@
 
 namespace cqbounds {
 
+namespace {
+
+/// Renders a variable id of a plan that may be hand-edited or corrupt: an
+/// id out of range prints as "<invalid>" instead of reading past the names.
+std::string NameOrInvalid(const Query& query, int var) {
+  return var >= 0 && var < query.num_variables() ? query.variable_name(var)
+                                                 : "<invalid>";
+}
+
+}  // namespace
+
 std::string JoinPlan::ToString(const Query& query) const {
   std::ostringstream os;
   os << "JoinPlan(cost <= rmax^" << cost_exponent.ToString()
      << (guaranteed ? ", guaranteed" : ", heuristic") << "):\n";
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    const Atom& atom = query.atoms()[steps[i].atom_index];
-    os << "  " << i + 1 << ". join " << atom.relation << " -> keep {";
+    const int a = steps[i].atom_index;
+    const bool valid = a >= 0 && a < static_cast<int>(query.atoms().size());
+    os << "  " << i + 1 << ". join "
+       << (valid ? query.atoms()[static_cast<std::size_t>(a)].relation
+                 : std::string("<invalid>"))
+       << " -> keep {";
     for (std::size_t j = 0; j < steps[i].keep_vars.size(); ++j) {
       if (j) os << ",";
-      os << query.variable_name(steps[i].keep_vars[j]);
+      os << NameOrInvalid(query, steps[i].keep_vars[j]);
     }
     os << "}\n";
   }
@@ -113,7 +128,7 @@ std::string GenericJoinOrder::ToString(const Query& query) const {
   os << ", envelope rmax^" << envelope_exponent.ToString() << "): ";
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (i) os << " -> ";
-    os << query.variable_name(order[i]);
+    os << NameOrInvalid(query, order[i]);
   }
   return os.str();
 }

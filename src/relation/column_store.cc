@@ -196,37 +196,73 @@ bool ColumnStore::Append(const Tuple& t) {
   return AppendCodedRow(scratch_.data());
 }
 
-std::size_t ColumnStore::AppendBatch(const std::vector<Tuple>& batch) {
-  EnsureSlotCapacity(rows_ + batch.size());
-  std::size_t added = 0;
-  for (const Tuple& t : batch) {
-    CQB_CHECK(static_cast<int>(t.size()) == arity_);
-    for (int c = 0; c < arity_; ++c) {
-      scratch_[static_cast<std::size_t>(c)] =
-          dict_.Intern(t[static_cast<std::size_t>(c)]);
-    }
-    if (AppendCodedRow(scratch_.data())) ++added;
+template <typename NextRow>
+std::size_t ColumnStore::AppendBulk(std::size_t incoming, NextRow&& next_row) {
+  EnsureSlotCapacity(rows_ + incoming);
+  const auto width = static_cast<std::size_t>(arity_);
+  // Room for every incoming row up front; the columns are trimmed to the
+  // rows actually added at the end.
+  std::vector<std::uint32_t*> cols(width);
+  for (std::size_t c = 0; c < width; ++c) {
+    columns_[c].resize(rows_ + incoming);
+    cols[c] = columns_[c].data();
   }
+  std::uint32_t* const codes = scratch_.data();
+  std::uint32_t* const slots = slots_.data();
+  const std::size_t mask = slots_.size() - 1;
+  // Rows added by this call are live; only earlier rows can be tombstoned.
+  const std::size_t dead_rows = dead_.size();
+  std::size_t rows = rows_;
+  for (std::size_t r = 0; r < incoming; ++r) {
+    next_row(codes);
+    std::size_t slot = static_cast<std::size_t>(HashCodes(codes)) & mask;
+    bool present = false;
+    for (; slots[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+      const std::size_t row = slots[slot];
+      std::size_t c = 0;
+      while (c < width && cols[c][row] == codes[c]) ++c;
+      if (c == width) {
+        present = row >= dead_rows || !dead_[row];
+        break;
+      }
+    }
+    // A repeat keeps its first occurrence. An equal tombstoned row gets a
+    // NEW physical row (ids never resurrect, so journaled removals stay
+    // valid) and its slot is re-pointed at it, keeping one indexed slot per
+    // code-set.
+    if (present) continue;
+    CQB_CHECK(rows < kEmptySlot);
+    slots[slot] = static_cast<std::uint32_t>(rows);
+    for (std::size_t c = 0; c < width; ++c) cols[c][rows] = codes[c];
+    ++rows;
+  }
+  for (auto& col : columns_) col.resize(rows);
+  if (!dead_.empty()) dead_.resize(rows, false);
+  const std::size_t added = rows - rows_;
+  rows_ = rows;
   return added;
+}
+
+std::size_t ColumnStore::AppendBatch(const std::vector<Tuple>& batch) {
+  const Tuple* t = batch.data();
+  return AppendBulk(batch.size(), [this, &t](std::uint32_t* codes) {
+    CQB_CHECK(static_cast<int>(t->size()) == arity_);
+    for (int c = 0; c < arity_; ++c) {
+      codes[c] = dict_.Intern((*t)[static_cast<std::size_t>(c)]);
+    }
+    ++t;
+  });
 }
 
 std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
                                     std::size_t num_rows) {
-  CQB_CHECK(flat.size() ==
-            num_rows * static_cast<std::size_t>(arity_ == 0 ? 0 : arity_));
-  EnsureSlotCapacity(rows_ + num_rows);
-  for (int c = 0; c < arity_; ++c) {
-    columns_[static_cast<std::size_t>(c)].reserve(rows_ + num_rows);
-  }
-  std::size_t added = 0;
-  const std::size_t width = static_cast<std::size_t>(arity_);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    for (std::size_t c = 0; c < width; ++c) {
-      scratch_[c] = dict_.Intern(flat[r * width + c]);
-    }
-    if (AppendCodedRow(scratch_.data())) ++added;
-  }
-  return added;
+  const auto width = static_cast<std::size_t>(arity_);
+  CQB_CHECK(flat.size() == num_rows * width);
+  const Value* values = flat.data();
+  return AppendBulk(num_rows, [this, width, &values](std::uint32_t* codes) {
+    for (std::size_t c = 0; c < width; ++c) codes[c] = dict_.Intern(values[c]);
+    values += width;
+  });
 }
 
 std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
@@ -241,22 +277,24 @@ std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
               s.end <= sources[s.source].num_rows);
     incoming += s.end - s.begin;
   }
-  EnsureSlotCapacity(rows_ + incoming);
-  for (auto& col : columns_) col.reserve(rows_ + incoming);
   std::vector<CodeRemap> remaps;
   remaps.reserve(sources.size());
   for (const CodedRows& src : sources) remaps.emplace_back(src.dict, &dict_);
-  std::size_t added = 0;
-  for (const CodedSlice& s : slices) {
-    CodeRemap& remap = remaps[s.source];
-    const std::uint32_t* codes =
-        sources[s.source].codes.data() + s.begin * width;
-    for (std::size_t r = s.begin; r < s.end; ++r, codes += width) {
-      for (std::size_t c = 0; c < width; ++c) scratch_[c] = remap(codes[c]);
-      if (AppendCodedRow(scratch_.data())) ++added;
+  // Walks the slices in order, one row per call.
+  const CodedSlice* slice = slices.data();
+  const std::uint32_t* src = nullptr;
+  std::size_t left = 0;
+  CodeRemap* remap = nullptr;
+  return AppendBulk(incoming, [&](std::uint32_t* codes) {
+    for (; left == 0; ++slice) {
+      src = sources[slice->source].codes.data() + slice->begin * width;
+      left = slice->end - slice->begin;
+      remap = &remaps[slice->source];
     }
-  }
-  return added;
+    for (std::size_t c = 0; c < width; ++c) codes[c] = (*remap)(src[c]);
+    src += width;
+    --left;
+  });
 }
 
 ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,

@@ -222,6 +222,13 @@ class ColumnStore {
   void Compact(CompactionRecord* record);
   /// Probes and appends one coded row; true iff it was new.
   bool AppendCodedRow(const std::uint32_t* codes);
+  /// The one bulk loop behind AppendBatch, AppendFlat and AppendCoded:
+  /// appends `incoming` rows, each coded into the scratch buffer by one call
+  /// of `next_row(codes)` (in row order, so codes are minted as a row-wise
+  /// Append would mint them), with AppendCodedRow's semantics per row. The
+  /// columns are sized once and trimmed at the end. Returns the rows added.
+  template <typename NextRow>
+  std::size_t AppendBulk(std::size_t incoming, NextRow&& next_row);
 
   int arity_;
   ValueDictionary dict_;

@@ -182,6 +182,9 @@ struct GenericJoinSearch {
   std::vector<const TrieIndex*> tries;
   /// atoms_at[d]: atoms whose trie has a level for variable order[d].
   std::vector<std::vector<int>> atoms_at;
+  /// levels_at[d][k]: the trie level of atom atoms_at[d][k] that holds
+  /// order[d]. Fixed by the atom's layout, so it is set once, at setup.
+  std::vector<std::vector<int>> levels_at;
   /// Current candidate range per atom (top of its descent stack).
   std::vector<std::vector<TrieIndex::Range>> range_stack;
   /// assignment[var] = bound value for the already-bound prefix.
@@ -194,11 +197,9 @@ struct GenericJoinSearch {
   /// soon as a completion is found: each binding of order[0..last] emits
   /// at most one answer.
   int last_head_depth = -1;
-  /// Per-depth leapfrog scratch (cursor and trie level per participating
-  /// atom), allocated once -- Run visits thousands of nodes and must not
-  /// allocate per node.
+  /// Per-depth leapfrog cursors (one per participating atom), allocated
+  /// once -- Run visits thousands of nodes and must not allocate per node.
   std::vector<std::vector<std::size_t>> cursor_scratch;
-  std::vector<std::vector<int>> level_scratch;
 
   GenericJoinSearch(EvalStats* st, const std::vector<int>& var_order)
       : stats(st), order(var_order) {}
@@ -229,14 +230,12 @@ struct GenericJoinSearch {
     const std::vector<int>& atoms = atoms_at[depth];
     // Leapfrog: keep one cursor per participating atom; repeatedly seek
     // every cursor up to the current maximum value until all agree (a
-    // match) or one range is exhausted. An atom's current trie level is its
-    // descent-stack height minus the root.
+    // match) or one range is exhausted. Every SeekGE is one counted seek.
     std::vector<std::size_t>& cursor = cursor_scratch[depth];
-    std::vector<int>& level = level_scratch[depth];
+    const std::vector<int>& level = levels_at[depth];
     for (std::size_t k = 0; k < atoms.size(); ++k) {
       const int a = atoms[k];
       cursor[k] = range_stack[a].back().begin;
-      level[k] = static_cast<int>(range_stack[a].size()) - 1;
       if (cursor[k] >= range_stack[a].back().end) return false;
     }
     bool found = false;
@@ -455,6 +454,7 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
   search.assignment.assign(query.num_variables(), 0);
   search.head_vars = query.head_vars();
   search.atoms_at.resize(variable_order.size());
+  search.levels_at.resize(variable_order.size());
   const std::set<int> head_set = query.HeadVarSet();
   for (std::size_t d = 0; d < variable_order.size(); ++d) {
     if (head_set.count(variable_order[d])) {
@@ -504,8 +504,9 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
       local->indexed_tuples += trie->num_tuples();
     }
     if (trie->num_tuples() == 0) empty_atom = true;
-    for (int r : layout.ranks) {
-      search.atoms_at[r].push_back(static_cast<int>(i));
+    for (std::size_t l = 0; l < layout.ranks.size(); ++l) {
+      search.atoms_at[layout.ranks[l]].push_back(static_cast<int>(i));
+      search.levels_at[layout.ranks[l]].push_back(static_cast<int>(l));
     }
     search.tries.push_back(trie);
     search.range_stack.push_back({trie->RootRange()});
@@ -513,10 +514,8 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
 
   if (!empty_atom && !query.atoms().empty()) {
     search.cursor_scratch.resize(variable_order.size());
-    search.level_scratch.resize(variable_order.size());
     for (std::size_t d = 0; d < variable_order.size(); ++d) {
       search.cursor_scratch[d].resize(search.atoms_at[d].size());
-      search.level_scratch[d].resize(search.atoms_at[d].size());
     }
     // Parallel only with workers to hand work to, and only for heads with
     // at least one variable: a boolean (variable-free) head is decided by

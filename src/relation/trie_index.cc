@@ -426,21 +426,4 @@ bool TrieIndex::operator==(const TrieIndex& other) const {
   return true;
 }
 
-std::size_t TrieIndex::SeekGE(int level, Range r, Value v) const {
-  const std::vector<Value>& vals = levels_[level].values;
-  if (r.empty() || vals[r.begin] >= v) return r.begin;
-  // Gallop from the current position, then binary-search the final window.
-  std::size_t lo = r.begin;
-  std::size_t step = 1;
-  while (lo + step < r.end && vals[lo + step] < v) {
-    lo += step;
-    step <<= 1;
-  }
-  const std::size_t hi = std::min(lo + step + 1, r.end);
-  return static_cast<std::size_t>(
-      std::lower_bound(vals.begin() + static_cast<std::ptrdiff_t>(lo),
-                       vals.begin() + static_cast<std::ptrdiff_t>(hi), v) -
-      vals.begin());
-}
-
 }  // namespace cqbounds

@@ -1,6 +1,7 @@
 #ifndef CQBOUNDS_RELATION_TRIE_INDEX_H_
 #define CQBOUNDS_RELATION_TRIE_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -140,8 +141,27 @@ class TrieIndex {
 
   /// First index in [r.begin, r.end) whose value is >= v, or r.end if none.
   /// Galloping search: O(log gap), so a full leapfrog intersection costs
-  /// O(sum of log-sized jumps), not a linear merge.
-  std::size_t SeekGE(int level, Range r, Value v) const;
+  /// O(sum of log-sized jumps), not a linear merge. Defined here so the
+  /// leapfrog loops (relation/evaluate.cc) and the splice inline it: a
+  /// typical seek ends at r.begin or a step or two past it, so an
+  /// out-of-line call costs as much as the search.
+  std::size_t SeekGE(int level, Range r, Value v) const {
+    const std::vector<Value>& vals =
+        levels_[static_cast<std::size_t>(level)].values;
+    if (r.empty() || vals[r.begin] >= v) return r.begin;
+    // Gallop from the current position, then binary-search the final window.
+    std::size_t lo = r.begin;
+    std::size_t step = 1;
+    while (lo + step < r.end && vals[lo + step] < v) {
+      lo += step;
+      step <<= 1;
+    }
+    const std::size_t hi = std::min(lo + step + 1, r.end);
+    return static_cast<std::size_t>(
+        std::lower_bound(vals.begin() + static_cast<std::ptrdiff_t>(lo),
+                         vals.begin() + static_cast<std::ptrdiff_t>(hi), v) -
+        vals.begin());
+  }
 
  private:
   struct Level {

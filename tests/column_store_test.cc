@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "relation/column_store.h"
@@ -245,6 +246,115 @@ TEST(ColumnStoreTest, CodedDoorOnANullaryStore) {
   EXPECT_TRUE(store.Contains(Tuple{}));
   EXPECT_EQ(store.AppendCoded(sources, {{0, 1, 2}}), 0u);
   EXPECT_EQ(store.size(), 1u);
+}
+
+/// Asserts `bulk` is `reference` state for state: rows and their codes in
+/// order, liveness, the dictionary and the set of every tuple in `probes`.
+void ExpectSameStore(const ColumnStore& bulk, const ColumnStore& reference,
+                     const std::vector<Tuple>& probes,
+                     const std::string& context) {
+  ASSERT_EQ(bulk.size(), reference.size()) << context;
+  EXPECT_EQ(bulk.live_size(), reference.live_size()) << context;
+  EXPECT_EQ(bulk.dict().size(), reference.dict().size()) << context;
+  for (std::size_t r = 0; r < bulk.size(); ++r) {
+    EXPECT_EQ(bulk.IsLive(r), reference.IsLive(r)) << context << " row " << r;
+    for (int c = 0; c < bulk.arity(); ++c) {
+      ASSERT_EQ(bulk.CodeAt(r, c), reference.CodeAt(r, c))
+          << context << " row " << r << " col " << c;
+    }
+  }
+  for (const Tuple& t : probes) {
+    EXPECT_EQ(bulk.Contains(t), reference.Contains(t)) << context;
+  }
+}
+
+// The three bulk doors against row-wise Append: random coded sources with
+// interleaved, repeated and empty slices, repeats within the batch and
+// against the store, tombstoned target rows that come back, and nullary
+// stores. Rows, codes, dictionary, liveness and membership must agree.
+TEST(ColumnStoreTest, BulkDoorsMatchRowWiseAppend) {
+  Rng rng(20261018);
+  for (int trial = 0; trial < 80; ++trial) {
+    const int arity = static_cast<int>(rng.NextBelow(4));
+    const auto width = static_cast<std::size_t>(arity);
+    const auto domain = static_cast<Value>(2 + rng.NextBelow(8));
+    auto random_row = [&] {
+      Tuple t(width);
+      for (Value& v : t) {
+        v = static_cast<Value>(rng.NextBelow(static_cast<std::uint64_t>(
+                domain))) * 1000 - 3;
+      }
+      return t;
+    };
+    // Identical targets: some rows, some of them tombstoned.
+    ColumnStore coded(arity), flat(arity), batch(arity), reference(arity);
+    std::vector<Tuple> probes;
+    const std::size_t seeded = rng.NextBelow(12);
+    for (std::size_t i = 0; i < seeded; ++i) {
+      const Tuple t = random_row();
+      probes.push_back(t);
+      for (ColumnStore* store : {&coded, &flat, &batch, &reference}) {
+        store->Append(t);
+      }
+    }
+    for (std::size_t i = 0; i < seeded; i += 1 + rng.NextBelow(3)) {
+      for (ColumnStore* store : {&coded, &flat, &batch, &reference}) {
+        store->Erase(probes[i]);
+      }
+    }
+    // Two merges in a row, so the second sees the first's rows.
+    for (int round = 0; round < 2; ++round) {
+      std::vector<CodedRows> sources(1 + rng.NextBelow(3));
+      std::vector<std::vector<Tuple>> source_rows(sources.size());
+      for (std::size_t k = 0; k < sources.size(); ++k) {
+        // A source dictionary that minted values no row carries first.
+        sources[k].dict.Intern(static_cast<Value>(-1 - k));
+        const std::size_t n = rng.NextBelow(10);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Tuple t = random_row();
+          source_rows[k].push_back(t);
+          for (Value v : t) {
+            sources[k].codes.push_back(sources[k].dict.Intern(v));
+          }
+          ++sources[k].num_rows;
+        }
+      }
+      std::vector<CodedSlice> slices;
+      std::vector<Tuple> rows;
+      const std::size_t num_slices = rng.NextBelow(7);
+      for (std::size_t i = 0; i < num_slices; ++i) {
+        const std::size_t k = rng.NextBelow(sources.size());
+        const std::size_t begin = rng.NextBelow(sources[k].num_rows + 1);
+        const std::size_t end =
+            begin + rng.NextBelow(sources[k].num_rows - begin + 1);
+        // Sometimes the same slice twice in a row.
+        const int copies = rng.NextBool(1, 4) ? 2 : 1;
+        for (int c = 0; c < copies; ++c) {
+          slices.push_back({k, begin, end});
+          const auto first = source_rows[k].begin();
+          rows.insert(rows.end(), first + static_cast<std::ptrdiff_t>(begin),
+                      first + static_cast<std::ptrdiff_t>(end));
+        }
+      }
+      std::vector<Value> values;
+      for (const Tuple& t : rows) {
+        values.insert(values.end(), t.begin(), t.end());
+      }
+      std::size_t reference_added = 0;
+      for (const Tuple& t : rows) {
+        if (reference.Append(t)) ++reference_added;
+      }
+      EXPECT_EQ(coded.AppendCoded(sources, slices), reference_added);
+      EXPECT_EQ(flat.AppendFlat(values, rows.size()), reference_added);
+      EXPECT_EQ(batch.AppendBatch(rows), reference_added);
+      probes.insert(probes.end(), rows.begin(), rows.end());
+      const std::string context =
+          "trial " + std::to_string(trial) + " round " + std::to_string(round);
+      ExpectSameStore(coded, reference, probes, context + " AppendCoded");
+      ExpectSameStore(flat, reference, probes, context + " AppendFlat");
+      ExpectSameStore(batch, reference, probes, context + " AppendBatch");
+    }
+  }
 }
 
 TEST(ColumnStoreTest, EraseTombstonesWithoutMovingRows) {

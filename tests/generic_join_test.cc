@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <set>
 
@@ -12,6 +13,8 @@
 #include "relation/evaluate.h"
 #include "relation/generator.h"
 #include "relation/trie_index.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cqbounds {
 namespace {
@@ -159,6 +162,167 @@ TEST(TrieIndexTest, SeekGallopsWithinRange) {
   // Seeks respect the range's start (mid-descent subranges).
   TrieIndex::Range tail{4, root.end};
   EXPECT_EQ(trie.ValueAt(0, trie.SeekGE(0, tail, 3)), 11);
+}
+
+// --- The seek protocol -----------------------------------------------------
+
+// SeekGE against std::lower_bound over random sorted levels: empty ranges,
+// ranges ending at the level's end, and targets below, inside and above the
+// range, at gallop distances from 0 to 2^12 past the range's start.
+TEST(TrieIndexTest, SeekGEMatchesLowerBoundOnRandomLevels) {
+  Rng rng(4099);
+  for (int trial = 0; trial < 6; ++trial) {
+    // Two levels: level 0 is one sorted run; level 1 is one sorted run per
+    // level-0 key, with value gaps of 1 to 2^(trial+1).
+    Relation r("R", 2);
+    const Value spread = Value{2} << trial;
+    const int groups = 3;
+    for (int g = 0; g < groups; ++g) {
+      const int n = 1 + static_cast<int>(rng.NextBelow(6000));
+      Value v = static_cast<Value>(rng.NextBelow(50)) - 25;
+      for (int i = 0; i < n; ++i) {
+        r.Insert({g * 7, v});
+        v += 1 + static_cast<Value>(rng.NextBelow(
+                     static_cast<std::uint64_t>(spread)));
+      }
+    }
+    TrieIndex trie(r, {{0}, {1}});
+    ASSERT_EQ(trie.num_levels(), 2);
+    std::vector<std::pair<int, TrieIndex::Range>> runs = {
+        {0, trie.RootRange()}};
+    for (std::size_t g = 0; g < trie.RootRange().size(); ++g) {
+      runs.push_back({1, trie.ChildRange(0, g)});
+    }
+    for (const auto& [level, run] : runs) {
+      std::vector<Value> vals;
+      for (std::size_t i = run.begin; i < run.end; ++i) {
+        vals.push_back(trie.ValueAt(level, i));
+      }
+      auto expect_seek = [&](TrieIndex::Range q, Value target) {
+        const auto lo = vals.begin() + static_cast<std::ptrdiff_t>(
+                                           q.begin - run.begin);
+        const auto hi = vals.begin() + static_cast<std::ptrdiff_t>(
+                                           q.end - run.begin);
+        const std::size_t want =
+            run.begin +
+            static_cast<std::size_t>(std::lower_bound(lo, hi, target) -
+                                     vals.begin());
+        ASSERT_EQ(trie.SeekGE(level, q, target), want)
+            << "level " << level << " range [" << q.begin << ", " << q.end
+            << ") target " << target;
+      };
+      for (int k = 0; k < 300; ++k) {
+        const std::size_t b =
+            run.begin + rng.NextBelow(run.size() + 1);
+        // Every fourth range runs to the end of the parent's run.
+        const std::size_t e =
+            k % 4 == 0 ? run.end : b + rng.NextBelow(run.end - b + 1);
+        const TrieIndex::Range q{b, e};
+        if (q.empty()) {
+          expect_seek(q, 0);
+          expect_seek(q, vals.empty() ? 0 : vals.front() - 1);
+          continue;
+        }
+        const Value first = trie.ValueAt(level, b);
+        const Value last = trie.ValueAt(level, e - 1);
+        expect_seek(q, first - 1 -
+                           static_cast<Value>(rng.NextBelow(1000)));  // below
+        expect_seek(q, first);
+        expect_seek(q, last);
+        expect_seek(q, last + 1 +
+                           static_cast<Value>(rng.NextBelow(1000)));  // above
+        // Inside: an exact hit and a value just past it, at gap 2^j.
+        for (std::size_t gap = 0; gap <= 4096; gap = gap == 0 ? 1 : gap * 2) {
+          const std::size_t at = b + std::min(gap, q.size() - 1);
+          expect_seek(q, trie.ValueAt(level, at));
+          expect_seek(q, trie.ValueAt(level, at) + 1);
+        }
+      }
+    }
+  }
+}
+
+// --- Golden search counts ---------------------------------------------------
+
+/// FNV-1a over a relation's rows in row order: pins an answer as a
+/// sequence, not only as a set.
+std::uint64_t RowSequenceHash(const Relation& rel) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const Tuple& t : rel.tuples()) {
+    for (Value v : t) {
+      h ^= static_cast<std::uint64_t>(v);
+      h *= 1099511628211ull;
+    }
+    h ^= 0xFFu;  // row separator
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A skewed directed graph from integer draws only (so the instance is the
+/// same on every platform): endpoint id min(U, V, W) of three independent
+/// uniform draws puts most edges on low ids, so a few hubs carry most
+/// triangles.
+Database SkewedEdges(std::uint64_t vertices, std::size_t edges,
+                     std::uint64_t seed) {
+  Rng rng(seed);
+  auto draw = [&] {
+    return static_cast<Value>(
+        std::min({rng.NextBelow(vertices), rng.NextBelow(vertices),
+                  rng.NextBelow(vertices)}));
+  };
+  Database db;
+  Relation* e = db.AddRelation("E", 2);
+  while (e->size() < edges) {
+    const Value u = draw();
+    const Value v = draw();
+    if (u != v) e->Insert({u, v});
+  }
+  return db;
+}
+
+// The search's observable work, pinned: seeks, per-depth bindings and the
+// answer row sequence of three queries on one seeded skewed graph, serial
+// and over a 3-worker pool. A change to the seek kernel, the leapfrog loop
+// or the merge that alters any count or the row order fails here. The
+// pooled seeks exceed the serial ones by the depth-0 re-seeks only.
+TEST(GenericJoinGoldenTest, SeeksIntermediatesAndRowOrderArePinned) {
+  struct Golden {
+    const char* query;
+    std::uint64_t serial_seeks;
+    std::uint64_t pooled_seeks;
+    std::vector<std::size_t> intermediates;
+    std::size_t rows;
+    std::uint64_t row_hash;
+  };
+  const Golden goldens[] = {
+      {"T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).", 175828, 177364,
+       {768, 7831, 3024}, 3024, 9300078078067386965ull},
+      {"P(X,Y,Z) :- E(X,Y), E(Y,Z).", 125410, 126946, {768, 7914, 115870},
+       115870, 4176439257561237412ull},
+      {"K(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D).",
+       278524, 280975, {817, 7914, 3002, 54}, 54, 3549800537433784049ull},
+  };
+  const Database db = SkewedEdges(1000, 8000, 7919);
+  ThreadPool pool(3);
+  for (const Golden& g : goldens) {
+    const Query q = ParseQuery(g.query).ValueOrDie();
+    EvalStats serial, pooled;
+    auto serial_out =
+        EvaluateQuery(q, db, PlanKind::kGenericJoin, nullptr, nullptr, &serial);
+    auto pooled_out =
+        EvaluateQuery(q, db, PlanKind::kGenericJoin, nullptr, &pool, &pooled);
+    ASSERT_TRUE(serial_out.ok()) << serial_out.status();
+    ASSERT_TRUE(pooled_out.ok()) << pooled_out.status();
+    EXPECT_EQ(serial.intersection_seeks, g.serial_seeks) << g.query;
+    EXPECT_EQ(pooled.intersection_seeks, g.pooled_seeks) << g.query;
+    EXPECT_EQ(serial.intermediate_sizes, g.intermediates) << g.query;
+    EXPECT_EQ(pooled.intermediate_sizes, g.intermediates) << g.query;
+    EXPECT_EQ(serial_out->size(), g.rows) << g.query;
+    EXPECT_EQ(RowSequenceHash(*serial_out), g.row_hash) << g.query;
+    EXPECT_EQ(RowSequenceHash(*pooled_out), g.row_hash) << g.query;
+    EXPECT_EQ(pooled.parallel_workers, 4u) << g.query;
+  }
 }
 
 // --- Executor correctness --------------------------------------------------

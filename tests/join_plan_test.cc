@@ -179,6 +179,35 @@ TEST(JoinPlanTest, ToStringMentionsEveryStep) {
   EXPECT_NE(rendered.find("rmax^3"), std::string::npos);
 }
 
+// A hand-edited plan is renderable even when ExecuteJoinPlan would reject
+// it: out-of-range atoms and variables print as "<invalid>" instead of
+// reading past the query's atoms or names.
+TEST(JoinPlanTest, ToStringRendersOutOfRangeEntriesAsInvalid) {
+  auto q = ParseQuery("Q(X,Z) :- R(X,Y), S(Y,Z).");
+  ASSERT_TRUE(q.ok());
+  auto plan = BuildJoinProjectPlan(*q);
+  ASSERT_TRUE(plan.ok());
+  JoinPlan bad_atom = *plan;
+  bad_atom.steps[0].atom_index = 99;
+  const std::string atom_text = bad_atom.ToString(*q);
+  EXPECT_NE(atom_text.find("join <invalid>"), std::string::npos) << atom_text;
+  EXPECT_NE(atom_text.find("join S"), std::string::npos) << atom_text;
+
+  JoinPlan bad_keep = *plan;
+  bad_keep.steps[1].keep_vars.push_back(99);
+  bad_keep.steps[0].keep_vars.push_back(-1);
+  const std::string keep_text = bad_keep.ToString(*q);
+  EXPECT_NE(keep_text.find(",<invalid>}"), std::string::npos) << keep_text;
+
+  auto order = ChooseGenericJoinOrder(*q);
+  ASSERT_TRUE(order.ok());
+  GenericJoinOrder bad_order = *order;
+  bad_order.order.push_back(99);
+  const std::string order_text = bad_order.ToString(*q);
+  EXPECT_NE(order_text.find(" -> <invalid>"), std::string::npos)
+      << order_text;
+}
+
 class JoinPlanRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(JoinPlanRandomTest, PlanEqualsEvaluatorOnRandomQueries) {
