@@ -180,14 +180,15 @@ void PrintTables() {
                            t0.tuple_materializations))});
 
     // One appended row (an isolated edge: it extends no cycle path, so the
-    // join table below keeps its exact output count), spliced in by the
-    // delta constructor with nothing removed -- still zero materializations.
+    // join table below keeps its exact output count), spliced into a copy
+    // of the scratch trie with nothing removed -- still zero
+    // materializations.
     CQB_CHECK(e->Insert({2000000, 2000001}));
     Relation::DeltaSet window;
     CQB_CHECK(e->DeltasSince(kScale, &window));
     CQB_CHECK(window.removed_rows.empty());  // an append-only window
-    TrieIndex patched(scratch, window.Appended(e->store()), RowView(),
-                      {{0}, {1}});
+    TrieIndex patched(scratch);
+    patched.Splice(window.Appended(e->store()), RowView(), {{0}, {1}});
     const TrieBuildStats t2 = GetTrieBuildStats();
     CQB_CHECK(patched.num_tuples() == kScale + 1);
     CQB_CHECK(t2.merge_builds == t1.merge_builds + 1);

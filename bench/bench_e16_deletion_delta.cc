@@ -23,8 +23,14 @@
 // The tables are deterministic; wall times live in the timed sections,
 // pairing each warm removal refresh with its from-scratch contrast. The
 // trie2e5 sections time trie maintenance alone: one GetTrie after a mixed
-// window, its mutation applied untimed; dangling1e5/compact+delta-pass
-// times a delta pass whose window compacted an atom.
+// window, its mutation applied untimed. Each asserts the path it took: an
+// unheld cached trie is spliced in place (TrieBuildStats::shared_splices
+// unchanged), while trie2e5/delta1-get-trie-held keeps a reader on the
+// trie across the window, so its refresh copies and then splices (exactly
+// one shared splice). trie2e6/delta1-get-trie repeats the 1-row window on
+// a 10x base, where what is left of a splice's cost -- shifting each
+// level's suffix past its first edit -- shows. dangling1e5/compact+delta-
+// pass times a delta pass whose window compacted an atom.
 
 #include <deque>
 #include <iostream>
@@ -238,14 +244,14 @@ void DeltaPassRep(int which, int delta) {
   CQB_CHECK(stats.semijoin_delta_pass);
 }
 
-/// The isolated trie-maintenance timers' instance: B(i, j) for i < 200,
-/// j < 1000 -- 2*10^5 rows, the shape of the hot two-column relation the
-/// repo benchmark's warm-mutate workload churns -- with its trie warm in a
-/// context. A rep's untimed setup applies one window (δ base rows removed,
-/// δ fresh rows appended across the groups); the timed part is the single
-/// GetTrie that refreshes the cached trie -- no evaluation, no enumeration.
-/// Removals go oldest row first, base rows and then the fresh ones, so the
-/// windows run indefinitely and now and then cross the store's
+/// The isolated trie-maintenance timers' instance: B(i, j) for i < groups,
+/// j < 1000 -- 2*10^5 rows at 200 groups (a multiple of 200), the shape of the hot two-column
+/// relation the repo benchmark's warm-mutate workload churns -- with its
+/// trie warm in a context. A rep's untimed setup applies one window (δ base
+/// rows removed, δ fresh rows appended across the groups); the timed part
+/// is the single GetTrie that refreshes the cached trie -- no evaluation, no
+/// enumeration. Removals go oldest row first, base rows and then the fresh
+/// ones, so the windows run indefinitely and now and then cross the store's
 /// quarter-dead compaction threshold; the journal carries those windows as
 /// epochs, and every timed refresh is still a splice. Each timer owns one
 /// instance.
@@ -257,33 +263,51 @@ const std::vector<std::vector<int>>& TrieLayout() {
   return layout;
 }
 
+/// How a timed refresh must be served.
+enum class RefreshPath {
+  kSplice,      // the cached trie spliced in place
+  kHeldSplice,  // a reader holds it: copied, then spliced
+  kRebuild,     // a cold context: built from scratch
+};
+
 struct TrieWindows {
+  int groups = kTrieGroups;
   std::unique_ptr<Database> db;
   std::unique_ptr<EvalContext> ctx;
   Relation* b = nullptr;
+  /// A reader's hold on the cached trie (the held timer only).
+  std::shared_ptr<const TrieIndex> held;
   /// Rows removed so far, oldest first: base rows, then fresh ones.
   Value removed = 0;
   /// Fresh rows appended so far.
   Value fresh = 0;
 
   /// The row appended `i`-th overall: the base rows, then fresh row f =
-  /// i - base + 1.
-  static Tuple RowAt(Value i) {
-    constexpr Value kBase = kTrieGroups * kTrieFanout;
-    if (i < kBase) return {i / kTrieFanout, i % kTrieFanout};
-    const Value f = i - kBase + 1;
-    return {f % kTrieGroups, kTrieFanout + f};
+  /// i - base + 1. Fresh rows cycle through kTrieGroups groups spread
+  /// evenly over the base, so a larger base sees windows of the same shape
+  /// -- edits at the same relative positions.
+  Tuple RowAt(Value i) const {
+    const Value base = static_cast<Value>(groups) * kTrieFanout;
+    if (i < base) return {i / kTrieFanout, i % kTrieFanout};
+    return FreshRow(i - base + 1);
+  }
+  Tuple FreshRow(Value f) const {
+    return {f % kTrieGroups * (groups / kTrieGroups), kTrieFanout + f};
   }
 
-  void Build() {
+  void Build(int num_groups = kTrieGroups) {
+    groups = num_groups;
     ctx.reset();
     db = std::make_unique<Database>();
-    std::vector<Value> flat;
-    for (int i = 0; i < kTrieGroups; ++i) {
-      for (int j = 0; j < kTrieFanout; ++j) flat.insert(flat.end(), {i, j});
-    }
     b = db->AddRelation("B", 2);
-    b->InsertFlat(flat, flat.size() / 2);
+    {
+      // Freed before the trie build: at 2*10^6 rows it is 32 MB.
+      std::vector<Value> flat;
+      for (int i = 0; i < groups; ++i) {
+        for (int j = 0; j < kTrieFanout; ++j) flat.insert(flat.end(), {i, j});
+      }
+      b->InsertFlat(flat, flat.size() / 2);
+    }
     ctx = std::make_unique<EvalContext>(*db);
     ctx->GetTrie(*b, TrieLayout(), nullptr);
   }
@@ -292,23 +316,30 @@ struct TrieWindows {
     std::vector<Tuple> batch;
     for (int k = 0; k < delta; ++k) {
       CQB_CHECK(b->Remove(RowAt(removed++)));
-      ++fresh;
-      batch.push_back({fresh % kTrieGroups, kTrieFanout + fresh});
+      batch.push_back(FreshRow(++fresh));
     }
     CQB_CHECK(b->InsertBatch(batch) == batch.size());
   }
 
-  /// The timed refresh, checked to have taken the path its timer names.
-  void Refresh(bool splice) {
+  /// The timed refresh, checked to have taken the path its timer names. A
+  /// lingering holder of an unheld timer's trie would turn every splice
+  /// back into a copy; the shared-splice count catches it.
+  void Refresh(RefreshPath path) {
+    const std::uint64_t shared = GetTrieBuildStats().shared_splices;
     EvalStats stats;
     ctx->GetTrie(*b, TrieLayout(), &stats);
-    CQB_CHECK(splice ? stats.trie_rebuilds == 0 && stats.trie_unpatches == 1
-                     : stats.trie_rebuilds == 1);
+    const std::uint64_t copies = GetTrieBuildStats().shared_splices - shared;
+    CQB_CHECK(path == RefreshPath::kRebuild
+                  ? stats.trie_rebuilds == 1
+                  : stats.trie_rebuilds == 0 && stats.trie_unpatches == 1);
+    CQB_CHECK(copies == (path == RefreshPath::kHeldSplice ? 1u : 0u));
   }
 };
 
+/// 0-2: the δ = 1, 100, 10^4 splices; 3: the rebuild contrast; 4: the held
+/// splice; 5: the 2*10^6-row base, built on first use.
 TrieWindows& Windows(int which) {
-  static std::deque<TrieWindows> windows(4);
+  static std::deque<TrieWindows> windows(6);
   return windows[static_cast<std::size_t>(which)];
 }
 
@@ -318,10 +349,8 @@ void PrepareTimerFixtures() {
   EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
                 nullptr)
       .ValueOrDie();
-  for (int which = 0; which < 4; ++which) {
-    Dangling(which);
-    Windows(which).Build();
-  }
+  for (int which = 0; which < 4; ++which) Dangling(which);
+  for (int which = 0; which < 5; ++which) Windows(which).Build();
   HotDangling();
 }
 
@@ -622,15 +651,16 @@ CQB_BENCH_TIMED("dangling1e5/delta1-full-reduce", [] {
 CQB_BENCH_TIMED("dangling1e5/compact+delta-pass", [] { HotDangling().Rep(); })
 
 // Trie maintenance alone, at growing window sizes: one GetTrie after a
-// δ-removed plus δ-appended window on the 2*10^5-row instance (the splice).
+// δ-removed plus δ-appended window on the 2*10^5-row instance (the
+// in-place splice).
 CQB_BENCH_TIMED_SETUP("trie2e5/delta1-get-trie", [] { Windows(0).Window(1); },
-                      [] { Windows(0).Refresh(true); })
+                      [] { Windows(0).Refresh(RefreshPath::kSplice); })
 CQB_BENCH_TIMED_SETUP("trie2e5/delta100-get-trie",
                       [] { Windows(1).Window(100); },
-                      [] { Windows(1).Refresh(true); })
+                      [] { Windows(1).Refresh(RefreshPath::kSplice); })
 CQB_BENCH_TIMED_SETUP("trie2e5/delta10000-get-trie",
                       [] { Windows(2).Window(10000); },
-                      [] { Windows(2).Refresh(true); })
+                      [] { Windows(2).Refresh(RefreshPath::kSplice); })
 
 // Contrast: the same 1-row window, served by a fresh (cold) context's
 // from-scratch radix build.
@@ -640,7 +670,29 @@ CQB_BENCH_TIMED_SETUP(
       Windows(3).Window(1);
       Windows(3).ctx = std::make_unique<EvalContext>(*Windows(3).db);
     },
-    [] { Windows(3).Refresh(false); })
+    [] { Windows(3).Refresh(RefreshPath::kRebuild); })
+
+// The same 1-row window while a reader holds the cached trie: the refresh
+// must leave the held trie alone, so it copies it and splices the copy.
+CQB_BENCH_TIMED_SETUP(
+    "trie2e5/delta1-get-trie-held",
+    [] {
+      TrieWindows& w = Windows(4);
+      w.held = w.ctx->GetTrie(*w.b, TrieLayout(), nullptr);
+      w.Window(1);
+    },
+    [] { Windows(4).Refresh(RefreshPath::kHeldSplice); })
+
+// The 1-row in-place splice on a 10x base (2000 groups, 2*10^6 rows): what
+// grows with the base is the shift of each level's suffix.
+CQB_BENCH_TIMED_SETUP(
+    "trie2e6/delta1-get-trie",
+    [] {
+      TrieWindows& w = Windows(5);
+      if (w.db == nullptr) w.Build(10 * kTrieGroups);
+      w.Window(1);
+    },
+    [] { Windows(5).Refresh(RefreshPath::kSplice); })
 
 void BM_DeltaRemoveEval(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

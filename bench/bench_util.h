@@ -81,10 +81,10 @@ inline std::string Num(int v) { return std::to_string(v); }
 
 /// A named timed section registered with CQB_BENCH_TIMED. Unlike the
 /// google-benchmark timer loops (which `--quick` skips entirely), timed
-/// sections run in *every* mode -- once under `--quick`, rep-adaptive
-/// otherwise -- so `--json` dumps always carry a "timers" section and the
-/// perf trajectory (BENCH_baseline.json, docs/BENCHMARKS.md) tracks wall
-/// times, not just result tables.
+/// sections run in *every* mode -- once under `--quick`, at least
+/// kMinTimerReps reps otherwise -- so `--json` dumps always carry a
+/// "timers" section and the perf trajectory (BENCH_baseline.json,
+/// docs/BENCHMARKS.md) tracks wall times, not just result tables.
 struct TimerCase {
   std::string name;
   std::function<void()> fn;
@@ -99,11 +99,27 @@ inline std::vector<TimerCase>& TimerCases() {
   return cases;
 }
 
-/// One executed timed section: `reps` runs totalling `total_seconds`.
+/// One executed timed section: `reps` runs totalling `total_seconds`,
+/// each rep's own time kept in `rep_seconds` (in run order).
 struct TimerResult {
   std::string name;
   int reps = 0;
   double total_seconds = 0.0;
+  std::vector<double> rep_seconds;
+
+  double MinSeconds() const {
+    return *std::min_element(rep_seconds.begin(), rep_seconds.end());
+  }
+  /// The middle rep's time (the mean of the two middle ones for an even
+  /// count): unlike the mean, one rep disturbed by the machine does not
+  /// move it.
+  double MedianSeconds() const {
+    std::vector<double> sorted = rep_seconds;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t mid = sorted.size() / 2;
+    return sorted.size() % 2 == 1 ? sorted[mid]
+                                  : (sorted[mid - 1] + sorted[mid]) / 2;
+  }
 };
 
 /// Results of RunRegisteredTimers, in execution order.
@@ -135,9 +151,15 @@ struct TimerRegistrar {
       CQB_BENCH_TIMED_CONCAT(cqb_timer_registrar_, __LINE__){           \
           name, __VA_ARGS__, setup};
 
-/// Runs every registered timed section and prints a per-section summary.
-/// Under `--quick` each section runs exactly once (cheap smoke + JSON
-/// coverage); otherwise reps accumulate until ~0.2 s or 64 reps.
+/// Rep bounds of a timed section outside `--quick`: reps accumulate until
+/// ~0.2 s have passed and at least kMinTimerReps ran, or kMaxTimerReps did
+/// -- so even a slow section's median rests on several samples.
+constexpr int kMinTimerReps = 7;
+constexpr int kMaxTimerReps = 64;
+
+/// Runs every registered timed section and prints a per-section summary
+/// (mean, min and median per rep). Under `--quick` each section runs
+/// exactly once (cheap smoke + JSON coverage).
 inline void RunRegisteredTimers(bool quick, std::ostream& os = std::cout) {
   if (TimerCases().empty()) return;
   os << "Timed sections" << (quick ? " (--quick: single rep)" : "") << ":\n";
@@ -148,14 +170,19 @@ inline void RunRegisteredTimers(bool quick, std::ostream& os = std::cout) {
       if (c.setup) c.setup();
       const auto t0 = std::chrono::steady_clock::now();
       c.fn();
-      result.total_seconds +=
+      const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
+      result.rep_seconds.push_back(seconds);
+      result.total_seconds += seconds;
       ++result.reps;
-    } while (!quick && result.total_seconds < 0.2 && result.reps < 64);
+    } while (!quick && result.reps < kMaxTimerReps &&
+             (result.reps < kMinTimerReps || result.total_seconds < 0.2));
     os << "  " << c.name << ": "
-       << result.total_seconds / result.reps * 1e3 << " ms/rep ("
-       << result.reps << (result.reps == 1 ? " rep" : " reps") << ")\n";
+       << result.total_seconds / result.reps * 1e3 << " ms/rep (min "
+       << result.MinSeconds() * 1e3 << ", median "
+       << result.MedianSeconds() * 1e3 << "; " << result.reps
+       << (result.reps == 1 ? " rep" : " reps") << ")\n";
     TimerResults().push_back(std::move(result));
   }
   os << "\n";
@@ -200,7 +227,8 @@ inline void WriteStringArray(std::ostream& os,
 ///   {"bench": ..., "quick": ..., "table_seconds": ...,
 ///    "tables": [{"headers": [...], "rows": [[...], ...]}, ...],
 ///    "timers": [{"name": ..., "reps": ..., "total_seconds": ...,
-///                "seconds_per_rep": ...}, ...]}
+///                "seconds_per_rep": ..., "min_seconds": ...,
+///                "median_seconds": ...}, ...]}
 /// The "timers" section is present in --quick mode too (sections run once
 /// there), so baseline refreshes always capture wall times.
 inline bool WriteTablesJson(const std::string& path, const std::string& bench,
@@ -234,7 +262,9 @@ inline bool WriteTablesJson(const std::string& path, const std::string& bench,
        << "\", \"reps\": " << timers[t].reps
        << ", \"total_seconds\": " << timers[t].total_seconds
        << ", \"seconds_per_rep\": "
-       << timers[t].total_seconds / timers[t].reps << "}"
+       << timers[t].total_seconds / timers[t].reps
+       << ", \"min_seconds\": " << timers[t].MinSeconds()
+       << ", \"median_seconds\": " << timers[t].MedianSeconds() << "}"
        << (t + 1 < timers.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";

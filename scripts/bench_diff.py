@@ -6,7 +6,8 @@ goes through util/rng.h), so a table that differs from the baseline is a
 behaviour change and must be explained -- the script exits non-zero on any
 table diff. Timer sections are machine-dependent wall times: they are
 reported (with a slowdown threshold) but only fail the run with
---fail-on-timers.
+--fail-on-timers. A timer is compared by its median rep when both sides
+carry one ("median_seconds"), else by its mean ("seconds_per_rep").
 
 Usage:
   scripts/bench_diff.py [--baseline BENCH_baseline.json]
@@ -74,12 +75,16 @@ def diff_timers(name, base_timers, new_timers, factor):
         if nt is None:
             notes.append(f"{name}: timer '{tname}' missing from dump")
             continue
-        base_s = bt["seconds_per_rep"]
-        new_s = nt["seconds_per_rep"]
+        key = ("median_seconds"
+               if "median_seconds" in bt and "median_seconds" in nt
+               else "seconds_per_rep")
+        base_s = bt[key]
+        new_s = nt[key]
         if base_s > 0 and new_s > base_s * factor:
             slowdowns.append(
                 f"{name}: timer '{tname}' {base_s * 1e3:.3f} -> "
-                f"{new_s * 1e3:.3f} ms/rep ({new_s / base_s:.1f}x, "
+                f"{new_s * 1e3:.3f} ms/rep ({new_s / base_s:.1f}x "
+                f"{'median' if key == 'median_seconds' else 'mean'}, "
                 f"threshold {factor}x)")
     for tname in new_by_name:
         if tname not in base_by_name:

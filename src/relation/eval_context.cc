@@ -147,7 +147,7 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
   Key key{rel.name(), level_positions};
   Shard& shard = ShardFor(key);
   const std::uint64_t generation = rel.generation();
-  std::shared_ptr<const TrieIndex> stale_base;
+  std::shared_ptr<TrieIndex> stale_base;
   std::uint64_t stale_base_generation = 0;
   {
     MutexLock lock(shard.mu);
@@ -158,11 +158,25 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
         if (stats != nullptr) ++stats->trie_cache_hits;
         return it->second.trie;
       }
-      // Stale entry: snapshot it as a delta base. DeltasSince below decides
+      // Stale entry: take it as the delta base. DeltasSince below decides
       // whether the journal can still name both delta sides (splice) or a
       // Clear (or epoch retention) forces the rebuild. Either way the rows
       // named are stable because mutations never overlap evaluations.
-      stale_base = it->second.trie;
+      //
+      // When the entry is the trie's only owner, move the trie out, so the
+      // splice below runs in place. Sole ownership is exclusive: a
+      // reference is only gained by copying one (here, under this lock),
+      // and a stale entry is refreshed only after a mutation, which no
+      // evaluation overlaps, so no reader of the old trie is left. A thread
+      // racing this refresh finds the entry empty and rebuilds -- from the
+      // same relation state, so its result is just as correct, only wasted
+      // work. When a reader still holds the trie, share it instead: the
+      // splice then copies it first and the reader's trie is never touched.
+      if (it->second.trie.use_count() == 1) {
+        stale_base = std::move(it->second.trie);
+      } else {
+        stale_base = it->second.trie;
+      }
       stale_base_generation = it->second.generation;
     }
   }
@@ -173,15 +187,15 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
   // wins and the loser's trie lives on via its own shared_ptr.
   misses_.fetch_add(1, std::memory_order_relaxed);
   if (stats != nullptr) ++stats->trie_cache_misses;
-  std::shared_ptr<const TrieIndex> trie;
+  std::shared_ptr<TrieIndex> trie;
   Relation::DeltaSet deltas;
   if (stale_base != nullptr &&
       rel.DeltasSince(stale_base_generation, &deltas)) {
     // Splice the net delta into the cached trie -- O(delta) probes plus a
-    // bulk copy of the untouched runs, no sort of the base. Removed rows
-    // are read from their saved codes, so compactions inside the window
-    // change nothing here. A window with no removed rows is a patch, any
-    // other an unpatch.
+    // shift of each level's suffix, no sort of the base. Removed rows are
+    // read from their saved codes, so compactions inside the window change
+    // nothing here. A window with no removed rows is a patch, any other an
+    // unpatch.
     const RowView appended = deltas.Appended(rel.store());
     const RowView removed = deltas.Removed(rel.store());
     const bool patch = removed.empty();
@@ -190,12 +204,12 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
       ++(patch ? stats->trie_patches : stats->trie_unpatches);
       stats->delta_tuples_processed += appended.size() + removed.size();
     }
-    trie = std::make_shared<const TrieIndex>(*stale_base, appended, removed,
-                                             level_positions);
+    SpliceOrCopy(&stale_base, appended, removed, level_positions);
+    trie = std::move(stale_base);
   } else {
     rebuilds_.fetch_add(1, std::memory_order_relaxed);
     if (stats != nullptr) ++stats->trie_rebuilds;
-    trie = std::make_shared<const TrieIndex>(rel, level_positions);
+    trie = std::make_shared<TrieIndex>(rel, level_positions);
   }
   {
     MutexLock lock(shard.mu);

@@ -69,9 +69,11 @@ struct LowWidthProbe {
 /// and are refreshed (counted as a miss) when the relation mutated since.
 /// The refresh is delta-aware: while the journal's Relation::DeltasSince
 /// can name the window's appended and removed rows, they are *spliced* into
-/// the stale trie by TrieIndex's delta constructor -- O(k log k) for k
-/// delta rows plus O(k * depth) probes and a bulk copy of the untouched
-/// runs, instead of a from-scratch O(n log n) sort. The trie's per-key
+/// the stale trie by TrieIndex::Splice -- O(k log k) for k delta rows plus
+/// O(k * depth) probes and a shift of each level's suffix past its first
+/// edit, instead of a from-scratch O(n log n) sort. The splice runs in
+/// place when the cache entry is the trie's only owner, and on a copy
+/// when a reader still holds it (see Concurrency). The trie's per-key
 /// support counts subtract removals exactly, read from the journal's saved
 /// codes, so a window that crossed compactions splices too (tries hold no
 /// row ids). A window with no removed rows counts as a patch
@@ -92,12 +94,17 @@ struct LowWidthProbe {
 ///
 ///  - the trie tier is sharded into lock-striped buckets, so lookups on
 ///    different relations rarely contend, and entries hold the trie behind
-///    a shared_ptr -- a thread holding a trie keeps it alive even while
-///    another thread concurrently replaces the entry after a mutation, so
-///    no reader ever observes a dangling or half-built index. Two threads
-///    racing a cold (or stale) entry may both build; the duplicate build is
-///    wasted work, never wrong data (both build from the same relation
-///    state), and each build is still counted as a miss;
+///    a shared_ptr -- a thread holding a trie keeps it alive, and the trie
+///    it holds never changes: a refresh splices a stale trie in place only
+///    when the entry is its sole owner (no reader holds it, which the
+///    readers-xor-writer contract below makes an exclusive fact), and
+///    otherwise splices a copy and swaps the entry's pointer, so no reader
+///    ever observes a dangling, half-built or half-spliced index. Two
+///    threads racing a cold entry may both build; a thread racing a stale
+///    entry another thread has moved out to splice finds it empty and
+///    rebuilds. The duplicate build is wasted work, never wrong data (both
+///    build from the same relation state), and each build is still counted
+///    as a miss;
 ///  - the plan tier fills each entry's probe exactly once per query shape
 ///    (std::call_once), so concurrent first evaluations of one shape run
 ///    one TreewidthExact probe total, with late arrivals blocking until it
@@ -248,10 +255,11 @@ class EvalContext {
     std::vector<bool> all_survive;
     /// Per atom with !all_survive[i]: the survivor trie (the zero-copy
     /// filtered view, already keyed by the plan's layout for that atom);
-    /// null where all_survive[i]. Immutable once published -- reuse hands
-    /// out copies of the shared_ptr; the delta pass replaces the pointer,
-    /// never the pointee.
-    std::vector<std::shared_ptr<const TrieIndex>> survivor_tries;
+    /// null where all_survive[i]. Reuse hands out copies of the
+    /// shared_ptr; the delta pass unpatches the view through SpliceOrCopy
+    /// -- in place, since between evaluations this state is the view's
+    /// only owner, and on a copy should anyone still hold it.
+    std::vector<std::shared_ptr<TrieIndex>> survivor_tries;
     /// Per schedule step (the deterministic up+down filter order derived
     /// from the decomposition): the step's key table with support counts
     /// and per-key chains through the target atom's rows. Counts -- not
@@ -309,8 +317,10 @@ class EvalContext {
   ///
   /// The returned trie is immutable and stays alive for as long as the
   /// caller holds the pointer, even if the entry is concurrently (or
-  /// later) rebuilt after a relation mutation -- the rebuild swaps the
-  /// entry's shared_ptr, it never touches the old index.
+  /// later) refreshed after a relation mutation -- a refresh splices in
+  /// place only a trie nobody else holds; a held one it copies, splices
+  /// the copy and swaps the entry's shared_ptr, never touching the held
+  /// index.
   std::shared_ptr<const TrieIndex> GetTrie(
       const Relation& rel, const std::vector<std::vector<int>>& level_positions,
       EvalStats* stats);
@@ -372,7 +382,8 @@ class EvalContext {
   using Key = std::pair<std::string, std::vector<std::vector<int>>>;
   struct Entry {
     std::uint64_t generation = 0;
-    std::shared_ptr<const TrieIndex> trie;
+    /// Null while a refresh has moved the trie out to splice it in place.
+    std::shared_ptr<TrieIndex> trie;
   };
 
   /// Lock striping: keys hash onto a fixed set of independently locked

@@ -1000,7 +1000,7 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
     gone.ghosts = &deltas[i].removed_codes;
     std::vector<std::uint32_t>& drop = state->drop_step[i];
     std::size_t& dangling = state->dangling[i];
-    std::shared_ptr<const TrieIndex>& view = state->survivor_tries[i];
+    std::shared_ptr<TrieIndex>& view = state->survivor_tries[i];
     for (const TrackedRow& t : tracked[i].rows) {
       const bool now_in = t.present_new && t.new_drop == kSurvives;
       const bool was_in = t.old_drop == kSurvives;
@@ -1040,17 +1040,17 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
         }
       }
       ++stats->trie_cache_misses;
-      view = std::make_shared<const TrieIndex>(survivors, atoms[i].trie_levels);
+      view = std::make_shared<TrieIndex>(survivors, atoms[i].trie_levels);
       stats->indexed_tuples += view->num_tuples();
     } else if (!added.empty() || !gone.empty()) {
       // Unpatch the cached view by the survivor-set delta instead of
-      // rebuilding it over the full survivor set. A window that only moved
+      // rebuilding it over the full survivor set -- in place, as the state
+      // is its only owner between evaluations. A window that only moved
       // the books (a dropped row re-dropped at another step) keeps it.
       std::sort(added.rows.begin(), added.rows.end());
       std::sort(gone.rows.begin(), gone.rows.end());
       ++stats->trie_cache_misses;
-      view = std::make_shared<const TrieIndex>(*view, added, gone,
-                                               atoms[i].trie_levels);
+      SpliceOrCopy(&view, added, gone, atoms[i].trie_levels);
       stats->indexed_tuples += view->num_tuples();
     }
   }

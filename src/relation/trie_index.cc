@@ -10,6 +10,7 @@ namespace {
 
 std::atomic<std::uint64_t> g_radix_builds{0};
 std::atomic<std::uint64_t> g_merge_builds{0};
+std::atomic<std::uint64_t> g_shared_splices{0};
 std::atomic<std::uint64_t> g_delta_nodes_visited{0};
 std::atomic<std::uint64_t> g_tuple_materializations{0};
 
@@ -81,8 +82,8 @@ void RadixSortIndices(const std::vector<std::uint64_t>& keys, std::size_t m,
 /// duplicates: `*sorted` receives the distinct sorted key stream and
 /// `*counts` one net multiplicity per distinct key, where rows
 /// [0, positive) count +1 and rows [positive, m) count -1. Returns the
-/// distinct count. Shared by the builds (positive == m) and the delta
-/// constructor (appended rows, then removed rows).
+/// distinct count. Shared by the builds (positive == m) and Splice
+/// (appended rows, then removed rows).
 template <typename Count>
 std::size_t SortCountKeys(const std::vector<std::uint64_t>& keys,
                           std::size_t m, std::size_t positive, int depth,
@@ -120,6 +121,7 @@ TrieBuildStats GetTrieBuildStats() {
   TrieBuildStats stats;
   stats.radix_builds = g_radix_builds.load(std::memory_order_relaxed);
   stats.merge_builds = g_merge_builds.load(std::memory_order_relaxed);
+  stats.shared_splices = g_shared_splices.load(std::memory_order_relaxed);
   stats.delta_nodes_visited =
       g_delta_nodes_visited.load(std::memory_order_relaxed);
   stats.tuple_materializations =
@@ -260,118 +262,204 @@ TrieIndex::TrieIndex(const RowView& view,
   BuildFromFlatKeys(keys, m, depth, key_min, key_max);
 }
 
-/// The splice of one sorted net delta into a base trie. Output goes
-/// straight into `out`'s levels; `counts` collects its leaf supports in
-/// leaf order, and `visits` the nodes probed or emitted one at a time.
-struct TrieIndex::Splicer {
-  const TrieIndex& base;
-  TrieIndex& out;
+struct TrieIndex::Edit {
+  enum Kind : std::uint8_t { kInsert, kErase, kSet };
+  /// Base node index at the edit's level: an insert lands before it.
+  std::size_t pos;
+  Kind kind;
+  /// The inserted node's key (kInsert only).
+  Value value;
+  /// kInsert and kSet: the node's leaf support, or its inner child count.
+  std::size_t count;
+};
+
+/// The splice's plan phase: walks one sorted net delta down the trie and
+/// records each level's edits, in node order, without writing to the trie.
+struct TrieIndex::SplicePlan {
+  const TrieIndex& trie;
   /// The net delta: distinct sorted packed keys, depth words each, and one
   /// signed net support per key.
   const std::vector<std::uint64_t>& keys;
   const std::vector<std::int64_t>& nets;
-  std::vector<std::uint32_t> counts;
+  std::vector<std::vector<Edit>> edits;
   std::uint64_t visits = 0;
 
-  /// Appends base nodes [a, z) at `level` with all their descendants. The
-  /// descendants of a sibling run are one contiguous run per level, so each
-  /// level is a single copy: values as-is, first-child offsets shifted by
-  /// one constant, and at the leaves the support counts.
-  void Copy(int level, std::size_t a, std::size_t z) {
-    const int last = out.num_levels() - 1;
-    for (int l = level; a < z; ++l) {
-      const Level& from = base.levels_[l];
-      Level& to = out.levels_[l];
-      to.values.insert(to.values.end(), from.values.begin() + a,
-                       from.values.begin() + z);
-      if (l == last) {
-        if (base.counts_.empty()) {
-          counts.insert(counts.end(), z - a, 1u);
-        } else {
-          counts.insert(counts.end(), base.counts_.begin() + a,
-                        base.counts_.begin() + z);
-        }
-        return;
-      }
-      // Unsigned wrap-around is fine: the shifted offsets are exact.
-      const std::size_t shift =
-          out.levels_[l + 1].values.size() - from.child_begin[a];
-      for (std::size_t i = a; i < z; ++i) {
-        to.child_begin.push_back(from.child_begin[i] + shift);
-      }
-      const std::size_t next_a = from.child_begin[a];
-      z = from.child_begin[z];
-      a = next_a;
-    }
-  }
-
-  /// Splices delta keys [d, dend) -- all sharing the path to this sibling
-  /// range -- into the base sibling range `r` at `level`.
-  void Merge(int level, Range r, std::size_t d, std::size_t dend) {
-    const int depth = out.num_levels();
+  /// Plans delta keys [d, dend) -- all sharing the path to this sibling
+  /// range -- into the sibling range `r` at `level`, and returns the
+  /// range's net change in node count (its parent's child-count change).
+  std::int64_t Walk(int level, Range r, std::size_t d, std::size_t dend) {
+    const int depth = trie.num_levels();
+    const bool leaf = level + 1 == depth;
     const auto word = [&](std::size_t i) {
       return keys[i * static_cast<std::size_t>(depth) +
                   static_cast<std::size_t>(level)];
     };
-    Level& to = out.levels_[level];
+    const Level& at = trie.levels_[level];
+    std::vector<Edit>& out = edits[level];
+    std::int64_t change = 0;
     std::size_t cur = r.begin;
     while (d < dend) {
       std::size_t group_end = d + 1;
       while (group_end < dend && word(group_end) == word(d)) ++group_end;
       const Value v = UnbiasKey(word(d));
-      const std::size_t pos = base.SeekGE(level, Range{cur, r.end}, v);
+      const std::size_t pos = trie.SeekGE(level, Range{cur, r.end}, v);
       ++visits;
-      Copy(level, cur, pos);
-      const bool found = pos < r.end && base.levels_[level].values[pos] == v;
+      const bool found = pos < r.end && at.values[pos] == v;
       cur = found ? pos + 1 : pos;
-      if (level + 1 == depth) {
+      std::int64_t old_count;
+      std::int64_t count;
+      if (leaf) {
         // Leaf: keys are distinct, so the group is this one key.
-        const std::int64_t net =
-            (found ? base.CountOf(pos) : 0) + nets[d];
-        // A negative net means a removal named a row whose key the base
+        old_count = found ? trie.CountOf(pos) : 0;
+        const std::int64_t net = old_count + nets[d];
+        // A negative net means a removal named a row whose key the trie
         // (plus this window's appends) never supported -- a journal bug
         // upstream.
         CQB_CHECK(net >= 0);
-        if (net > 0) {
-          to.values.push_back(v);
-          counts.push_back(static_cast<std::uint32_t>(net));
-          ++visits;
-        }
+        count = net;
       } else {
-        // Emit the node, splice its children, and take it back if none
-        // survived.
-        to.child_begin.push_back(out.levels_[level + 1].values.size());
-        to.values.push_back(v);
+        // A new node's children go where the next node's begin.
+        const Range children = found ? trie.ChildRange(level, pos)
+                                     : Range{at.child_begin[pos],
+                                             at.child_begin[pos]};
+        old_count = static_cast<std::int64_t>(children.size());
+        count = old_count + Walk(level + 1, children, d, group_end);
+      }
+      if (found ? count != old_count : count > 0) {
+        const Edit::Kind kind =
+            !found ? Edit::kInsert : (count == 0 ? Edit::kErase : Edit::kSet);
+        out.push_back(Edit{pos, kind, v, static_cast<std::size_t>(count)});
+        change += (kind == Edit::kInsert) - (kind == Edit::kErase);
         ++visits;
-        Merge(level + 1, found ? base.ChildRange(level, pos) : Range{},
-              d, group_end);
-        if (out.levels_[level + 1].values.size() == to.child_begin.back()) {
-          to.values.pop_back();
-          to.child_begin.pop_back();
-        }
       }
       d = group_end;
     }
-    Copy(level, cur, r.end);
+    return change;
   }
 };
 
-TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
-                     const RowView& removed,
-                     const std::vector<std::vector<int>>& level_positions) {
+void TrieIndex::ApplyEdits(int level, const std::vector<Edit>& edits) {
+  if (edits.empty()) return;
+  Level& at = levels_[static_cast<std::size_t>(level)];
+  const bool leaf = level + 1 == num_levels();
+  const std::size_t n = at.values.size();
+  const std::size_t from = edits.front().pos;
+
+  // The kept base runs between inserts and erases, each moving by the
+  // inserts minus erases before it, and every edited node's final slot.
+  struct Run {
+    std::size_t begin;
+    std::size_t end;
+    std::size_t to;
+  };
+  std::vector<Run> runs;
+  std::vector<std::size_t> slots(edits.size());
+  std::size_t src = from;
+  std::size_t shift_up = 0;    // inserts so far
+  std::size_t shift_down = 0;  // erases so far
+  for (std::size_t e = 0; e < edits.size(); ++e) {
+    const Edit& edit = edits[e];
+    slots[e] = edit.pos + shift_up - shift_down;
+    if (edit.kind == Edit::kSet) continue;  // The node stays in its run.
+    if (edit.pos > src) {
+      runs.push_back(Run{src, edit.pos, src + shift_up - shift_down});
+      src = edit.pos;
+    }
+    if (edit.kind == Edit::kInsert) {
+      ++shift_up;
+    } else {
+      ++shift_down;
+      src = edit.pos + 1;
+    }
+  }
+  if (src < n) runs.push_back(Run{src, n, src + shift_up - shift_down});
+  const std::size_t size = n + shift_up - shift_down;
+
+  // Inner levels edit child counts, not offsets: from the first edit on,
+  // child_begin holds counts until the prefix sum below.
+  std::vector<std::size_t>& begins = at.child_begin;
+  const std::size_t first_child = leaf ? 0 : begins[from];
+  if (!leaf) {
+    for (std::size_t i = from; i < n; ++i) {
+      begins[i] = begins[i + 1] - begins[i];
+    }
+  }
+  // Leaf supports stay absent until a count other than one appears.
+  const bool supports =
+      leaf && (!counts_.empty() ||
+               std::any_of(edits.begin(), edits.end(), [](const Edit& edit) {
+                 return edit.kind != Edit::kErase && edit.count != 1;
+               }));
+  if (supports && counts_.empty()) counts_.assign(n, 1u);
+
+  const std::size_t room = std::max(n, size);
+  at.values.resize(room);
+  if (!leaf) begins.resize(room + 1);
+  if (supports) counts_.resize(room);
+  const auto move = [&](const Run& run) {
+    const auto shift_run = [&run](auto* column) {
+      const auto at_index = [column](std::size_t i) {
+        return column->begin() + static_cast<std::ptrdiff_t>(i);
+      };
+      if (run.to < run.begin) {
+        std::copy(at_index(run.begin), at_index(run.end), at_index(run.to));
+      } else {
+        std::copy_backward(at_index(run.begin), at_index(run.end),
+                           at_index(run.to + (run.end - run.begin)));
+      }
+    };
+    shift_run(&at.values);
+    if (!leaf) shift_run(&begins);
+    if (supports) shift_run(&counts_);
+  };
+  // A run's destination never reaches a run not yet moved: left-moving runs
+  // go front to back, right-moving ones back to front.
+  for (const Run& run : runs) {
+    if (run.to < run.begin) move(run);
+  }
+  for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+    if (run->to > run->begin) move(*run);
+  }
+  for (std::size_t e = 0; e < edits.size(); ++e) {
+    const Edit& edit = edits[e];
+    if (edit.kind == Edit::kErase) continue;
+    const std::size_t slot = slots[e];
+    if (edit.kind == Edit::kInsert) at.values[slot] = edit.value;
+    if (!leaf) {
+      begins[slot] = edit.count;
+    } else if (supports) {
+      counts_[slot] = static_cast<std::uint32_t>(edit.count);
+    }
+  }
+  at.values.resize(size);
+  if (supports) counts_.resize(size);
+  if (!leaf) {
+    begins.resize(size + 1);
+    std::size_t offset = first_child;
+    for (std::size_t i = from; i < size; ++i) {
+      const std::size_t children = begins[i];
+      begins[i] = offset;
+      offset += children;
+    }
+    begins[size] = offset;
+  }
+}
+
+void TrieIndex::Splice(const RowView& appended, const RowView& removed,
+                       const std::vector<std::vector<int>>& level_positions) {
   g_merge_builds.fetch_add(1, std::memory_order_relaxed);
   const int depth = static_cast<int>(level_positions.size());
-  CQB_CHECK(base.num_levels() == depth);
+  CQB_CHECK(num_levels() == depth);
   if (depth == 0) {
     // No key variables, so every row is vacuously self-consistent and the
     // guard is pure arithmetic on row counts.
-    CQB_CHECK(base.root_support_ + appended.size() >= removed.size());
-    root_support_ = base.root_support_ + appended.size() - removed.size();
+    CQB_CHECK(root_support_ + appended.size() >= removed.size());
+    root_support_ = root_support_ + appended.size() - removed.size();
     num_tuples_ = root_support_ != 0 ? 1 : 0;
     return;
   }
 
-  // Both delta sides go through the same extraction as the base build, so
+  // Both delta sides go through the same extraction as the build, so
   // self-inconsistent rows are filtered symmetrically, then sort together
   // into one net delta: appended rows count +1, removed rows -1.
   std::vector<std::uint64_t> keys;
@@ -389,23 +477,28 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
   std::vector<std::int64_t> nets;
   SortCountKeys(keys, m, added, depth, key_min, key_max, &delta, &nets);
 
-  levels_.resize(static_cast<std::size_t>(depth));
+  // Plan every level's edits first: the support checks all run there, so
+  // a failed one leaves the trie as it was.
+  SplicePlan plan{*this, delta, nets,
+                  std::vector<std::vector<Edit>>(
+                      static_cast<std::size_t>(depth)),
+                  0};
+  plan.Walk(0, RootRange(), 0, nets.size());
   for (int l = 0; l < depth; ++l) {
-    const Level& from = base.levels_[l];
-    levels_[l].values.reserve(from.values.size() + nets.size());
-    if (l + 1 < depth) {
-      levels_[l].child_begin.reserve(from.child_begin.size() + nets.size());
-    }
-  }
-  Splicer splice{base, *this, delta, nets, {}, 0};
-  splice.counts.reserve(base.num_tuples_ + nets.size());
-  splice.Merge(0, base.RootRange(), 0, nets.size());
-  for (int l = 0; l + 1 < depth; ++l) {
-    levels_[l].child_begin.push_back(levels_[l + 1].values.size());
+    ApplyEdits(l, plan.edits[static_cast<std::size_t>(l)]);
   }
   num_tuples_ = levels_.back().values.size();
-  SetCounts(std::move(splice.counts));
-  g_delta_nodes_visited.fetch_add(splice.visits, std::memory_order_relaxed);
+  g_delta_nodes_visited.fetch_add(plan.visits, std::memory_order_relaxed);
+}
+
+void SpliceOrCopy(std::shared_ptr<TrieIndex>* trie, const RowView& appended,
+                  const RowView& removed,
+                  const std::vector<std::vector<int>>& level_positions) {
+  if (trie->use_count() != 1) {
+    g_shared_splices.fetch_add(1, std::memory_order_relaxed);
+    *trie = std::make_shared<TrieIndex>(**trie);
+  }
+  (*trie)->Splice(appended, removed, level_positions);
 }
 
 bool TrieIndex::operator==(const TrieIndex& other) const {

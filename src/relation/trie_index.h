@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "relation/column_store.h"
@@ -14,10 +15,13 @@ namespace cqbounds {
 
 /// Monotonic process-wide counters over TrieIndex construction, readable by
 /// benches and tests. `radix_builds` counts from-scratch builds (Relation and
-/// RowView constructors), `merge_builds` counts delta-constructor splices.
-/// `delta_nodes_visited` is the splice's work counter: nodes the delta
-/// constructor probed (one SeekGE each) or emitted one at a time, leaving out
-/// the untouched runs it bulk-copies -- O(delta * depth), never O(base).
+/// RowView constructors), `merge_builds` counts splices (TrieIndex::Splice).
+/// `shared_splices` counts the splices that first had to copy their trie
+/// because another holder still read it (SpliceOrCopy): the E16 bench
+/// asserts that an unheld cached trie never takes that path.
+/// `delta_nodes_visited` is the splice's work counter: nodes it probed (one
+/// SeekGE each) or edited one at a time, leaving out the kept runs it moves
+/// in bulk -- O(delta * depth), never O(base).
 /// `tuple_materializations` is a tripwire: it counts per-tuple heap `Tuple`
 /// objects created during trie construction, which is zero by design on the
 /// columnar radix and splice paths -- bench_e15_columnar_scale asserts it
@@ -26,6 +30,7 @@ namespace cqbounds {
 struct TrieBuildStats {
   std::uint64_t radix_builds = 0;
   std::uint64_t merge_builds = 0;
+  std::uint64_t shared_splices = 0;
   std::uint64_t delta_nodes_visited = 0;
   std::uint64_t tuple_materializations = 0;
 };
@@ -48,7 +53,10 @@ TrieBuildStats GetTrieBuildStats();
 /// relation's ColumnStore into a packed flat key buffer, LSD-radix-sorts a
 /// row permutation over it, and builds every level in one scan of the sorted
 /// stream -- no comparison sort, and no per-tuple Tuple materialization
-/// (see TrieBuildStats::tuple_materializations).
+/// (see TrieBuildStats::tuple_materializations). After a mutation, `Splice`
+/// brings a built trie forward in place by the window's net delta, without
+/// re-sorting or copying the base; a trie that others may still read is
+/// copied first (SpliceOrCopy).
 class TrieIndex {
  public:
   /// A contiguous run of sibling nodes at one level: indices [begin, end).
@@ -79,39 +87,47 @@ class TrieIndex {
   TrieIndex(const RowView& view,
             const std::vector<std::vector<int>>& level_positions);
 
-  /// Delta constructor: `base`'s key multiset plus `appended` minus
-  /// `removed` (either side may be empty; an empty `removed` is an append
-  /// patch). Every trie carries a per-key *support count* (how many
-  /// self-consistent rows project onto the key; stored sparsely, since
-  /// counts exceed one only under projection or repeated-variable layouts),
-  /// so a key is kept iff base_count + appended_count - removed_count > 0.
-  /// Rows are extracted with the same `level_positions` layout `base` was
-  /// built with. Removed rows usually come as ghost rows resolving to saved
-  /// code tuples (Relation::DeltaSet::Removed), so a window that crossed
-  /// compactions splices like any other -- the trie holds no row ids. Rows
-  /// failing the repeated-variable filter are skipped symmetrically on both
-  /// sides, mirroring what the base build did.
+  /// Splices one mutation window into this trie in place: afterwards it
+  /// indexes its old key multiset plus `appended` minus `removed` (either
+  /// side may be empty; an empty `removed` is an append patch). Every trie
+  /// carries a per-key *support count* (how many self-consistent rows
+  /// project onto the key; stored sparsely, since counts exceed one only
+  /// under projection or repeated-variable layouts), so a key is kept iff
+  /// old_count + appended_count - removed_count > 0. Rows are extracted
+  /// with the same `level_positions` layout the trie was built with.
+  /// Removed rows usually come as ghost rows resolving to saved code tuples
+  /// (Relation::DeltaSet::Removed), so a window that crossed compactions
+  /// splices like any other -- the trie holds no row ids. Rows failing the
+  /// repeated-variable filter are skipped symmetrically on both sides,
+  /// mirroring what the build did.
   ///
   /// The two sides collapse into one sorted net delta of (key, signed
-  /// count), which is *spliced* into the base: walking it down the levels
-  /// with SeekGE inside each parent's child range, every untouched sibling
-  /// run between delta keys is bulk-copied with all its subtrees (values
-  /// as-is, first-child offsets shifted by one constant, leaf supports
-  /// copied), and only the nodes on a delta key's path are emitted one by
-  /// one. A leaf goes when its support reaches zero, an inner node when it
-  /// is left with no children. Cost: O(k log k) to sort k delta rows,
-  /// O(k * depth) probes of O(log gap) each (TrieBuildStats::
-  /// delta_nodes_visited), plus a memcpy-speed copy of the untouched base.
-  /// `base` is never modified -- the result is a fresh object, so readers
-  /// holding shared_ptrs to `base` are unaffected (the EvalContext
-  /// concurrency contract). Checks that no key's support goes negative.
-  TrieIndex(const TrieIndex& base, const RowView& appended,
-            const RowView& removed,
-            const std::vector<std::vector<int>>& level_positions);
+  /// count), spliced in two phases. The *plan* walks the delta down the
+  /// levels with SeekGE inside each parent's child range and records, per
+  /// level, a sorted list of edits: insert a node before node p, erase node
+  /// p, or set a leaf's support / an inner node's child count. A leaf goes
+  /// when its support reaches zero, an inner node when it is left with no
+  /// children. Every support check runs in the plan, before anything is
+  /// written, so a failed check never leaves a half-spliced trie. The
+  /// *apply* rewrites each level from its first edit on (the prefix before
+  /// it is never touched): kept runs move once -- left-moving runs front
+  /// to back, then right-moving runs back to front, so no run overwrites
+  /// one not yet moved -- and the inserted nodes land in their final
+  /// slots; first-child offsets are edited as child counts and
+  /// prefix-summed back. Cost: O(k log k) to sort k delta rows, O(k *
+  /// depth) probes of O(log gap) each (TrieBuildStats::
+  /// delta_nodes_visited), plus a memmove-speed shift of each level's
+  /// suffix past its first edit.
+  ///
+  /// Readers of this trie must not overlap the splice: a trie someone else
+  /// may still read is spliced through SpliceOrCopy, which copies it first.
+  /// Checks that no key's support goes negative.
+  void Splice(const RowView& appended, const RowView& removed,
+              const std::vector<std::vector<int>>& level_positions);
 
   /// Structural equality: same levels, child offsets, per-key support
   /// counts (an absent counts vector equals all ones) and root support. A
-  /// delta-built trie equals the from-scratch build of the post-window
+  /// spliced trie equals the from-scratch build of the post-window
   /// relation.
   bool operator==(const TrieIndex& other) const;
 
@@ -202,19 +218,34 @@ class TrieIndex {
   /// (the dense common case costs nothing).
   void SetCounts(std::vector<std::uint32_t>&& counts);
 
-  /// The delta constructor's working state (defined in trie_index.cc).
-  struct Splicer;
+  /// One planned change to a level at base node `pos` (defined in
+  /// trie_index.cc), and the read-only walk that plans a splice.
+  struct Edit;
+  struct SplicePlan;
+  /// Applies one level's sorted edits (Splice's apply phase).
+  void ApplyEdits(int level, const std::vector<Edit>& edits);
 
   std::vector<Level> levels_;
   std::size_t num_tuples_ = 0;
   /// Per-leaf-key support counts in lexicographic (DFS/leaf) order; empty
-  /// means every key has support one. Only the delta constructor consumes
-  /// these -- enumeration and seeks never look at them.
+  /// means every key has support one. Only Splice consumes these --
+  /// enumeration and seeks never look at them.
   std::vector<std::uint32_t> counts_;
   /// Depth-0 (nullary key) support: how many rows back the boolean guard.
   /// num_tuples_ is 1 iff this is nonzero.
   std::size_t root_support_ = 0;
 };
+
+/// Splices one window into `*trie` (TrieIndex::Splice) and leaves `*trie`
+/// pointing at the result. When `*trie` is the trie's only owner the splice
+/// runs in place; when anyone else holds it, the trie is copied first and
+/// the copy spliced, so the other holders' trie is never touched (counted
+/// in TrieBuildStats::shared_splices). Sole ownership is decided by the
+/// pointer's use count, so the caller must be the only thread that can
+/// copy `*trie`.
+void SpliceOrCopy(std::shared_ptr<TrieIndex>* trie, const RowView& appended,
+                  const RowView& removed,
+                  const std::vector<std::vector<int>>& level_positions);
 
 }  // namespace cqbounds
 

@@ -120,6 +120,9 @@ TEST(BenchSmokeTest, QuickJsonStillCarriesTimedSections) {
       << json;
   EXPECT_NE(json.find("\"reps\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"seconds_per_rep\""), std::string::npos);
+  // Every timer carries its min and median rep next to the mean.
+  EXPECT_NE(json.find("\"min_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"median_seconds\""), std::string::npos);
   // And the sections were actually executed on the way.
   EXPECT_NE(output.find("Timed sections"), std::string::npos) << output;
 }

@@ -774,8 +774,8 @@ TEST(RadixTrieBuildTest, CountsBuildsAndNeverMaterializesTuples) {
   r.InsertBatch({{1, 2}, {3, 4}, {5, 6}});
   TrieIndex scratch(r, {{0}, {1}});
   r.Insert({7, 8});
-  TrieIndex patched(scratch, RowView::Tail(r.store(), 3, 1), RowView(),
-                    {{0}, {1}});
+  TrieIndex patched(scratch);
+  patched.Splice(RowView::Tail(r.store(), 3, 1), RowView(), {{0}, {1}});
   const TrieBuildStats after = GetTrieBuildStats();
   EXPECT_EQ(after.radix_builds, before.radix_builds + 1);
   EXPECT_EQ(after.merge_builds, before.merge_builds + 1);

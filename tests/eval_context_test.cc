@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "core/join_plan.h"
 #include "cq/parser.h"
@@ -160,6 +164,93 @@ TEST(EvalContextTest, GetTrieEnforcesRelationIdentityNotNameEquality) {
   EXPECT_DEATH(ctx.GetTrie(*foreign, {{0}, {1}}, nullptr),
                "does not belong");
 #endif
+}
+
+/// B(i, j) for i < 20, j < 50: a two-level trie big enough that a splice
+/// leaves most of it in place.
+Relation* AddGrid(Database* db) {
+  Relation* b = db->AddRelation("B", 2);
+  for (Value i = 0; i < 20; ++i) {
+    for (Value j = 0; j < 50; ++j) b->Insert({i, j});
+  }
+  return b;
+}
+
+/// Every key value of `trie`, level by level: what a reader scanning it
+/// would see.
+std::uint64_t Checksum(const TrieIndex& trie) {
+  std::uint64_t sum = 0;
+  std::vector<TrieIndex::Range> ranges = {trie.RootRange()};
+  for (int level = 0; level < trie.num_levels(); ++level) {
+    std::vector<TrieIndex::Range> next;
+    for (const TrieIndex::Range r : ranges) {
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        sum = sum * 31 + static_cast<std::uint64_t>(trie.ValueAt(level, i));
+        next.push_back(trie.ChildRange(level, i));
+      }
+    }
+    ranges = std::move(next);
+  }
+  return sum;
+}
+
+TEST(EvalContextTest, UnheldTrieIsSplicedInPlace) {
+  // Nobody holds the cached trie across the mutation, so the refresh
+  // splices it in place: same object, no copy, same tries as a fresh
+  // build.
+  const std::vector<std::vector<int>> layout = {{0}, {1}};
+  Database db;
+  Relation* b = AddGrid(&db);
+  EvalContext ctx(db);
+  const TrieIndex* before = ctx.GetTrie(*b, layout, nullptr).get();
+  const TrieBuildStats stats0 = GetTrieBuildStats();
+  ASSERT_TRUE(b->Remove({0, 0}));
+  ASSERT_TRUE(b->Insert({19, 50}));
+  ASSERT_TRUE(b->Insert({7, -1}));
+  EvalStats stats;
+  const std::shared_ptr<const TrieIndex> after = ctx.GetTrie(*b, layout,
+                                                             &stats);
+  const TrieBuildStats stats1 = GetTrieBuildStats();
+  EXPECT_EQ(after.get(), before);
+  EXPECT_EQ(stats.trie_unpatches, 1u);
+  EXPECT_EQ(stats1.merge_builds, stats0.merge_builds + 1);
+  EXPECT_EQ(stats1.shared_splices, stats0.shared_splices);
+  EXPECT_TRUE(*after == TrieIndex(*b, layout));
+}
+
+TEST(EvalContextTest, HeldTrieIsNeverMutated) {
+  // A reader holds the cached trie -- and a worker thread scans it --
+  // across the mutation and the refresh: the refresh must splice a copy
+  // and leave the held trie exactly as it was.
+  const std::vector<std::vector<int>> layout = {{0}, {1}};
+  Database db;
+  Relation* b = AddGrid(&db);
+  EvalContext ctx(db);
+  const std::shared_ptr<const TrieIndex> held =
+      ctx.GetTrie(*b, layout, nullptr);
+  const TrieIndex saved(*held);
+  const std::uint64_t want = Checksum(saved);
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_scans{0};
+  std::thread reader([&] {
+    do {
+      if (Checksum(*held) != want) bad_scans.fetch_add(1);
+    } while (!done.load());
+  });
+  // EXPECT, not ASSERT: an early return would leave the reader running.
+  const TrieBuildStats stats0 = GetTrieBuildStats();
+  EXPECT_TRUE(b->Remove({0, 0}));
+  EXPECT_TRUE(b->Insert({19, 50}));
+  const std::shared_ptr<const TrieIndex> refreshed =
+      ctx.GetTrie(*b, layout, nullptr);
+  const TrieBuildStats stats1 = GetTrieBuildStats();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(bad_scans.load(), 0);
+  EXPECT_NE(refreshed.get(), held.get());
+  EXPECT_EQ(stats1.shared_splices, stats0.shared_splices + 1);
+  EXPECT_TRUE(*held == saved);
+  EXPECT_TRUE(*refreshed == TrieIndex(*b, layout));
 }
 
 TEST(EvalContextTest, RejectsContextAttachedToAnotherDatabase) {

@@ -103,11 +103,12 @@ TEST(TrieIndexTest, PatchMatchesFromScratchRebuild) {
   r.Insert({11, 1});  // past the old maximum
   const RowView appended = RowView::Tail(r.store(), 4, 3);
 
-  TrieIndex patched(base, appended, RowView(), {{0}, {1}});
+  TrieIndex patched(base);
+  patched.Splice(appended, RowView(), {{0}, {1}});
   TrieIndex scratch(r, {{0}, {1}});
   EXPECT_EQ(patched.num_tuples(), scratch.num_tuples());
   EXPECT_EQ(AllKeys(patched), AllKeys(scratch));
-  // The base is untouched (patching builds a fresh object).
+  // The base is untouched (the splice went into a copy).
   EXPECT_EQ(base.num_tuples(), 4u);
 }
 
@@ -127,10 +128,9 @@ TEST(TrieIndexTest, PatchIsSetSemanticAndFiltersSelfInconsistent) {
   d.Insert({1, 2, 1});  // repeats a base key
   d.Insert({6, 7, 6});  // genuinely new
   d.Insert({8, 9, 1});  // self-inconsistent under {0, 2}: filtered
-  TrieIndex patched(base, RowView::Tail(d.store(), 0, 3), RowView(),
-                    {{1}, {0, 2}});
-  EXPECT_EQ(patched.num_tuples(), 3u);
-  EXPECT_EQ(AllKeys(patched),
+  base.Splice(RowView::Tail(d.store(), 0, 3), RowView(), {{1}, {0, 2}});
+  EXPECT_EQ(base.num_tuples(), 3u);
+  EXPECT_EQ(AllKeys(base),
             (std::vector<Tuple>{{2, 1}, {5, 4}, {7, 6}}));
 }
 
@@ -141,12 +141,12 @@ TEST(TrieIndexTest, PatchOnNullaryTrieFlipsEmptiness) {
   EXPECT_EQ(base.num_tuples(), 0u);
 
   // An empty delta keeps the guard closed; the empty tuple opens it.
-  TrieIndex still_empty(base, RowView::Tail(g.store(), 0, 0), RowView(), {});
-  EXPECT_EQ(still_empty.num_tuples(), 0u);
+  base.Splice(RowView::Tail(g.store(), 0, 0), RowView(), {});
+  EXPECT_EQ(base.num_tuples(), 0u);
   Relation d("D", 0);
   d.Insert({});
-  TrieIndex open(base, RowView::Tail(d.store(), 0, 1), RowView(), {});
-  EXPECT_EQ(open.num_tuples(), 1u);
+  base.Splice(RowView::Tail(d.store(), 0, 1), RowView(), {});
+  EXPECT_EQ(base.num_tuples(), 1u);
 }
 
 TEST(TrieIndexTest, SeekGallopsWithinRange) {

@@ -1,17 +1,20 @@
-// The trie delta constructor against its oracle: a TrieIndex spliced from a
-// base trie and a journaled window must equal, node for node and support
-// for support, the from-scratch build over the post-window relation.
-// Randomized windows cover every layout shape the executors produce
-// (depth 0-3, projections where one key carries several rows,
-// repeated-variable equality filters) and chain the splices, so each
-// window's base is itself a splice. Windows routinely cross compactions;
-// every one inside the journal's epoch retention must splice. Deterministic cases pin the edges the
-// random draws hit only by luck: new level-0 nodes before, between and
-// after the existing ones, removals that empty a subtree or the whole trie,
-// a key appended and removed inside one window, and a removal the base
-// never supported (a CQB_CHECK death). DeltaCostTest pins the splice's
-// work: a one-row window over a 10^5-key trie probes and emits O(depth)
-// nodes, never O(base).
+// TrieIndex::Splice against its oracle: a trie spliced in place by a
+// journaled window must equal, node for node and support for support, the
+// from-scratch build over the post-window relation. Randomized windows
+// cover every layout shape the executors produce (depth 0-3, projections
+// where one key carries several rows, repeated-variable equality filters)
+// and chain the splices, so each window splices a trie that was itself
+// spliced. Windows routinely cross compactions; every one inside the
+// journal's epoch retention must splice. Deterministic cases pin the edges
+// the random draws hit only by luck: new level-0 nodes before, between and
+// after the existing ones, an early erase with a late insert and the
+// reverse (the apply phase's two move directions), removals that empty a
+// subtree or the whole trie and appends that refill an empty one, a
+// projection window that makes a dense trie's supports non-unit and one
+// that brings them back to one, a key appended and removed inside one
+// window, and a removal the trie never supported (a CQB_CHECK death).
+// DeltaCostTest pins the splice's work: a one-row window over a 10^5-key
+// trie probes and edits O(depth) nodes, never O(base).
 
 #include <gtest/gtest.h>
 
@@ -66,12 +69,12 @@ void RemoveWhere(Relation* r, int col, Value v) {
   }
 }
 
-/// Splices the window since `*base_gen` into `*base` and checks it against
-/// a fresh build; the splice then becomes the next window's base, so chained
-/// windows unpatch an unpatch. Compactions inside the window are
-/// journaled and the removed keys come from the saved codes, so the window
-/// splices unless it fell out of the journal's epoch retention; then this
-/// returns false and rebases on the fresh build.
+/// Splices the window since `*base_gen` into `*base` in place and checks
+/// it against a fresh build; the spliced trie is then the next window's
+/// base, so chained windows unpatch an unpatch. Compactions inside the
+/// window are journaled and the removed keys come from the saved codes, so
+/// the window splices unless it fell out of the journal's epoch retention;
+/// then this returns false and rebases on the fresh build.
 bool SpliceAndCheck(const Relation& r, const Layout& layout,
                     TrieIndex* base, std::uint64_t* base_gen,
                     const std::string& context) {
@@ -79,16 +82,23 @@ bool SpliceAndCheck(const Relation& r, const Layout& layout,
   const TrieIndex fresh(r, layout);
   const bool spliced = r.DeltasSince(*base_gen, &deltas);
   if (spliced) {
-    TrieIndex got(*base, deltas.Appended(r.store()),
-                  deltas.Removed(r.store()), layout);
-    EXPECT_TRUE(got == fresh) << context;
-    EXPECT_EQ(got.num_tuples(), fresh.num_tuples()) << context;
-    *base = std::move(got);
+    base->Splice(deltas.Appended(r.store()), deltas.Removed(r.store()),
+                 layout);
+    EXPECT_TRUE(*base == fresh) << context;
+    EXPECT_EQ(base->num_tuples(), fresh.num_tuples()) << context;
   } else {
     *base = fresh;
   }
   *base_gen = r.generation();
   return spliced;
+}
+
+/// A copy of `base` spliced by `appended` minus `removed`.
+TrieIndex Spliced(const TrieIndex& base, const RowView& appended,
+                  const RowView& removed, const Layout& layout) {
+  TrieIndex got(base);
+  got.Splice(appended, removed, layout);
+  return got;
 }
 
 TEST(TrieDeltaPropertyTest, SpliceEqualsFreshBuildOnRandomChainedWindows) {
@@ -169,7 +179,7 @@ TEST(TrieDeltaPropertyTest, NewLevelZeroNodesBeforeBetweenAndAfter) {
   Relation r = Build("R", 2, {{10, 1}, {20, 1}, {20, 2}, {30, 1}});
   const TrieIndex base(r, layout);
   const Relation d = Build("D", 2, {{5, 7}, {15, 7}, {25, 7}, {35, 7}});
-  const TrieIndex got(base, AllRows(d), RowView(), layout);
+  const TrieIndex got = Spliced(base, AllRows(d), RowView(), layout);
   for (const Tuple& t : d.tuples()) r.Insert(t);
   EXPECT_TRUE(got == TrieIndex(r, layout));
   EXPECT_EQ(got.RootRange().size(), 7u);
@@ -186,7 +196,7 @@ TEST(TrieDeltaPropertyTest, RemovalsEmptyASubtreeOrTheWholeTrie) {
     const TrieIndex base(r, lc.layout);
 
     // Whole trie: every row of the base removed.
-    const TrieIndex emptied(base, RowView(), AllRows(r), lc.layout);
+    const TrieIndex emptied = Spliced(base, RowView(), AllRows(r), lc.layout);
     EXPECT_TRUE(emptied == TrieIndex(Relation("E", lc.arity), lc.layout))
         << lc.name;
     EXPECT_EQ(emptied.num_tuples(), 0u) << lc.name;
@@ -206,7 +216,7 @@ TEST(TrieDeltaPropertyTest, RemovalsEmptyASubtreeOrTheWholeTrie) {
         rest.Insert(t);
       }
     }
-    EXPECT_TRUE(TrieIndex(base, RowView(), gone, lc.layout) ==
+    EXPECT_TRUE(Spliced(base, RowView(), gone, lc.layout) ==
                 TrieIndex(rest, lc.layout))
         << lc.name;
   }
@@ -227,10 +237,91 @@ TEST(TrieDeltaPropertyTest, KeyAppendedAndRemovedInOneWindow) {
   r.Remove({9, 9});
   Relation::DeltaSet deltas;
   ASSERT_TRUE(r.DeltasSince(gen, &deltas));
-  const TrieIndex got(base, deltas.Appended(r.store()),
-                      deltas.Removed(r.store()), layout);
+  const TrieIndex got = Spliced(base, deltas.Appended(r.store()),
+                                deltas.Removed(r.store()), layout);
   EXPECT_TRUE(got == TrieIndex(r, layout));
   EXPECT_TRUE(got == base);
+}
+
+TEST(TrieDeltaPropertyTest, EarlyEraseLateInsertAndTheReverse) {
+  // An erase near the front with an insert near the back shifts the runs
+  // between them left; the reverse shifts them right. Both levels take
+  // edits, and the middle of the trie keeps its shift-free runs.
+  const Layout layout = {{0}, {1}};
+  const auto grid = [] {
+    Relation r("R", 2);
+    for (Value a = 0; a < 10; ++a) {
+      for (Value b = 0; b < 10; ++b) r.Insert({a, 10 * b});
+    }
+    return r;
+  };
+  const std::vector<std::pair<std::vector<Tuple>, std::vector<Tuple>>>
+      windows = {
+          // Left-moving: erase early, insert late (leaf and level 0).
+          {{{9, 95}, {12, 0}}, {{0, 0}, {1, 50}}},
+          // Right-moving: insert early, erase late.
+          {{{-1, 3}, {0, 5}}, {{9, 90}, {8, 40}}},
+          // Both directions in one window, a whole subtree erased between.
+          {{{0, 1}, {11, 7}}, {{2, 0}, {2, 10}, {2, 20}, {2, 30}, {2, 40},
+                               {2, 50}, {2, 60}, {2, 70}, {2, 80}, {2, 90},
+                               {7, 70}}},
+      };
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    Relation r = grid();
+    TrieIndex trie(r, layout);
+    std::uint64_t gen = r.generation();
+    for (const Tuple& t : windows[w].first) ASSERT_TRUE(r.Insert(t));
+    for (const Tuple& t : windows[w].second) ASSERT_TRUE(r.Remove(t));
+    ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen,
+                               "window " + std::to_string(w)));
+  }
+}
+
+TEST(TrieDeltaPropertyTest, ProjectionWindowsMakeAndUnmakeNonUnitSupports) {
+  // Projection onto column 0 of distinct first columns: every key has
+  // support one. A second row under key 5 raises its support to two (a
+  // dense trie gains supports); removing it brings every key back to one.
+  const Layout layout = {{0}};
+  Relation r("R", 2);
+  for (Value k = 0; k < 20; ++k) r.Insert({k, 0});
+  TrieIndex trie(r, layout);
+  std::uint64_t gen = r.generation();
+  r.Insert({5, 1});
+  r.Insert({30, 0});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "raise"));
+  r.Remove({5, 0});
+  r.Remove({30, 0});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "lower"));
+  // Key 5 still holds one row: removing it erases the key outright.
+  r.Remove({5, 1});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "erase"));
+  EXPECT_EQ(trie.num_tuples(), 19u);
+}
+
+TEST(TrieDeltaPropertyTest, EmptyTheTrieThenRefillIt) {
+  for (const LayoutCase& lc : LayoutCases()) {
+    Rng rng(11);
+    std::vector<Tuple> before;
+    std::vector<Tuple> after;
+    for (int i = 0; i < 30; ++i) {
+      before.push_back(RandomTuple(&rng, lc.arity, 0, 4));
+      after.push_back(RandomTuple(&rng, lc.arity, -2, 3));
+    }
+    const Relation r = Build("R", lc.arity, before);
+    const Relation refill = Build("S", lc.arity, after);
+    const TrieIndex empty(Relation("E", lc.arity), lc.layout);
+    const TrieIndex want(refill, lc.layout);
+    // Emptied by a splice, then refilled by one ...
+    TrieIndex trie(r, lc.layout);
+    trie.Splice(RowView(), AllRows(r), lc.layout);
+    EXPECT_TRUE(trie == empty) << lc.name;
+    trie.Splice(AllRows(refill), RowView(), lc.layout);
+    EXPECT_TRUE(trie == want) << lc.name;
+    // ... and a trie built empty, refilled.
+    TrieIndex built_empty = empty;
+    built_empty.Splice(AllRows(refill), RowView(), lc.layout);
+    EXPECT_TRUE(built_empty == want) << lc.name;
+  }
 }
 
 TEST(TrieDeltaPropertyTest, ChainedUnpatchesStayExact) {
@@ -250,24 +341,23 @@ TEST(TrieDeltaPropertyTest, ChainedUnpatchesStayExact) {
 TEST(TrieDeltaDeathTest, RemovalTheBaseNeverSupportedAborts) {
   const Layout layout = {{0}, {1}};
   const Relation r = Build("R", 2, {{1, 2}});
-  const TrieIndex base(r, layout);
+  TrieIndex base(r, layout);
   EXPECT_EQ(base.num_tuples(), 1u);
 #if defined(GTEST_HAS_DEATH_TEST) && GTEST_HAS_DEATH_TEST
   const Relation absent = Build("A", 2, {{3, 4}});
   // Projection: key 1 has support one, two removed rows overdraw it.
   const Relation twice = Build("T", 2, {{1, 2}, {1, 3}});
-  EXPECT_DEATH(TrieIndex(base, RowView(), AllRows(absent), layout),
-               "net >= 0");
-  EXPECT_DEATH(TrieIndex(TrieIndex(r, {{0}}), RowView(), AllRows(twice),
-                         {{0}}),
+  TrieIndex projected(r, {{0}});
+  EXPECT_DEATH(base.Splice(RowView(), AllRows(absent), layout), "net >= 0");
+  EXPECT_DEATH(projected.Splice(RowView(), AllRows(twice), {{0}}),
                "net >= 0");
 #endif
 }
 
 // --- Work pin ---------------------------------------------------------------
 
-/// Runs one window on a 10^5-key two-level trie and returns the nodes the
-/// splice visited, after checking it against a fresh build.
+/// Splices one window into a 10^5-key two-level trie and returns the nodes
+/// the splice visited, after checking it against a fresh build.
 std::uint64_t VisitsForWindow(const std::vector<Tuple>& inserts,
                               const std::vector<Tuple>& removes) {
   const Layout layout = {{0}, {1}};
@@ -285,8 +375,9 @@ std::uint64_t VisitsForWindow(const std::vector<Tuple>& inserts,
   EXPECT_TRUE(r.DeltasSince(gen, &deltas));
   const RowView appended = deltas.Appended(r.store());
   const RowView removed = deltas.Removed(r.store());
+  TrieIndex got(base);
   const TrieBuildStats before = GetTrieBuildStats();
-  const TrieIndex got(base, appended, removed, layout);
+  got.Splice(appended, removed, layout);
   const TrieBuildStats after = GetTrieBuildStats();
   EXPECT_TRUE(got == TrieIndex(r, layout));
   return after.delta_nodes_visited - before.delta_nodes_visited;
