@@ -61,7 +61,7 @@ void AddPlanRows(bench::Table* table, const std::string& instance,
     EvalStats stats;
     auto result = kind == PlanKind::kGenericJoin
                       ? EvaluateGenericJoin(q, db, order.order, &stats)
-                      : EvaluateQuery(q, db, kind, &stats);
+                      : EvaluateQuery(q, db, kind, nullptr, nullptr, &stats);
     // The semi-join column makes the hybrid's reduction pass visible: an
     // abandoned pass used to read exactly like a clean one.
     const char* pass = "-";

@@ -110,10 +110,10 @@ Database& DanglingChain500() {
 
 void PrepareTimerFixtures() {
   EvaluateQuery(TriangleQuery(), Star1000(), PlanKind::kGenericJoin,
-                &Star1000Ctx(), nullptr)
+                &Star1000Ctx())
       .ValueOrDie();
   EvaluateQuery(ChainQuery(), SelectiveChain20000(), PlanKind::kGenericJoin,
-                &SelectiveChain20000Ctx(), nullptr)
+                &SelectiveChain20000Ctx())
       .ValueOrDie();
   DanglingChain500();
 }
@@ -142,8 +142,8 @@ void PrintTables() {
         e->Insert({5003, 5001});
       }
       EvalStats stats;
-      EvaluateQuery(*triangle, db, PlanKind::kGenericJoin, &ctx, &stats)
-          .ValueOrDie();
+      EvaluateQuery(*triangle, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                    &stats).ValueOrDie();
       cache.AddRow({"star/120", run, bench::Num(stats.trie_cache_hits),
                     bench::Num(stats.trie_cache_misses),
                     bench::Num(stats.indexed_tuples)});
@@ -154,7 +154,7 @@ void PrintTables() {
     EvalContext ctx(db);
     for (const char* run : {"cold", "warm"}) {
       EvalStats stats;
-      EvaluateQuery(*chain, db, PlanKind::kGenericJoin, &ctx, &stats)
+      EvaluateQuery(*chain, db, PlanKind::kGenericJoin, &ctx, nullptr, &stats)
           .ValueOrDie();
       cache.AddRow({"chain/100", run, bench::Num(stats.trie_cache_hits),
                     bench::Num(stats.trie_cache_misses),
@@ -165,8 +165,8 @@ void PrintTables() {
     // probe and no reduction at all (E12 tracks the plan-tier counters).
     for (const char* run : {"hybrid-cold", "hybrid-warm"}) {
       EvalStats stats;
-      EvaluateQuery(*chain, db, PlanKind::kHybridYannakakis, &ctx, &stats)
-          .ValueOrDie();
+      EvaluateQuery(*chain, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &stats).ValueOrDie();
       cache.AddRow({"chain/100", run, bench::Num(stats.trie_cache_hits),
                     bench::Num(stats.trie_cache_misses),
                     bench::Num(stats.indexed_tuples)});
@@ -188,7 +188,7 @@ void PrintTables() {
                           PlanKind::kGenericJoin,
                           PlanKind::kHybridYannakakis}) {
       EvalStats stats;
-      EvaluateQuery(*chain, db, kind, &stats).ValueOrDie();
+      EvaluateQuery(*chain, db, kind, nullptr, nullptr, &stats).ValueOrDie();
       const char* pass = kind != PlanKind::kHybridYannakakis
                              ? "-"
                              : (stats.semijoin_pass_skipped
@@ -220,7 +220,7 @@ CQB_BENCH_TIMED("star1000/cold_rebuild_each_call", [] {
 
 CQB_BENCH_TIMED("star1000/warm_cached_tries", [] {
   EvaluateQuery(TriangleQuery(), Star1000(), PlanKind::kGenericJoin,
-                &Star1000Ctx(), nullptr)
+                &Star1000Ctx())
       .ValueOrDie();
 })
 
@@ -231,7 +231,7 @@ CQB_BENCH_TIMED("selective_chain20000/cold_rebuild_each_call", [] {
 
 CQB_BENCH_TIMED("selective_chain20000/warm_cached_tries", [] {
   EvaluateQuery(ChainQuery(), SelectiveChain20000(), PlanKind::kGenericJoin,
-                &SelectiveChain20000Ctx(), nullptr)
+                &SelectiveChain20000Ctx())
       .ValueOrDie();
 })
 
@@ -261,7 +261,7 @@ void BM_RepeatedEvalWarmCache(benchmark::State& state) {
   Database db = StarTriangleDatabase(static_cast<int>(state.range(0)));
   EvalContext ctx(db);
   for (auto _ : state) {
-    auto r = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr);
+    auto r = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx);
     benchmark::DoNotOptimize(r);
   }
 }

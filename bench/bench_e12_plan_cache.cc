@@ -110,10 +110,10 @@ EvalContext& Chain16DirtyCtx() {
 
 void PrepareTimerFixtures() {
   EvaluateQuery(Chain16(), Chain16Db(), PlanKind::kHybridYannakakis,
-                &Chain16Ctx(), nullptr)
+                &Chain16Ctx())
       .ValueOrDie();
   EvaluateQuery(Chain16(), Chain16DirtyDb(), PlanKind::kHybridYannakakis,
-                &Chain16DirtyCtx(), nullptr)
+                &Chain16DirtyCtx())
       .ValueOrDie();
 }
 
@@ -141,7 +141,7 @@ void PrintTables() {
         db.FindMutable("E4")->Insert({500000, 600000});  // dangling
       }
       EvalStats stats;
-      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
           .ValueOrDie();
       AddCounterRow(&counters, "chain8-clean/120", run, stats);
     }
@@ -169,7 +169,7 @@ void PrintTables() {
     EvalContext ctx(db);
     for (const char* run : {"cold", "warm", "warm2"}) {
       EvalStats stats;
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
           .ValueOrDie();
       AddCounterRow(&counters, "chain4-dangling/100", run, stats);
     }
@@ -188,7 +188,7 @@ void PrintTables() {
     EvalContext ctx(db);
     for (const char* run : {"cold", "warm"}) {
       EvalStats stats;
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
           .ValueOrDie();
       AddCounterRow(&counters, "K4-highwidth/30", run, stats);
     }
@@ -206,7 +206,7 @@ void PrintTables() {
     ChooseGenericJoinOrder(q, &ctx).ValueOrDie();
     sharing.AddRow({"plan (cold)", bench::Num(ctx.plan_hits()),
                     bench::Num(ctx.plan_misses())});
-    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr)
+    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx)
         .ValueOrDie();
     sharing.AddRow({"evaluate", bench::Num(ctx.plan_hits()),
                     bench::Num(ctx.plan_misses())});
@@ -237,13 +237,13 @@ CQB_BENCH_TIMED("chain16x400/cold_probe_each_call", [] {
 
 CQB_BENCH_TIMED("chain16x400/warm_plan_cache_skip_pass", [] {
   EvaluateQuery(Chain16(), Chain16Db(), PlanKind::kHybridYannakakis,
-                &Chain16Ctx(), nullptr)
+                &Chain16Ctx())
       .ValueOrDie();
 })
 
 CQB_BENCH_TIMED("chain16x400_dirty/warm_survivor_view_reuse", [] {
   EvaluateQuery(Chain16(), Chain16DirtyDb(), PlanKind::kHybridYannakakis,
-                &Chain16DirtyCtx(), nullptr)
+                &Chain16DirtyCtx())
       .ValueOrDie();
 })
 
@@ -270,7 +270,7 @@ void BM_HybridWarmPlanCache(benchmark::State& state) {
   Database db = IdentityChainDatabase(static_cast<int>(state.range(0)), 200);
   EvalContext ctx(db);
   for (auto _ : state) {
-    auto r = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr);
+    auto r = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx);
     benchmark::DoNotOptimize(r);
   }
 }

@@ -156,15 +156,13 @@ EvalContext& SkewCtx() {
 }
 
 void PrepareTimerFixtures() {
-  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx(), nullptr)
+  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx())
       .ValueOrDie();
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx())
       .ValueOrDie();
-  EvaluateQuery(TwoHopQ(), TwoHopDb(), PlanKind::kGenericJoin, &TwoHopCtx(),
-                nullptr)
+  EvaluateQuery(TwoHopQ(), TwoHopDb(), PlanKind::kGenericJoin, &TwoHopCtx())
       .ValueOrDie();
-  EvaluateQuery(ProjQ(), TwoHopDb(), PlanKind::kGenericJoin, &TwoHopCtx(),
-                nullptr)
+  EvaluateQuery(ProjQ(), TwoHopDb(), PlanKind::kGenericJoin, &TwoHopCtx())
       .ValueOrDie();
 }
 
@@ -195,8 +193,8 @@ void PrintTables() {
     for (int workers : {-1, 0, 1, 3, 7}) {
       EvalStats stats;
       if (workers < 0) {
-        EvaluateQuery(c.query, db, PlanKind::kGenericJoin, &ctx, &stats)
-            .ValueOrDie();
+        EvaluateQuery(c.query, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                      &stats).ValueOrDie();
         serial_output = stats.output_size;
         serial_depths = stats.intermediate_sizes;
       } else {
@@ -236,7 +234,7 @@ void PrintTables() {
 }
 
 CQB_BENCH_TIMED("triangle300/threads1", [] {
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx())
       .ValueOrDie();
 })
 
@@ -263,7 +261,7 @@ CQB_BENCH_TIMED("triangle300/threads8", [] {
 // cost per answer.
 CQB_BENCH_TIMED("twohop1e5/threads1", [] {
   CQB_CHECK(EvaluateQuery(TwoHopQ(), TwoHopDb(), PlanKind::kGenericJoin,
-                          &TwoHopCtx(), nullptr)
+                          &TwoHopCtx())
                 .ValueOrDie()
                 .size() == 36u * kTwoHopN);
 })
@@ -278,7 +276,7 @@ CQB_BENCH_TIMED("twohop1e5/threads4", [] {
 // The projection path: repeats reach the merge and are probed away there.
 CQB_BENCH_TIMED("proj2hop/threads1", [] {
   CQB_CHECK(EvaluateQuery(ProjQ(), TwoHopDb(), PlanKind::kGenericJoin,
-                          &TwoHopCtx(), nullptr)
+                          &TwoHopCtx())
                 .ValueOrDie()
                 .size() == kProjAnswers);
 })
@@ -291,7 +289,7 @@ CQB_BENCH_TIMED("proj2hop/threads4", [] {
 })
 
 CQB_BENCH_TIMED("skewtri1e5/threads1", [] {
-  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx(), nullptr)
+  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx())
       .ValueOrDie();
 })
 

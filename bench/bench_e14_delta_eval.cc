@@ -106,10 +106,9 @@ EvalContext& ChCtx() {
 }
 
 void PrepareTimerFixtures() {
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx())
       .ValueOrDie();
-  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
-                nullptr)
+  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx())
       .ValueOrDie();
 }
 
@@ -142,7 +141,8 @@ void PrintTables() {
     };
 
     EvalStats stats;
-    EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats).ValueOrDie();
+    EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                  &stats).ValueOrDie();
     CQB_CHECK(stats.trie_rebuilds >= 1 && stats.trie_patches == 0);
     base_output = stats.output_size;
     row("cold build", stats);
@@ -152,7 +152,8 @@ void PrintTables() {
         removable = Tuple{FreshVertex(), FreshVertex()};
         CQB_CHECK(e->Insert(removable));
       }
-      EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats).ValueOrDie();
+      EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                    &stats).ValueOrDie();
       // The experiment's headline invariant, asserted where it is measured:
       // an appends-only refresh of a warm 10^4-tuple instance patches, it
       // never rebuilds.
@@ -171,7 +172,8 @@ void PrintTables() {
     // keys' support from the cached tries), still never a rebuild.
     CQB_CHECK(e->Remove(removable));
     CQB_CHECK(e->compactions() == 0);
-    EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats).ValueOrDie();
+    EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                  &stats).ValueOrDie();
     CQB_CHECK(stats.trie_patches == 0);
     CQB_CHECK(stats.trie_unpatches >= 1);
     CQB_CHECK(stats.trie_rebuilds == 0);
@@ -210,7 +212,7 @@ void PrintTables() {
     };
 
     EvalStats stats;
-    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
         .ValueOrDie();
     // Clean cold pass: nothing drops, so the cached state is delta-ready.
     CQB_CHECK(stats.semijoin_pass_ran &&
@@ -222,7 +224,7 @@ void PrintTables() {
     for (int k : {1, 10, 100}) {
       for (int i = 0; i < k; ++i) CQB_CHECK(r->Insert({FreshVertex(), 0}));
       appended_total += static_cast<std::size_t>(k);
-      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
           .ValueOrDie();
       // Appends onto a clean state: the pass runs as an O(k) delta
       // extension (it ran, dropped nothing, stayed clean) and the stale
@@ -238,7 +240,7 @@ void PrintTables() {
     }
 
     // Unchanged generation vector: the pass is skipped outright.
-    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
         .ValueOrDie();
     CQB_CHECK(stats.semijoin_pass_skipped && !stats.semijoin_pass_ran);
     row("re-evaluate", "skip", stats);
@@ -246,7 +248,7 @@ void PrintTables() {
     // A dangling append (both endpoints fresh) is dropped by the delta
     // pass: the state goes dirty and R gets a survivor view ...
     CQB_CHECK(r->Insert({FreshVertex(), FreshVertex()}));
-    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
         .ValueOrDie();
     CQB_CHECK(stats.semijoin_pass_ran);
     CQB_CHECK(stats.semijoin_dropped_tuples == 1);
@@ -254,7 +256,7 @@ void PrintTables() {
     row("append 1 dangling", "delta", stats);
 
     // ... which the next unchanged evaluation reuses from the cache.
-    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
+    EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &stats)
         .ValueOrDie();
     CQB_CHECK(stats.semijoin_pass_skipped);
     CQB_CHECK(stats.survivor_view_hits >= 1);
@@ -278,7 +280,7 @@ void PrintTables() {
 // edge and re-evaluates through the warm context -- the patch path.
 CQB_BENCH_TIMED("triangle10k/append1+patch", [] {
   TriDb().FindMutable("E")->Insert({FreshVertex(), FreshVertex()});
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx())
       .ValueOrDie();
 })
 
@@ -287,7 +289,7 @@ CQB_BENCH_TIMED("triangle10k/append1+patch", [] {
 CQB_BENCH_TIMED("triangle10k/append1+rebuild", [] {
   TriDb().FindMutable("E")->Insert({FreshVertex(), FreshVertex()});
   EvalContext cold(TriDb());
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &cold, nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &cold)
       .ValueOrDie();
 })
 
@@ -295,8 +297,7 @@ CQB_BENCH_TIMED("triangle10k/append1+rebuild", [] {
 // state in O(1) and patch R's trie.
 CQB_BENCH_TIMED("chain10k/append1+delta-pass", [] {
   ChDb().FindMutable("R")->Insert({FreshVertex(), 0});
-  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
-                nullptr)
+  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx())
       .ValueOrDie();
 })
 
@@ -304,8 +305,7 @@ CQB_BENCH_TIMED("chain10k/append1+delta-pass", [] {
 CQB_BENCH_TIMED("chain10k/append1+full-pass", [] {
   ChDb().FindMutable("R")->Insert({FreshVertex(), 0});
   EvalContext cold(ChDb());
-  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &cold,
-                nullptr)
+  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &cold)
       .ValueOrDie();
 })
 
@@ -315,8 +315,7 @@ void BM_DeltaAppendEval(benchmark::State& state) {
     for (int i = 0; i < k; ++i) {
       TriDb().FindMutable("E")->Insert({FreshVertex(), FreshVertex()});
     }
-    auto r = EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(),
-                           nullptr);
+    auto r = EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx());
     benchmark::DoNotOptimize(r);
   }
 }

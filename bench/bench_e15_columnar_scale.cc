@@ -214,8 +214,7 @@ void PrintTables() {
   {
     EvalStats stats;
     EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kGenericJoin, &ChainCtx(),
-                  &stats)
-        .ValueOrDie();
+                  nullptr, &stats).ValueOrDie();
     CQB_CHECK(stats.output_size == kScale);  // (i, i+2) per cycle vertex
     CQB_CHECK(stats.trie_rebuilds == 2);
     join_table.AddRow({"cold", bench::Num(stats.indexed_tuples),
@@ -224,8 +223,7 @@ void PrintTables() {
                        bench::Num(stats.output_size)});
 
     EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kGenericJoin, &ChainCtx(),
-                  &stats)
-        .ValueOrDie();
+                  nullptr, &stats).ValueOrDie();
     CQB_CHECK(stats.output_size == kScale);
     CQB_CHECK(stats.trie_rebuilds == 0 && stats.trie_cache_hits == 2);
     join_table.AddRow({"warm", bench::Num(stats.indexed_tuples),
@@ -271,8 +269,7 @@ CQB_BENCH_TIMED("trie1M/radix-build", [] {
 // Warm join: both layouts served from the context cache, the leapfrog
 // enumeration and output materialization dominate.
 CQB_BENCH_TIMED("chain1M/warm-join", [] {
-  EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kGenericJoin, &ChainCtx(),
-                nullptr)
+  EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kGenericJoin, &ChainCtx())
       .ValueOrDie();
 })
 

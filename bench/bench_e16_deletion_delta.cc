@@ -145,8 +145,7 @@ struct DanglingChain {
     boolean_q.SetHead(boolean_q.head_relation(), {});
     FillDanglingChain(&db);
     ctx = std::make_unique<EvalContext>(db);
-    EvaluateQuery(ChainQuery(), db, PlanKind::kHybridYannakakis, ctx.get(),
-                  nullptr)
+    EvaluateQuery(ChainQuery(), db, PlanKind::kHybridYannakakis, ctx.get())
         .ValueOrDie();
   }
 
@@ -198,8 +197,7 @@ struct HotDanglingChain {
     Relation* h = db.AddRelation("H", 1);
     while (hot.size() < kHotRows) CQB_CHECK(h->Insert({NextHot()}));
     ctx = std::make_unique<EvalContext>(db);
-    EvaluateQuery(boolean_q, db, PlanKind::kHybridYannakakis, ctx.get(),
-                  nullptr)
+    EvaluateQuery(boolean_q, db, PlanKind::kHybridYannakakis, ctx.get())
         .ValueOrDie();
   }
 
@@ -221,8 +219,7 @@ struct HotDanglingChain {
     CQB_CHECK(h->compactions() == compactions + 1);
     EvalStats stats;
     EvaluateQuery(boolean_q, db, PlanKind::kHybridYannakakis, ctx.get(),
-                  &stats)
-        .ValueOrDie();
+                  nullptr, &stats).ValueOrDie();
     CQB_CHECK(stats.semijoin_delta_pass);
   }
 };
@@ -239,8 +236,7 @@ void DeltaPassRep(int which, int delta) {
   c.Mutate(delta);
   EvalStats stats;
   EvaluateQuery(c.boolean_q, c.db, PlanKind::kHybridYannakakis, c.ctx.get(),
-                &stats)
-      .ValueOrDie();
+                nullptr, &stats).ValueOrDie();
   CQB_CHECK(stats.semijoin_delta_pass);
 }
 
@@ -344,10 +340,9 @@ TrieWindows& Windows(int which) {
 }
 
 void PrepareTimerFixtures() {
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx())
       .ValueOrDie();
-  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
-                nullptr)
+  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx())
       .ValueOrDie();
   for (int which = 0; which < 4; ++which) Dangling(which);
   for (int which = 0; which < 5; ++which) Windows(which).Build();
@@ -388,7 +383,8 @@ void PrintTables() {
     };
 
     EvalStats stats;
-    EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats).ValueOrDie();
+    EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                  &stats).ValueOrDie();
     CQB_CHECK(stats.trie_rebuilds >= 1 && stats.trie_unpatches == 0);
     const std::size_t base_output = stats.output_size;
     row("cold build", stats);
@@ -397,7 +393,8 @@ void PrintTables() {
       for (int i = 0; i < k; ++i) {
         CQB_CHECK(e->Remove(pool[next_removable++]));
       }
-      EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats).ValueOrDie();
+      EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                    &stats).ValueOrDie();
       // The experiment's headline invariant, asserted where it is
       // measured: a small removal from a warm 10^4-tuple instance is a
       // tombstone served by the unpatch path -- it never compacts and
@@ -447,8 +444,7 @@ void PrintTables() {
       EvalContext cold(db);
       EvalStats cold_stats;
       auto want = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &cold,
-                                &cold_stats)
-                      .ValueOrDie();
+                                nullptr, &cold_stats).ValueOrDie();
       CQB_CHECK(want.size() == warm_result.size());
       CQB_CHECK(warm_stats.semijoin_dangling_tuples ==
                 cold_stats.semijoin_dropped_tuples);
@@ -456,8 +452,7 @@ void PrintTables() {
 
     EvalStats stats;
     auto result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx,
-                                &stats)
-                      .ValueOrDie();
+                                nullptr, &stats).ValueOrDie();
     CQB_CHECK(stats.semijoin_pass_ran && !stats.semijoin_delta_pass);
     CQB_CHECK(stats.semijoin_dropped_tuples == 0);
     const std::size_t base_output = result.size();
@@ -473,8 +468,8 @@ void PrintTables() {
     }
     for (const Tuple& t : support) CQB_CHECK(s->Remove(t));
     CQB_CHECK(s->compactions() == 0);
-    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
-                 .ValueOrDie();
+    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                           &stats).ValueOrDie();
     // Zero full re-reduces: the pass ran as a delta pass and killed
     // exactly the 6 R tuples whose semi-join key lost all support.
     CQB_CHECK(stats.semijoin_pass_ran && stats.semijoin_delta_pass);
@@ -486,8 +481,8 @@ void PrintTables() {
 
     // Unchanged generation vector: the pass is skipped, the dangling
     // census persists via the cached dirty state.
-    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
-                 .ValueOrDie();
+    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                           &stats).ValueOrDie();
     CQB_CHECK(stats.semijoin_pass_skipped);
     CQB_CHECK(stats.semijoin_dangling_tuples == 6);
     row("re-evaluate", "skip", stats);
@@ -495,8 +490,8 @@ void PrintTables() {
     // Revive: one appended support tuple flips key 0 back to supported;
     // all 6 previously killed R tuples come off the dropped book.
     CQB_CHECK(s->Insert({0, 1}));
-    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
-                 .ValueOrDie();
+    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                           &stats).ValueOrDie();
     CQB_CHECK(stats.semijoin_pass_ran && stats.semijoin_delta_pass);
     CQB_CHECK(stats.semijoin_revived_tuples == 6);
     CQB_CHECK(stats.semijoin_dangling_tuples == 0);
@@ -514,8 +509,8 @@ void PrintTables() {
       }
       if (v > 1) CQB_CHECK(s->Insert({v - 1, v}));
       result =
-          EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
-              .ValueOrDie();
+          EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                        &stats).ValueOrDie();
       CQB_CHECK(stats.semijoin_pass_ran && stats.semijoin_delta_pass);
       CQB_CHECK(stats.semijoin_killed_tuples == 6);
       CQB_CHECK(stats.semijoin_revived_tuples == (v > 1 ? 6u : 0u));
@@ -539,8 +534,8 @@ void PrintTables() {
         CQB_CHECK(s->Remove({v, (v - d + kCycleN) % kCycleN}));
       }
     }
-    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats)
-                 .ValueOrDie();
+    result = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                           &stats).ValueOrDie();
     CQB_CHECK(stats.semijoin_pass_ran && stats.semijoin_delta_pass);
     CQB_CHECK(stats.semijoin_killed_tuples == 6 * vertices);
     CQB_CHECK(stats.trie_rebuilds == 0);
@@ -571,7 +566,7 @@ CQB_BENCH_TIMED("triangle10k/remove1+unpatch", [] {
     e->Remove(live.front());
     live.pop_front();
   }
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx())
       .ValueOrDie();
 })
 
@@ -587,7 +582,7 @@ CQB_BENCH_TIMED("triangle10k/remove1+rebuild", [] {
     live.pop_front();
   }
   EvalContext cold(TriDb());
-  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &cold, nullptr)
+  EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &cold)
       .ValueOrDie();
 })
 
@@ -603,8 +598,7 @@ CQB_BENCH_TIMED("chain10k/remove1+delta-pass", [] {
     r->Remove(live.front());
     live.pop_front();
   }
-  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
-                nullptr)
+  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx())
       .ValueOrDie();
 })
 
@@ -619,8 +613,7 @@ CQB_BENCH_TIMED("chain10k/remove1+full-reduce", [] {
     live.pop_front();
   }
   EvalContext cold(ChDb());
-  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &cold,
-                nullptr)
+  EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &cold)
       .ValueOrDie();
 })
 
@@ -639,8 +632,7 @@ CQB_BENCH_TIMED("dangling1e5/delta1-full-reduce", [] {
   DanglingChain& c = Dangling(3);
   c.Mutate(1);
   EvalContext cold(c.db);
-  EvaluateQuery(c.boolean_q, c.db, PlanKind::kHybridYannakakis, &cold,
-                nullptr)
+  EvaluateQuery(c.boolean_q, c.db, PlanKind::kHybridYannakakis, &cold)
       .ValueOrDie();
 })
 
@@ -706,8 +698,7 @@ void BM_DeltaRemoveEval(benchmark::State& state) {
     }
     for (const Tuple& t : prev) e->Remove(t);
     prev = std::move(fresh);
-    auto r = EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(),
-                           nullptr);
+    auto r = EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx());
     benchmark::DoNotOptimize(r);
   }
 }

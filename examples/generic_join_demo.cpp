@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     auto result =
         kind == PlanKind::kGenericJoin
             ? EvaluateGenericJoin(*q, db, order->order, &stats)
-            : EvaluateQuery(*q, db, kind, &stats);
+            : EvaluateQuery(*q, db, kind, nullptr, nullptr, &stats);
     if (!result.ok()) {
       std::cerr << "execution error: " << result.status() << "\n";
       return 1;

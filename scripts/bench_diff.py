@@ -7,15 +7,19 @@ behaviour change and must be explained -- the script exits non-zero on any
 table diff. Timer sections are machine-dependent wall times: they are
 reported (with a slowdown threshold) but only fail the run with
 --fail-on-timers. A timer is compared by its median rep when both sides
-carry one ("median_seconds"), else by its mean ("seconds_per_rep").
+carry one ("median_seconds"), else by its mean ("seconds_per_rep"). A
+--quick dump's timers are single reps, first-rep noise next to the
+baseline's full-mode medians, so they are not compared at all (one note
+per such dump), and --fail-on-timers refuses a --quick dump (exit 2).
 
 Usage:
   scripts/bench_diff.py [--baseline BENCH_baseline.json]
                         [--timer-factor 2.0] [--fail-on-timers] [--strict]
                         dump1.json [dump2.json ...]
+  scripts/bench_diff.py --self-test
 
 Typical flows:
-  # CI: compare the --quick dumps of the baseline benches.
+  # CI: compare the tables of the baseline benches' --quick dumps.
   python3 scripts/bench_diff.py --baseline BENCH_baseline.json bench-json/*.json
 
   # Local, after an intentional change: inspect the report, then refresh the
@@ -23,8 +27,12 @@ Typical flows:
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
 
 
 def load(path):
@@ -92,7 +100,7 @@ def diff_timers(name, base_timers, new_timers, factor):
     return slowdowns, notes
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", default="BENCH_baseline.json")
     parser.add_argument("--timer-factor", type=float, default=2.0,
@@ -104,8 +112,14 @@ def main():
                              "newly baselined bench (e.g. E12) silently "
                              "skipping the table guard is itself a "
                              "regression")
-    parser.add_argument("dumps", nargs="+", help="fresh --json dump files")
-    args = parser.parse_args()
+    parser.add_argument("--self-test", action="store_true",
+                        help="run the script against its inline fixtures")
+    parser.add_argument("dumps", nargs="*", help="fresh --json dump files")
+    args = parser.parse_args(argv)
+    if args.self_test:
+        return self_test()
+    if not args.dumps:
+        parser.error("at least one dump file is required")
 
     baseline = load(args.baseline)
     if baseline.get("schema") != "cqbounds-bench-baseline-v2":
@@ -131,6 +145,15 @@ def main():
             continue
         compared += 1
         table_problems += diff_tables(name, base["tables"], dump["tables"])
+        if dump.get("quick"):
+            if args.fail_on_timers:
+                print(f"error: {path} is a --quick dump; its single-rep "
+                      "timers cannot be held to --fail-on-timers",
+                      file=sys.stderr)
+                return 2
+            notes.append(f"{name}: --quick dump, timers not compared "
+                         "(single reps against full-mode medians)")
+            continue
         s, n = diff_timers(name, base.get("timers", []),
                            dump.get("timers", []), args.timer_factor)
         slowdowns += s
@@ -171,6 +194,86 @@ def main():
         return 1
     print("tables match the baseline.")
     return 0
+
+
+def self_test():
+    """Runs main() over inline fixtures; returns 0 iff every case holds."""
+
+    def table(rows):
+        return [{"headers": ["n", "size"], "rows": rows}]
+
+    def timer(median_s):
+        return [{"name": "t", "seconds_per_rep": median_s,
+                 "median_seconds": median_s}]
+
+    baseline = {
+        "schema": "cqbounds-bench-baseline-v2",
+        "benches": {
+            "a": {"bench": "a", "quick": False,
+                  "tables": table([["1", "2"]]), "timers": timer(1e-3)},
+            "b": {"bench": "b", "quick": False,
+                  "tables": table([["3", "4"]]), "timers": []},
+        },
+    }
+
+    def dump(bench, rows, timers, quick=False):
+        return {"bench": bench, "quick": quick, "tables": table(rows),
+                "timers": timers}
+
+    good_b = dump("b", [["3", "4"]], [])
+    # (label, flags, dumps, expected exit code, expected output substrings,
+    #  forbidden output substrings)
+    cases = [
+        ("unchanged tables pass", ["--strict"],
+         [dump("a", [["1", "2"]], timer(1e-3)), good_b], 0,
+         ["tables match"], ["slow:"]),
+        ("a changed table row fails", [],
+         [dump("a", [["1", "5"]], timer(1e-3))], 1,
+         ["table regression", "+ ['1', '5']"], []),
+        ("strict: a dump with no baseline entry fails", ["--strict"],
+         [dump("a", [["1", "2"]], timer(1e-3)), good_b,
+          dump("c", [], [])], 1, ["c: not in baseline"], []),
+        ("strict: a baselined bench with no dump fails", ["--strict"],
+         [dump("a", [["1", "2"]], timer(1e-3))], 1,
+         ["b: in baseline but no dump supplied"], []),
+        ("a quick dump's timers are not compared", [],
+         [dump("a", [["1", "2"]], timer(10e-3), quick=True)], 0,
+         ["timers not compared"], ["slow:"]),
+        ("--fail-on-timers refuses a quick dump", ["--fail-on-timers"],
+         [dump("a", [["1", "2"]], timer(1e-3), quick=True)], 2, [], []),
+        ("a full dump's 3x median slowdown is reported", [],
+         [dump("a", [["1", "2"]], timer(3e-3))], 0,
+         ["slow: a: timer 't' 1.000 -> 3.000 ms/rep (3.0x median"], []),
+        ("--fail-on-timers fails that slowdown", ["--fail-on-timers"],
+         [dump("a", [["1", "2"]], timer(3e-3))], 1, ["slow:"], []),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base_path = os.path.join(tmp, "baseline.json")
+        with open(base_path, "w") as f:
+            json.dump(baseline, f)
+        for label, flags, dumps, want_code, wanted, forbidden in cases:
+            paths = []
+            for i, d in enumerate(dumps):
+                paths.append(os.path.join(tmp, f"dump{i}.json"))
+                with open(paths[-1], "w") as f:
+                    json.dump(d, f)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(out):
+                code = main(["--baseline", base_path] + flags + paths)
+            text = out.getvalue()
+            bad = [f"exit {code}, want {want_code}"] if code != want_code \
+                else []
+            bad += [f"missing {w!r}" for w in wanted if w not in text]
+            bad += [f"unexpected {w!r}" for w in forbidden if w in text]
+            if bad:
+                failures += 1
+                print(f"FAIL {label}: {'; '.join(bad)}")
+                print("  " + text.replace("\n", "\n  "))
+            else:
+                print(f"PASS {label}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -87,32 +87,29 @@ Status ValidateJoinPlan(const Query& query,
   return Status::OK();
 }
 
-/// Resolves and checks the relation behind `atom`, the shared precondition
-/// of every plan kind.
-Result<const Relation*> ResolveAtom(const Atom& atom, const Database& db) {
-  const Relation* rel = db.Find(atom.relation);
-  if (rel == nullptr) {
-    return Status::NotFound("relation '" + atom.relation +
-                            "' missing from database");
+/// Resolves and checks the relation behind every atom of `query` -- the
+/// shared precondition of every plan kind -- up front, in atom order, so
+/// missing relations and arity mismatches error deterministically even
+/// when an earlier atom is already empty.
+Result<std::vector<const Relation*>> ResolveAtoms(const Query& query,
+                                                  const Database& db) {
+  std::vector<const Relation*> rels;
+  rels.reserve(query.atoms().size());
+  for (const Atom& atom : query.atoms()) {
+    const Relation* rel = db.Find(atom.relation);
+    if (rel == nullptr) {
+      return Status::NotFound("relation '" + atom.relation +
+                              "' missing from database");
+    }
+    if (rel->arity() != static_cast<int>(atom.vars.size())) {
+      return Status::InvalidArgument(
+          "atom " + atom.relation + " has arity " +
+          std::to_string(atom.vars.size()) + " but relation has arity " +
+          std::to_string(rel->arity()));
+    }
+    rels.push_back(rel);
   }
-  if (rel->arity() != static_cast<int>(atom.vars.size())) {
-    return Status::InvalidArgument(
-        "atom " + atom.relation + " has arity " +
-        std::to_string(atom.vars.size()) + " but relation has arity " +
-        std::to_string(rel->arity()));
-  }
-  return rel;
-}
-
-/// `ctx`, when provided, must cache for the same database the evaluation
-/// reads -- otherwise it would serve tries of unrelated relations that
-/// happen to share a name.
-Status CheckContextDatabase(const EvalContext* ctx, const Database& db) {
-  if (ctx != nullptr && &ctx->database() != &db) {
-    return Status::InvalidArgument(
-        "evaluation context is attached to a different database");
-  }
-  return Status::OK();
+  return rels;
 }
 
 /// An atom's trie layout under a global variable order: the atom's distinct
@@ -177,8 +174,9 @@ struct GenericJoinSearch {
 
   /// Variable ids in binding order.
   const std::vector<int>& order;
-  /// One trie per atom (cached in an EvalContext or owned transiently by
-  /// the caller), keyed by the atom's variables in global order.
+  /// One trie per atom (served by an EvalContext or a hybrid survivor
+  /// view, pinned by the caller), keyed by the atom's variables in global
+  /// order.
   std::vector<const TrieIndex*> tries;
   /// atoms_at[d]: atoms whose trie has a level for variable order[d].
   std::vector<std::vector<int>> atoms_at;
@@ -204,6 +202,49 @@ struct GenericJoinSearch {
   GenericJoinSearch(EvalStats* st, const std::vector<int>& var_order)
       : stats(st), order(var_order) {}
 
+  /// The leapfrog intersection at `depth`: keeps one cursor per atom
+  /// holding order[depth] (cursor_scratch[depth]) and repeatedly seeks
+  /// every cursor up to the current maximum value until all agree (a match)
+  /// or one range is exhausted. Calls `on_match(value)` for each match in
+  /// increasing order, the cursors resting on it, and stops early when
+  /// `on_match` returns false. Every SeekGE is one counted seek.
+  template <typename OnMatch>
+  void Leapfrog(std::size_t depth, OnMatch&& on_match) {
+    const std::vector<int>& atoms = atoms_at[depth];
+    std::vector<std::size_t>& cursor = cursor_scratch[depth];
+    const std::vector<int>& level = levels_at[depth];
+    for (std::size_t k = 0; k < atoms.size(); ++k) {
+      const int a = atoms[k];
+      cursor[k] = range_stack[a].back().begin;
+      if (cursor[k] >= range_stack[a].back().end) return;
+    }
+    Value target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
+    while (true) {
+      // `target` is the running maximum over all cursors; it only grows, so
+      // each non-aligned round strictly advances some cursor.
+      bool aligned = true;
+      for (std::size_t k = 0; k < atoms.size(); ++k) {
+        const int a = atoms[k];
+        const TrieIndex::Range r{cursor[k], range_stack[a].back().end};
+        const std::size_t pos = tries[a]->SeekGE(level[k], r, target);
+        ++stats->intersection_seeks;
+        if (pos >= r.end) return;  // range exhausted: no more matches
+        cursor[k] = pos;
+        const Value found_value = tries[a]->ValueAt(level[k], pos);
+        if (found_value != target) {
+          target = found_value;  // overshoot: restart the round at the new max
+          aligned = false;
+          break;
+        }
+      }
+      if (!aligned) continue;
+      if (!on_match(target)) return;
+      // Advance past the match; stop when the first atom's range runs dry.
+      if (++cursor[0] >= range_stack[atoms[0]].back().end) return;
+      target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
+    }
+  }
+
   /// Binds order[depth..] recursively; every match at a depth increments
   /// that depth's intermediate counter (the quantity the AGM envelope
   /// bounds). Returns true iff at least one full binding was reached below
@@ -228,40 +269,12 @@ struct GenericJoinSearch {
     // Past the last head variable a single witness suffices.
     const bool witness_only = static_cast<int>(depth) > last_head_depth;
     const std::vector<int>& atoms = atoms_at[depth];
-    // Leapfrog: keep one cursor per participating atom; repeatedly seek
-    // every cursor up to the current maximum value until all agree (a
-    // match) or one range is exhausted. Every SeekGE is one counted seek.
-    std::vector<std::size_t>& cursor = cursor_scratch[depth];
+    const std::vector<std::size_t>& cursor = cursor_scratch[depth];
     const std::vector<int>& level = levels_at[depth];
-    for (std::size_t k = 0; k < atoms.size(); ++k) {
-      const int a = atoms[k];
-      cursor[k] = range_stack[a].back().begin;
-      if (cursor[k] >= range_stack[a].back().end) return false;
-    }
     bool found = false;
-    Value target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
-    while (true) {
-      // `target` is the running maximum over all cursors; it only grows, so
-      // each non-aligned round strictly advances some cursor.
-      bool aligned = true;
-      for (std::size_t k = 0; k < atoms.size(); ++k) {
-        const int a = atoms[k];
-        const TrieIndex::Range r{cursor[k], range_stack[a].back().end};
-        const std::size_t pos = tries[a]->SeekGE(level[k], r, target);
-        ++stats->intersection_seeks;
-        if (pos >= r.end) return found;  // range exhausted: no more matches
-        cursor[k] = pos;
-        const Value found_value = tries[a]->ValueAt(level[k], pos);
-        if (found_value != target) {
-          target = found_value;  // overshoot: restart the round at the new max
-          aligned = false;
-          break;
-        }
-      }
-      if (!aligned) continue;
-
-      // All cursors agree on `target`: bind and descend.
-      assignment[order[depth]] = target;
+    Leapfrog(depth, [&](Value value) {
+      // All cursors agree on `value`: bind and descend.
+      assignment[order[depth]] = value;
       ++stats->intermediate_sizes[depth];
       for (std::size_t k = 0; k < atoms.size(); ++k) {
         const int a = atoms[k];
@@ -274,56 +287,30 @@ struct GenericJoinSearch {
         // The head tuple was fixed above; any remaining sibling would only
         // re-derive it.
         ++stats->projection_subtrees_skipped;
-        return true;
+        return false;
       }
-
-      // Advance past the match; stop when the first atom's range runs dry.
-      if (++cursor[0] >= range_stack[atoms[0]].back().end) return found;
-      target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
-    }
+      return true;
+    });
+    return found;
   }
 };
 
 /// Enumerates the depth-0 leapfrog matches of `search` -- the values on
 /// which every atom participating at depth 0 agrees within its root range
-/// -- without descending. The same intersection the serial search's first
-/// level runs, reified into a work list the parallel executor partitions.
-/// Seeks are charged to `search.stats`. `first` receives each depth-0
-/// atom's root position of the first match, so a lone match is descended
-/// without seeking again.
-std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search,
+/// -- without descending: the serial search's first-level intersection,
+/// reified into a work list the parallel executor partitions. Seeks are
+/// charged to `search->stats`. `first` receives each depth-0 atom's root
+/// position of the first match, so a lone match is descended without
+/// seeking again.
+std::vector<Value> CollectDepth0Matches(GenericJoinSearch* search,
                                         std::vector<std::size_t>* first) {
   std::vector<Value> matches;
-  const std::vector<int>& atoms = search.atoms_at[0];
-  std::vector<std::size_t> cursor(atoms.size());
-  for (std::size_t k = 0; k < atoms.size(); ++k) {
-    const TrieIndex::Range root = search.range_stack[atoms[k]][0];
-    cursor[k] = root.begin;
-    if (root.empty()) return matches;
-  }
-  Value target = search.tries[atoms[0]]->ValueAt(0, cursor[0]);
-  while (true) {
-    bool aligned = true;
-    for (std::size_t k = 0; k < atoms.size(); ++k) {
-      const int a = atoms[k];
-      const TrieIndex::Range r{cursor[k], search.range_stack[a][0].end};
-      const std::size_t pos = search.tries[a]->SeekGE(0, r, target);
-      ++search.stats->intersection_seeks;
-      if (pos >= r.end) return matches;
-      cursor[k] = pos;
-      const Value found = search.tries[a]->ValueAt(0, pos);
-      if (found != target) {
-        target = found;
-        aligned = false;
-        break;
-      }
-    }
-    if (!aligned) continue;
-    if (matches.empty()) *first = cursor;
-    matches.push_back(target);
-    if (++cursor[0] >= search.range_stack[atoms[0]][0].end) return matches;
-    target = search.tries[atoms[0]]->ValueAt(0, cursor[0]);
-  }
+  search->Leapfrog(0, [&](Value value) {
+    if (matches.empty()) *first = search->cursor_scratch[0];
+    matches.push_back(value);
+    return true;
+  });
+  return matches;
 }
 
 /// Runs `proto` and writes its answers into `output` (empty on entry).
@@ -346,7 +333,7 @@ std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search,
 /// tuple (a projection may derive one from several bindings). The output
 /// therefore equals the serial run's row for row whatever the thread
 /// timing.
-void RunGenericJoin(const GenericJoinSearch& proto, ThreadPool* pool,
+void RunGenericJoin(GenericJoinSearch* proto, ThreadPool* pool,
                     Relation* output, EvalStats* local) {
   std::vector<Value> matches;
   std::vector<std::size_t> lone;
@@ -361,7 +348,7 @@ void RunGenericJoin(const GenericJoinSearch& proto, ThreadPool* pool,
                       : std::min<std::size_t>(
                             static_cast<std::size_t>(pool->num_workers()) + 1,
                             matches.size());
-  const std::vector<int>& order = proto.order;
+  const std::vector<int>& order = proto->order;
 
   std::vector<CodedRows> buffers(workers);
   std::vector<CodedSlice> slices(claims);
@@ -375,7 +362,7 @@ void RunGenericJoin(const GenericJoinSearch& proto, ThreadPool* pool,
     CodedRows rows;
     EvalStats stats;
     stats.intermediate_sizes.assign(order.size(), 0);
-    GenericJoinSearch ws = proto;
+    GenericJoinSearch ws = *proto;
     ws.stats = &stats;
     ws.emit = &rows;
     const std::vector<int>& atoms0 = ws.atoms_at[0];
@@ -429,14 +416,17 @@ void RunGenericJoin(const GenericJoinSearch& proto, ThreadPool* pool,
 using TrieOverrides = std::vector<std::shared_ptr<const TrieIndex>>;
 
 /// The shared generic-join engine behind EvaluateGenericJoin and the hybrid
-/// plan. `overrides`, when non-null, replaces atom i's trie with
-/// `(*overrides)[i]` if non-null (see TrieOverrides); untouched atoms go
-/// through `ctx` when provided. Fills `local` (assumed zeroed); the caller
-/// owns publishing it to the user-facing stats pointer. A non-null `pool`
-/// with workers runs the search partitioned over the depth-0 matches (see
-/// RunGenericJoin); a null pool, a worker-less pool or a variable-free
-/// head (where the serial early exit beats any fan-out) run it serially.
-Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
+/// plan, over the relations `rels` resolved for the query's atoms.
+/// `overrides`, when non-null, replaces atom i's trie with
+/// `(*overrides)[i]` if non-null (see TrieOverrides); every other atom's
+/// trie comes from `ctx` (non-null). Fills `local` (assumed zeroed); the
+/// caller owns publishing it to the user-facing stats pointer. A non-null
+/// `pool` with workers runs the search partitioned over the depth-0
+/// matches (see RunGenericJoin); a null pool, a worker-less pool or a
+/// variable-free head (where the serial early exit beats any fan-out) run
+/// it serially.
+Result<Relation> GenericJoinImpl(const Query& query,
+                                 const std::vector<const Relation*>& rels,
                                  const std::vector<int>& variable_order,
                                  EvalContext* ctx, ThreadPool* pool,
                                  const TrieOverrides* overrides,
@@ -463,46 +453,25 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
   }
   local->intermediate_sizes.assign(variable_order.size(), 0);
 
-  // Resolve every atom up front so missing relations and arity mismatches
-  // error deterministically even when an earlier trie is already empty.
-  std::vector<const Relation*> rels;
-  rels.reserve(query.atoms().size());
-  for (const Atom& atom : query.atoms()) {
-    const Relation* rel;
-    CQB_ASSIGN_OR_RETURN(rel, ResolveAtom(atom, db));
-    rels.push_back(rel);
-  }
-
-  // Transient tries (no context, or semi-join-filtered views) live here;
-  // deque keeps the pointers handed to the search stable. Context-served
-  // tries are pinned by shared_ptr for the duration of the search: a
+  // Tries are pinned by shared_ptr for the duration of the search: a
   // concurrent evaluation rebuilding the cache entry (after an interleaved
   // mutation elsewhere) swaps the entry, never the pinned index.
-  std::deque<TrieIndex> owned;
   std::vector<std::shared_ptr<const TrieIndex>> pinned;
   bool empty_atom = false;
   for (std::size_t i = 0; i < query.atoms().size() && !empty_atom; ++i) {
     AtomLayout layout = LayoutForAtom(query.atoms()[i], rank);
-    const TrieIndex* trie;
     if (overrides != nullptr && (*overrides)[i] != nullptr) {
       // Reduced atom: the survivor trie the hybrid built (or reused from
       // the plan's survivor-view cache); its counters were charged there.
       pinned.push_back((*overrides)[i]);
-      trie = pinned.back().get();
-    } else if (ctx != nullptr) {
+    } else {
       const std::size_t misses_before = local->trie_cache_misses;
       pinned.push_back(ctx->GetTrie(*rels[i], layout.level_positions, local));
-      trie = pinned.back().get();
       if (local->trie_cache_misses != misses_before) {
-        local->indexed_tuples += trie->num_tuples();
+        local->indexed_tuples += pinned.back()->num_tuples();
       }
-    } else {
-      ++local->trie_cache_misses;
-      ++local->trie_rebuilds;
-      owned.emplace_back(*rels[i], layout.level_positions);
-      trie = &owned.back();
-      local->indexed_tuples += trie->num_tuples();
     }
+    const TrieIndex* trie = pinned.back().get();
     if (trie->num_tuples() == 0) empty_atom = true;
     for (std::size_t l = 0; l < layout.ranks.size(); ++l) {
       search.atoms_at[layout.ranks[l]].push_back(static_cast<int>(i));
@@ -524,7 +493,7 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
     const bool parallel = pool != nullptr && pool->num_workers() > 0 &&
                           search.last_head_depth >= 0 &&
                           !search.atoms_at[0].empty();
-    RunGenericJoin(search, parallel ? pool : nullptr, &output, local);
+    RunGenericJoin(&search, parallel ? pool : nullptr, &output, local);
   } else if (query.atoms().empty()) {
     output.Insert(Tuple{});  // empty body: the single empty substitution
   }
@@ -1056,6 +1025,78 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
   }
 }
 
+/// The kHybridYannakakis plan (see PlanKind) over the resolved atom
+/// relations `rels`, through `ctx` (non-null), filling `local`: on a
+/// certified width <= kHybridWidthThreshold, the semi-join reduction over
+/// the certified decomposition (RunDeltaPass, its books kept in `ctx`'s
+/// plan tier) and a generic join over the survivors, bound along the
+/// reverse elimination order; otherwise the generic join over
+/// DefaultGenericJoinOrder. Only enumeration fans out over `pool`.
+Result<Relation> EvaluateHybridYannakakis(
+    const Query& query, const std::vector<const Relation*>& rels,
+    EvalContext* ctx, ThreadPool* pool, EvalStats* local) {
+  // Plan tier: the width probe (the TreewidthExact call and the graph build
+  // feeding it) runs once per query shape and is served from the cache
+  // afterwards -- warm runs perform zero probes.
+  EvalContext::CachedPlan& plan = ctx->GetPlan(query, local);
+  const LowWidthProbe& probe = plan.probe;
+  if (!probe.low_width) {
+    return GenericJoinImpl(query, rels, DefaultGenericJoinOrder(query), ctx,
+                           pool, /*overrides=*/nullptr, local);
+  }
+  // Certified low width: bind along the reverse elimination order (the
+  // same order ChooseGenericJoinOrder's tree path picks), with the atoms
+  // pre-filtered through the certified decomposition.
+  const std::size_t m = query.atoms().size();
+
+  // Survivor tries must use the same layout the enumeration derives from
+  // the binding order, or the override would not line up with the
+  // leapfrog's levels.
+  std::vector<int> rank(query.num_variables(), -1);
+  for (std::size_t d = 0; d < probe.order.size(); ++d) {
+    rank[probe.order[d]] = static_cast<int>(d);
+  }
+  std::vector<ReductionAtom> atoms;
+  atoms.reserve(m);
+  for (const Atom& atom : query.atoms()) {
+    atoms.push_back(MakeReductionAtom(atom, rank));
+  }
+
+  TrieOverrides overrides(m);
+  {
+    // The pass runs under the plan's mutex: concurrent post-mutation
+    // evaluations of one shape serialize it, and the late arrivals then
+    // find matching generations and reuse the fresh survivor views
+    // instead of duplicating the work. Mutations themselves never
+    // overlap evaluations (the context's readers-xor-writer contract),
+    // so the generation vector cannot move underneath the pass.
+    MutexLock lock(plan.skip_mu);
+    if (!AssignBags(probe.tw.decomposition, probe.dense, &atoms)) {
+      // Uncertified bag assignment: abandon the pass visibly (ran stays
+      // false) and drop any cached state rather than serving views that
+      // no schedule can maintain.
+      plan.semijoin.reset();
+    } else {
+      if (plan.semijoin == nullptr) {
+        plan.semijoin = std::make_unique<SemijoinState>();
+      }
+      // Bring the books up to date and hand every atom that lost tuples
+      // its survivor view. On matching generations that is the cached
+      // view -- a survivor-view hit.
+      RunDeltaPass(BuildFilterSchedule(atoms), atoms, rels,
+                   plan.semijoin.get(), local);
+      for (std::size_t i = 0; i < m; ++i) {
+        overrides[i] = plan.semijoin->survivor_tries[i];
+        if (overrides[i] != nullptr && local->semijoin_pass_skipped) {
+          ++local->survivor_view_hits;
+        }
+      }
+    }
+  }
+  return GenericJoinImpl(query, rels, probe.order, ctx, pool, &overrides,
+                         local);
+}
+
 /// Variable-intersection graph of `query` (the Gaifman graph of the
 /// canonical instance): one vertex per body variable (dense numbering via
 /// `body`/`dense`), edges between variables sharing an atom.
@@ -1107,143 +1148,19 @@ LowWidthProbe ProbeLowWidthStructure(const Query& query) {
   return probe;
 }
 
-namespace {
-
-/// The generic-join plan through `ctx` (may be null; must be attached to
-/// `db`), its enumeration fanned out over `pool` when non-null (see
-/// RunGenericJoin).
 Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
                                      const std::vector<int>& variable_order,
-                                     EvalContext* ctx, ThreadPool* pool,
                                      EvalStats* stats) {
   if (stats != nullptr) *stats = EvalStats{};
-  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
-  EvalStats local;
-  auto result = GenericJoinImpl(query, db, variable_order, ctx, pool,
-                                /*overrides=*/nullptr, &local);
-  if (result.ok() && stats != nullptr) *stats = std::move(local);
-  return result;
-}
-
-/// The kHybridYannakakis plan (see PlanKind): on a certified width <=
-/// kHybridWidthThreshold, the semi-join reduction over the certified
-/// decomposition (RunDeltaPass, its books kept in `ctx`'s plan tier when
-/// attached) and a generic join over the survivors, bound along the
-/// reverse elimination order; otherwise the generic join over
-/// DefaultGenericJoinOrder. Only enumeration fans out over `pool`.
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db, EvalContext* ctx,
-                                          ThreadPool* pool, EvalStats* stats) {
-  if (stats != nullptr) *stats = EvalStats{};
-  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
-
-  // Resolve every atom before planning so metadata errors surface
-  // identically to the other plans.
   std::vector<const Relation*> rels;
-  rels.reserve(query.atoms().size());
-  for (const Atom& atom : query.atoms()) {
-    const Relation* rel;
-    CQB_ASSIGN_OR_RETURN(rel, ResolveAtom(atom, db));
-    rels.push_back(rel);
-  }
-
+  CQB_ASSIGN_OR_RETURN(rels, ResolveAtoms(query, db));
+  EvalContext call_local(db);
   EvalStats local;
-
-  // Plan tier: with a context the width probe (the TreewidthExact call and
-  // the graph build feeding it) runs once per query shape and is served
-  // from the cache afterwards -- warm runs perform zero probes. Without a
-  // context the per-call transient probe counts as a plan miss, mirroring
-  // the trie tier's convention.
-  EvalContext::CachedPlan* plan = nullptr;
-  LowWidthProbe transient_probe;
-  const LowWidthProbe* probe;
-  if (ctx != nullptr) {
-    plan = &ctx->GetPlan(query, &local);
-    probe = &plan->probe;
-  } else {
-    ++local.plan_cache_misses;
-    transient_probe = ProbeLowWidthStructure(query);
-    if (transient_probe.probe_ran) ++local.treewidth_probe_runs;
-    probe = &transient_probe;
-  }
-
-  std::vector<int> order;
-  TrieOverrides overrides(query.atoms().size());
-  if (probe->low_width) {
-    // The certified reverse elimination order (the same order
-    // ChooseGenericJoinOrder's tree path picks), with the atoms
-    // pre-filtered through the certified decomposition.
-    order = probe->order;
-    const std::size_t m = query.atoms().size();
-
-    // Survivor tries must use the same layout the enumeration derives from
-    // the binding order, or the override would not line up with the
-    // leapfrog's levels.
-    std::vector<int> rank(query.num_variables(), -1);
-    for (std::size_t d = 0; d < order.size(); ++d) {
-      rank[order[d]] = static_cast<int>(d);
-    }
-    std::vector<ReductionAtom> atoms;
-    atoms.reserve(m);
-    for (const Atom& atom : query.atoms()) {
-      atoms.push_back(MakeReductionAtom(atom, rank));
-    }
-
-    // Brings `state` up to date and hands every atom that lost tuples its
-    // survivor view. On matching generations that is the cached view --
-    // a survivor-view hit.
-    const auto reduce = [&](SemijoinState* state) {
-      RunDeltaPass(BuildFilterSchedule(atoms), atoms, rels, state, &local);
-      for (std::size_t i = 0; i < m; ++i) {
-        overrides[i] = state->survivor_tries[i];
-        if (overrides[i] != nullptr && local.semijoin_pass_skipped) {
-          ++local.survivor_view_hits;
-        }
-      }
-    };
-
-    if (plan != nullptr) {
-      // The pass runs under the plan's mutex: concurrent post-mutation
-      // evaluations of one shape serialize it, and the late arrivals then
-      // find matching generations and reuse the fresh survivor views
-      // instead of duplicating the work. Mutations themselves never
-      // overlap evaluations (the context's readers-xor-writer contract),
-      // so the generation vector cannot move underneath the pass.
-      MutexLock lock(plan->skip_mu);
-      if (!AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
-        // Uncertified bag assignment: abandon the pass visibly (ran stays
-        // false) and drop any cached state rather than serving views that
-        // no schedule can maintain.
-        plan->semijoin.reset();
-      } else {
-        if (plan->semijoin == nullptr) {
-          plan->semijoin = std::make_unique<SemijoinState>();
-        }
-        reduce(plan->semijoin.get());
-      }
-    } else if (AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
-      // No context: the same pass from empty books nobody keeps.
-      SemijoinState transient;
-      reduce(&transient);
-    }
-  } else {
-    order = DefaultGenericJoinOrder(query);
-  }
-
-  auto result = GenericJoinImpl(query, db, order, ctx, pool,
-                                probe->low_width ? &overrides : nullptr,
+  auto result = GenericJoinImpl(query, rels, variable_order, &call_local,
+                                /*pool=*/nullptr, /*overrides=*/nullptr,
                                 &local);
   if (result.ok() && stats != nullptr) *stats = std::move(local);
   return result;
-}
-
-}  // namespace
-
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalStats* stats) {
-  return EvaluateGenericJoin(query, db, variable_order, /*ctx=*/nullptr,
-                             /*pool=*/nullptr, stats);
 }
 
 const char* PlanKindName(PlanKind kind) {
@@ -1305,6 +1222,8 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
                                  const Database& db, EvalStats* stats) {
   if (stats != nullptr) *stats = EvalStats{};
   CQB_RETURN_NOT_OK(ValidateJoinPlan(query, steps));
+  std::vector<const Relation*> rels;
+  CQB_ASSIGN_OR_RETURN(rels, ResolveAtoms(query, db));
   EvalStats local;
   // Bindings are tuples over `bound_vars` (parallel layout); var_slot maps
   // a variable id to its position in `bound_vars` (-1 when unbound), so
@@ -1316,12 +1235,10 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
 
   for (std::size_t step = 0; step < steps.size(); ++step) {
     const Atom& atom = query.atoms()[steps[step].atom_index];
-    const Relation* rel;
-    CQB_ASSIGN_OR_RETURN(rel, ResolveAtom(atom, db));
+    const Relation* rel = rels[steps[step].atom_index];
 
     // Once no binding survives, the result is empty whatever the remaining
-    // atoms hold: skip their index construction (but keep the metadata
-    // checks above, so missing relations still error deterministically).
+    // atoms hold: skip their index construction.
     if (bindings.empty()) {
       local.intermediate_sizes.push_back(0);
       continue;
@@ -1451,32 +1368,34 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,
                                PlanKind kind, EvalContext* ctx,
                                ThreadPool* pool, EvalStats* stats) {
-  if (kind == PlanKind::kGenericJoin) {
-    return EvaluateGenericJoin(query, db, DefaultGenericJoinOrder(query), ctx,
-                               pool, stats);
-  }
-  if (kind == PlanKind::kHybridYannakakis) {
-    return EvaluateHybridYannakakis(query, db, ctx, pool, stats);
-  }
-
-  // Binary-join plans: `ctx` is accepted for interface uniformity but the
-  // per-step hash indexes are query-position-specific and not cached.
   if (stats != nullptr) *stats = EvalStats{};
-  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
-  return ExecuteJoinPlan(
-      query, QueryOrderPlan(query, kind == PlanKind::kJoinProject), db, stats);
-}
-
-Result<Relation> EvaluateQuery(const Query& query, const Database& db,
-                               PlanKind kind, EvalContext* ctx,
-                               EvalStats* stats) {
-  return EvaluateQuery(query, db, kind, ctx, /*pool=*/nullptr, stats);
-}
-
-Result<Relation> EvaluateQuery(const Query& query, const Database& db,
-                               PlanKind kind, EvalStats* stats) {
-  return EvaluateQuery(query, db, kind, /*ctx=*/nullptr, /*pool=*/nullptr,
-                       stats);
+  // A context caching for another database would serve tries of unrelated
+  // relations that happen to share a name.
+  if (ctx != nullptr && &ctx->database() != &db) {
+    return Status::InvalidArgument(
+        "evaluation context is attached to a different database");
+  }
+  if (kind == PlanKind::kNaive || kind == PlanKind::kJoinProject) {
+    // The per-step hash indexes are query-position-specific and not
+    // cached, so the binary-join plans leave `ctx` unused.
+    return ExecuteJoinPlan(
+        query, QueryOrderPlan(query, kind == PlanKind::kJoinProject), db,
+        stats);
+  }
+  std::vector<const Relation*> rels;
+  CQB_ASSIGN_OR_RETURN(rels, ResolveAtoms(query, db));
+  // Without a caller's context the trie-based plans run through one local
+  // to this call: the one code path, with nothing kept past the call.
+  std::optional<EvalContext> call_local;
+  if (ctx == nullptr) ctx = &call_local.emplace(db);
+  EvalStats local;
+  auto result =
+      kind == PlanKind::kGenericJoin
+          ? GenericJoinImpl(query, rels, DefaultGenericJoinOrder(query), ctx,
+                            pool, /*overrides=*/nullptr, &local)
+          : EvaluateHybridYannakakis(query, rels, ctx, pool, &local);
+  if (result.ok() && stats != nullptr) *stats = std::move(local);
+  return result;
 }
 
 Relation EquiJoin(const Relation& left, const Relation& right,

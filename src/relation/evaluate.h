@@ -101,15 +101,16 @@ struct EvalStats {
   std::size_t intersection_seeks = 0;
   /// Tries served from the EvalContext cache without rebuilding.
   std::size_t trie_cache_hits = 0;
-  /// Tries (re)built this call: cache misses when an EvalContext is
-  /// attached, and every per-call transient build when none is (the
-  /// rebuild-per-call cost the cache exists to eliminate).
+  /// Tries (re)built this call: cache misses of the caller's EvalContext,
+  /// or of the context local to a context-free call, whose every distinct
+  /// (relation, layout) misses once (the rebuild-per-call cost a kept
+  /// context exists to eliminate).
   std::size_t trie_cache_misses = 0;
   /// Plans served from the EvalContext plan tier without re-probing.
   std::size_t plan_cache_hits = 0;
-  /// Plans (re)derived this call: plan-tier misses when an EvalContext is
-  /// attached, and every per-call transient probe when none is (the
-  /// re-probe cost the plan tier exists to eliminate).
+  /// Plans (re)derived this call: plan-tier misses of the caller's
+  /// EvalContext, or the one miss of a context-free call's local context
+  /// (the re-probe cost a kept plan tier exists to eliminate).
   std::size_t plan_cache_misses = 0;
   /// TreewidthExact invocations made by this call (0 on every warm
   /// plan-cache hit; also 0 when the variable graph failed the size or
@@ -120,13 +121,13 @@ struct EvalStats {
   /// plain generic join or nothing dangled).
   std::size_t semijoin_dropped_tuples = 0;
   /// Hybrid plan only: true iff the semi-join reduction pass did work:
-  /// from empty books (the first pass of a plan, every pass without a
-  /// context, or after a Clear or a window past the journal's epoch
-  /// retention) or as a delta pass (semijoin_delta_pass). False when the
-  /// plan fell back to plain generic join, when the pass found nothing to
-  /// do (see semijoin_pass_skipped), or when an uncertified bag assignment
-  /// abandoned it -- previously that abandonment was silent and the stats
-  /// read as if the hybrid had engaged.
+  /// from empty books (the first pass of a plan, so every pass of a
+  /// context-free call, or after a Clear or a window past the journal's
+  /// epoch retention) or as a delta pass (semijoin_delta_pass). False when
+  /// the plan fell back to plain generic join, when the pass found nothing
+  /// to do (see semijoin_pass_skipped), or when an uncertified bag
+  /// assignment abandoned it -- previously that abandonment was silent and
+  /// the stats read as if the hybrid had engaged.
   bool semijoin_pass_ran = false;
   /// Hybrid plan only: true iff the cached semi-join books' generation
   /// vector matches every atom relation's current generation, so every
@@ -148,12 +149,12 @@ struct EvalStats {
   /// untouched runs, no sort of the base. Every unpatch also counts in
   /// trie_cache_misses.
   std::size_t trie_unpatches = 0;
-  /// Trie tier: cache misses (and no-context transient builds) that ran the
-  /// full from-scratch relation sort -- cold entries, or stale entries whose
-  /// relation was cleared (or whose snapshot fell out of the journal's
-  /// epoch retention) since the cached build. trie_patches +
-  /// trie_unpatches + trie_rebuilds <= trie_cache_misses: survivor-view
-  /// tries built by the hybrid's reduction pass count as misses only.
+  /// Trie tier: cache misses that ran the full from-scratch relation sort
+  /// -- cold entries, or stale entries whose relation was cleared (or
+  /// whose snapshot fell out of the journal's epoch retention) since the
+  /// cached build. trie_patches + trie_unpatches + trie_rebuilds <=
+  /// trie_cache_misses: survivor-view tries built by the hybrid's
+  /// reduction pass count as misses only.
   std::size_t trie_rebuilds = 0;
   /// Hybrid plan only: atoms whose enumeration reused the cached semi-join
   /// survivor view (survivor trie) from a previous pass under the same
@@ -235,53 +236,51 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
 /// ChooseGenericJoinOrder in core/join_plan.h for the LP/treewidth-derived
 /// order).
 ///
-/// Errors: kNotFound if a body relation is missing from `db`;
-/// kInvalidArgument if an atom's arity disagrees with the stored relation.
-/// `stats` may be null; when non-null it is fully reassigned on *every*
-/// exit path, success or error -- a caller reusing one EvalStats across
-/// calls never reads the previous run's counters.
-Result<Relation> EvaluateQuery(const Query& query, const Database& db,
-                               PlanKind kind, EvalStats* stats = nullptr);
-
-/// As above, evaluating through `ctx` (may be null): the trie-based plans
-/// (kGenericJoin, kHybridYannakakis) reuse cached per-atom tries instead of
-/// rebuilding them per call. `ctx` must be attached to `db`
-/// (kInvalidArgument otherwise); the binary-join plans accept but ignore
-/// it (their transient hash indexes are not cached).
-Result<Relation> EvaluateQuery(const Query& query, const Database& db,
-                               PlanKind kind, EvalContext* ctx,
-                               EvalStats* stats);
-
-/// As above, additionally fanning the trie-based plans' enumeration out
-/// over `pool` (util/thread_pool.h; may be null for serial execution) by
-/// partitioning the depth-0 leapfrog intersection: the matches of the first
-/// variable in the binding order are enumerated once (cheap -- one trie
-/// level), then claimed dynamically by the pool's workers plus the calling
-/// thread, each descending its claimed subtrees with private scratch and a
-/// private answer sink; answers and stats are merged when every subtree
-/// finishes. Every worker's per-depth binding counts still sum to the
-/// serial run's, so the AGM envelope guarantee is unchanged -- as are
-/// results, exactly. The merge takes the answers in depth-0 match order
-/// and keeps each head tuple's first occurrence, so for every query even
-/// the row order equals the serial run's. The search stays
-/// serial when `pool` is null or has no workers, when there are fewer
+/// `ctx` (may be null) caches the trie-based plans' (kGenericJoin,
+/// kHybridYannakakis) per-atom tries and plans across calls; it must be
+/// attached to `db`. Without one, those plans run through a context local
+/// to the call: atoms that index one relation under one layout share a
+/// trie within the call, and nothing is kept past it. The binary-join plans
+/// accept but ignore `ctx` (their transient hash indexes are not cached).
+///
+/// `pool` (may be null; util/thread_pool.h) fans the trie-based plans'
+/// enumeration out by partitioning the depth-0 leapfrog intersection: the
+/// matches of the first variable in the binding order are enumerated once
+/// (cheap -- one trie level), then claimed dynamically by the pool's
+/// workers plus the calling thread, each descending its claimed subtrees
+/// with private scratch and a private answer sink; answers and stats are
+/// merged when every subtree finishes. Every worker's per-depth binding
+/// counts still sum to the serial run's, so the AGM envelope guarantee is
+/// unchanged -- as are results, exactly. The merge takes the answers in
+/// depth-0 match order and keeps each head tuple's first occurrence, so for
+/// every query even the row order equals the serial run's. The search
+/// stays serial when `pool` is null or has no workers, when there are fewer
 /// than two depth-0 matches to split, or when the head is variable-free (a
 /// pure existence check, where the serial early exit stops at the first
 /// witness and parallel fan-out would only waste work);
 /// EvalStats::parallel_workers reports the fan-out actually used. The
 /// hybrid's semi-join reduction itself stays serial, and the binary-join
 /// plans ignore the pool. Safe for concurrent callers sharing one `ctx`.
+///
+/// Errors: kNotFound if a body relation is missing from `db`;
+/// kInvalidArgument if an atom's arity disagrees with the stored relation
+/// or `ctx` is attached to another database. `stats` may be null; when
+/// non-null it is fully reassigned on *every* exit path, success or error
+/// -- a caller reusing one EvalStats across calls never reads the previous
+/// run's counters.
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,
-                               PlanKind kind, EvalContext* ctx,
-                               ThreadPool* pool, EvalStats* stats);
+                               PlanKind kind, EvalContext* ctx = nullptr,
+                               ThreadPool* pool = nullptr,
+                               EvalStats* stats = nullptr);
 
 /// The worst-case-optimal executor: builds one TrieIndex per atom keyed by
 /// `variable_order` (which must enumerate every body variable exactly once)
 /// and binds variables in that order with leapfrog intersections. Any order
 /// preserves the AGM envelope on intermediates; the order affects constants
-/// (seek counts), not the worst-case guarantee. Serial and context-free;
-/// EvaluateQuery's kGenericJoin runs the same executor over
-/// DefaultGenericJoinOrder through a context and a pool.
+/// (seek counts), not the worst-case guarantee. Serial, through a context
+/// local to the call (see EvaluateQuery); EvaluateQuery's kGenericJoin runs
+/// the same executor over DefaultGenericJoinOrder through a caller's
+/// context and a pool.
 ///
 /// Errors: as EvaluateQuery, plus kInvalidArgument if `variable_order` is
 /// not a permutation of the body variables.

@@ -138,7 +138,7 @@ TEST(ParallelGenericJoinTest, MatchesSerialOnTriangles) {
   Database db = TriangleDatabase(60);
 
   EvalStats serial_stats;
-  auto serial = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr,
+  auto serial = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr, nullptr,
                               &serial_stats);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial_stats.parallel_workers, 0u);
@@ -282,7 +282,7 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
   for (const Case& c : cases) {
     EvalStats serial_stats;
     auto serial =
-        EvaluateQuery(c.query, c.db, c.kind, nullptr, &serial_stats);
+        EvaluateQuery(c.query, c.db, c.kind, nullptr, nullptr, &serial_stats);
     ASSERT_TRUE(serial.ok()) << c.label;
     const std::vector<Tuple> serial_rows = serial->tuples();
     for (ThreadPool* pool : {&pool1, &pool3, &pool7}) {
@@ -316,7 +316,7 @@ TEST(ParallelGenericJoinTest, LoneDepth0MatchChargesSeeksOnce) {
   db.AddRelation("F", 1)->Insert({7});
 
   EvalStats serial_stats;
-  auto serial = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr,
+  auto serial = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr, nullptr,
                               &serial_stats);
   ASSERT_TRUE(serial.ok());
   ThreadPool pool(3);
@@ -400,7 +400,7 @@ TEST(ConcurrencyStressTest, ManyReadersSharedContextInterleavedMutations) {
         threads.emplace_back([&, t] {
           const PlanKind kind = (t % 2 == 0) ? PlanKind::kGenericJoin
                                              : PlanKind::kHybridYannakakis;
-          results[t] = EvaluateQuery(q, db, kind, &ctx, &stats[t]);
+          results[t] = EvaluateQuery(q, db, kind, &ctx, nullptr, &stats[t]);
         });
       }
       for (std::thread& t : threads) t.join();

@@ -261,7 +261,8 @@ TEST(DeltaDegenerateTest, DuplicateAppendIsFreeUnderSetSemantics) {
   }
   EvalContext ctx(db);
   EvalStats stats;
-  auto before = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto before = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                              &stats);
   ASSERT_TRUE(before.ok());
   ASSERT_GT(stats.trie_cache_misses, 0u);
 
@@ -273,7 +274,8 @@ TEST(DeltaDegenerateTest, DuplicateAppendIsFreeUnderSetSemantics) {
   dup.tuples.push_back({0, 1});
   EXPECT_FALSE(ApplyMutation(dup, &db));
 
-  auto after = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto after = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                             &stats);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(stats.trie_cache_misses, 0u);
   EXPECT_EQ(stats.trie_patches, 0u);
@@ -294,7 +296,8 @@ TEST(DeltaDegenerateTest, AppendToEmptyRelationPatchesFromEmptyBase) {
   // Cold run over the empty R caches an empty trie for it -- and only for
   // it: an empty atom short-circuits the remaining trie builds, so S stays
   // uncached.
-  auto empty = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto empty = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                             &stats);
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->size(), 0u);
   EXPECT_EQ(stats.trie_rebuilds, 1u);
@@ -302,7 +305,8 @@ TEST(DeltaDegenerateTest, AppendToEmptyRelationPatchesFromEmptyBase) {
   // The first-ever tuple arrives as a delta against the empty base: R is
   // patched, never rebuilt; the one rebuild is S's first-ever (cold) build.
   ASSERT_TRUE(r->Insert({0, 1}));
-  auto grown = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto grown = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                             &stats);
   ASSERT_TRUE(grown.ok());
   EXPECT_EQ(grown->size(), 1u);
   EXPECT_TRUE(grown->Contains({0, 2}));
@@ -327,12 +331,14 @@ TEST(DeltaDegenerateTest, NullaryAtomPatchFlipsTheBooleanGuard) {
   r->Insert({7});
   EvalContext ctx(db);
   EvalStats stats;
-  auto gated = EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto gated = EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                             &stats);
   ASSERT_TRUE(gated.ok());
   EXPECT_EQ(gated->size(), 0u);
 
   ASSERT_TRUE(g->Insert({}));
-  auto open = EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto open = EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                            &stats);
   ASSERT_TRUE(open.ok());
   EXPECT_EQ(open->size(), 1u);
   EXPECT_TRUE(open->Contains({7}));
@@ -358,7 +364,7 @@ TEST(DeltaDegenerateTest, AppendDeltaRevivesPreviouslyDanglingTuple) {
   EvalContext ctx(db);
 
   EvalStats stats;
-  auto first = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
+  auto first = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
                              &stats);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(stats.semijoin_pass_ran);
@@ -368,7 +374,7 @@ TEST(DeltaDegenerateTest, AppendDeltaRevivesPreviouslyDanglingTuple) {
   // Unchanged generation vector: survivor views are reused outright, and
   // the dangling census still names the dropped tuple.
   auto reused = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
-                              &stats);
+                              nullptr, &stats);
   ASSERT_TRUE(reused.ok());
   EXPECT_TRUE(stats.semijoin_pass_skipped);
   EXPECT_GE(stats.survivor_view_hits, 1u);
@@ -377,7 +383,7 @@ TEST(DeltaDegenerateTest, AppendDeltaRevivesPreviouslyDanglingTuple) {
   // Partial bump: S moves, R does not. The delta pass revives (8,9).
   ASSERT_TRUE(s->Insert({9, 4}));
   auto bumped = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
-                              &stats);
+                              nullptr, &stats);
   ASSERT_TRUE(bumped.ok());
   EXPECT_FALSE(stats.semijoin_pass_skipped);
   EXPECT_TRUE(stats.semijoin_pass_ran);
@@ -396,7 +402,7 @@ TEST(DeltaDegenerateTest, AppendDeltaRevivesPreviouslyDanglingTuple) {
   EvalContext fresh_ctx(db);
   EvalStats fresh_stats;
   auto fresh = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &fresh_ctx,
-                             &fresh_stats);
+                             nullptr, &fresh_stats);
   ASSERT_TRUE(fresh.ok());
   ExpectSameOutcome(*fresh, fresh_stats, *bumped, stats, "revival vs fresh");
 }
@@ -416,7 +422,8 @@ TEST(DeltaDegenerateTest, TombstoneRemoveUnpatchesInsteadOfRebuilding) {
   }
   EvalContext ctx(db);
   EvalStats stats;
-  auto before = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto before = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                              &stats);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(before->Contains({5, 7}));
 
@@ -425,7 +432,8 @@ TEST(DeltaDegenerateTest, TombstoneRemoveUnpatchesInsteadOfRebuilding) {
   ASSERT_TRUE(r->Remove({5, 6}));
   ASSERT_EQ(r->compactions(), 0u);
 
-  auto after = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &stats);
+  auto after = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                             &stats);
   ASSERT_TRUE(after.ok());
   EXPECT_GE(stats.trie_unpatches, 1u);
   EXPECT_EQ(stats.trie_rebuilds, 0u);
@@ -458,7 +466,7 @@ TEST(DeltaDegenerateTest, RemovalDeltaKillsNowUnsupportedTuples) {
   EvalContext ctx(db);
 
   EvalStats stats;
-  auto first = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
+  auto first = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
                              &stats);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(stats.semijoin_pass_ran);
@@ -468,7 +476,7 @@ TEST(DeltaDegenerateTest, RemovalDeltaKillsNowUnsupportedTuples) {
   ASSERT_TRUE(s->Remove({9, 4}));
   ASSERT_EQ(s->compactions(), 0u);
 
-  auto after = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
+  auto after = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
                              &stats);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(stats.semijoin_pass_ran);
@@ -482,7 +490,7 @@ TEST(DeltaDegenerateTest, RemovalDeltaKillsNowUnsupportedTuples) {
   EvalContext fresh_ctx(db);
   EvalStats fresh_stats;
   auto fresh = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &fresh_ctx,
-                             &fresh_stats);
+                             nullptr, &fresh_stats);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh_stats.semijoin_dropped_tuples, 1u);
   ExpectSameOutcome(*fresh, fresh_stats, *after, stats, "kill vs fresh");
@@ -493,12 +501,13 @@ TEST(DeltaDegenerateTest, RemovalDeltaKillsNowUnsupportedTuples) {
 EvalStats EvaluateAndCrossCheck(const Query& q, const Database& db,
                                 EvalContext* ctx, const std::string& tag) {
   EvalStats stats;
-  auto warm = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, ctx, &stats);
+  auto warm = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, ctx, nullptr,
+                            &stats);
   EXPECT_TRUE(warm.ok()) << tag;
   EvalContext fresh_ctx(db);
   EvalStats fresh_stats;
   auto fresh = EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &fresh_ctx,
-                             &fresh_stats);
+                             nullptr, &fresh_stats);
   EXPECT_TRUE(fresh.ok()) << tag;
   if (warm.ok() && fresh.ok()) {
     ExpectSameOutcome(*fresh, fresh_stats, *warm, stats, tag);
@@ -642,7 +651,8 @@ TEST(DeltaCostTest, DeltaPassVisitsOnlyRowsSharingAChangedKey) {
 
   EvalStats stats;
   ASSERT_TRUE(
-      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats).ok());
+      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &stats).ok());
   ASSERT_TRUE(stats.semijoin_pass_ran);
   ASSERT_FALSE(stats.semijoin_delta_pass);
   EXPECT_EQ(stats.semijoin_dangling_tuples, static_cast<std::size_t>(kRows / 2));
@@ -650,14 +660,16 @@ TEST(DeltaCostTest, DeltaPassVisitsOnlyRowsSharingAChangedKey) {
 
   ASSERT_TRUE(s->Remove({10, 10}));
   ASSERT_TRUE(
-      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats).ok());
+      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &stats).ok());
   ASSERT_TRUE(stats.semijoin_delta_pass);
   EXPECT_EQ(stats.semijoin_killed_tuples, 1u);
   EXPECT_LE(stats.semijoin_rows_visited, 64u);
 
   ASSERT_TRUE(s->Insert({11, 3}));
   ASSERT_TRUE(
-      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats).ok());
+      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &stats).ok());
   ASSERT_TRUE(stats.semijoin_delta_pass);
   EXPECT_EQ(stats.semijoin_revived_tuples, 1u);
   EXPECT_EQ(stats.semijoin_dangling_tuples, static_cast<std::size_t>(kRows / 2));
@@ -819,11 +831,11 @@ TEST(DeltaOracleCompactionTest, HotAtomChurnsPastCompactionBetweenEvaluations) {
     for (const PlanKind kind :
          {PlanKind::kHybridYannakakis, PlanKind::kGenericJoin}) {
       EvalStats got_stats;
-      auto got = EvaluateQuery(*q, db, kind, &ctx, &got_stats);
+      auto got = EvaluateQuery(*q, db, kind, &ctx, nullptr, &got_stats);
       ASSERT_TRUE(got.ok()) << tag;
       EvalContext fresh_ctx(db);
       EvalStats want_stats;
-      auto want = EvaluateQuery(*q, db, kind, &fresh_ctx, &want_stats);
+      auto want = EvaluateQuery(*q, db, kind, &fresh_ctx, nullptr, &want_stats);
       ASSERT_TRUE(want.ok()) << tag;
       ExpectSameOutcome(*want, want_stats, *got, got_stats,
                         tag + " plan " + PlanKindName(kind));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "core/join_plan.h"
@@ -11,6 +12,7 @@
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
 #include "relation/generator.h"
+#include "util/thread_pool.h"
 
 namespace cqbounds {
 namespace {
@@ -49,7 +51,8 @@ TEST(EvalContextTest, RepeatedEvaluationReusesTries) {
   // default order X<Y<Z the atoms E(X,Y) and E(Y,Z) share the identity
   // layout, so even the first call hits once.
   EvalStats cold;
-  auto first = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &cold);
+  auto first = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                             &cold);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cold.trie_cache_misses, 2u);
   EXPECT_EQ(cold.trie_cache_hits, 1u);
@@ -57,7 +60,8 @@ TEST(EvalContextTest, RepeatedEvaluationReusesTries) {
 
   // Warm run: zero rebuilds, identical output.
   EvalStats warm;
-  auto second = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &warm);
+  auto second = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                              &warm);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(warm.trie_cache_misses, 0u);
   EXPECT_EQ(warm.trie_cache_hits, 3u);
@@ -65,6 +69,77 @@ TEST(EvalContextTest, RepeatedEvaluationReusesTries) {
   ExpectSameRelation(*first, *second, "warm run");
   EXPECT_EQ(ctx.hits(), 4u);
   EXPECT_EQ(ctx.misses(), 2u);
+}
+
+TEST(EvalContextTest, ContextFreeCallRunsThroughACallLocalContext) {
+  // Without a caller's context the trie-based plans run through a context
+  // local to the call, so the self-join's two identity-layout atoms share
+  // one trie exactly as they do on a cold run through a fresh context.
+  auto q = ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).");
+  ASSERT_TRUE(q.ok());
+  Database db = StarTriangleDatabase(20);
+  EvalContext fresh(db);
+  EvalStats cold;
+  auto through_fresh =
+      EvaluateQuery(*q, db, PlanKind::kGenericJoin, &fresh, nullptr, &cold);
+  EvalStats local;
+  auto context_free =
+      EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr, nullptr, &local);
+  ASSERT_TRUE(through_fresh.ok());
+  ASSERT_TRUE(context_free.ok());
+  EXPECT_EQ(local.trie_cache_hits, 1u);
+  EXPECT_EQ(local.trie_cache_misses, 2u);
+  EXPECT_EQ(local.trie_cache_hits, cold.trie_cache_hits);
+  EXPECT_EQ(local.trie_cache_misses, cold.trie_cache_misses);
+  EXPECT_EQ(local.indexed_tuples, cold.indexed_tuples);
+  EXPECT_EQ(context_free->tuples(), through_fresh->tuples());
+}
+
+TEST(EvalContextTest, ContextFreeCallsKeepNothingBetweenCalls) {
+  // Nothing outlives a context-free call: the second of two consecutive
+  // calls builds, probes and reduces from scratch again, serial or pooled,
+  // and returns the same rows in the same order.
+  auto q = ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).");
+  ASSERT_TRUE(q.ok());
+  Database db = StarTriangleDatabase(40);
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (PlanKind kind :
+         {PlanKind::kGenericJoin, PlanKind::kHybridYannakakis}) {
+      const std::string label = std::string(PlanKindName(kind)) +
+                                (p == nullptr ? " serial" : " pooled");
+      EvalStats first, second;
+      auto a = EvaluateQuery(*q, db, kind, nullptr, p, &first);
+      auto b = EvaluateQuery(*q, db, kind, nullptr, p, &second);
+      ASSERT_TRUE(a.ok()) << label;
+      ASSERT_TRUE(b.ok()) << label;
+      EXPECT_EQ(a->tuples(), b->tuples()) << label;
+      const bool hybrid = kind == PlanKind::kHybridYannakakis;
+      EXPECT_GT(second.trie_cache_misses, 0u) << label;
+      EXPECT_EQ(second.plan_cache_misses, hybrid ? 1u : 0u) << label;
+      EXPECT_EQ(second.semijoin_pass_ran, hybrid) << label;
+      EXPECT_EQ(second.parallel_workers > 0, p != nullptr) << label;
+      EXPECT_EQ(second.trie_cache_hits, first.trie_cache_hits) << label;
+      EXPECT_EQ(second.trie_cache_misses, first.trie_cache_misses) << label;
+      EXPECT_EQ(second.trie_rebuilds, first.trie_rebuilds) << label;
+      EXPECT_EQ(second.indexed_tuples, first.indexed_tuples) << label;
+      EXPECT_EQ(second.plan_cache_hits, first.plan_cache_hits) << label;
+      EXPECT_EQ(second.plan_cache_misses, first.plan_cache_misses) << label;
+      EXPECT_EQ(second.treewidth_probe_runs, first.treewidth_probe_runs)
+          << label;
+      EXPECT_EQ(second.semijoin_pass_ran, first.semijoin_pass_ran) << label;
+      EXPECT_EQ(second.semijoin_delta_pass, first.semijoin_delta_pass)
+          << label;
+      EXPECT_EQ(second.survivor_view_hits, first.survivor_view_hits)
+          << label;
+      EXPECT_EQ(second.intersection_seeks, first.intersection_seeks)
+          << label;
+      EXPECT_EQ(second.intermediate_sizes, first.intermediate_sizes)
+          << label;
+      EXPECT_EQ(second.parallel_workers, first.parallel_workers) << label;
+      EXPECT_EQ(second.output_size, first.output_size) << label;
+    }
+  }
 }
 
 TEST(EvalContextTest, CacheIsSharedAcrossQueriesOnTheSameDatabase) {
@@ -76,13 +151,13 @@ TEST(EvalContextTest, CacheIsSharedAcrossQueriesOnTheSameDatabase) {
   ASSERT_TRUE(path.ok());
 
   EvalStats s1;
-  ASSERT_TRUE(EvaluateQuery(*triangle, db, PlanKind::kGenericJoin, &ctx, &s1)
-                  .ok());
+  ASSERT_TRUE(EvaluateQuery(*triangle, db, PlanKind::kGenericJoin, &ctx,
+                            nullptr, &s1).ok());
   // The path query keys E identically (both atoms use the identity
   // layout), so it runs entirely off tries the triangle query built.
   EvalStats s2;
-  ASSERT_TRUE(EvaluateQuery(*path, db, PlanKind::kGenericJoin, &ctx, &s2)
-                  .ok());
+  ASSERT_TRUE(EvaluateQuery(*path, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                            &s2).ok());
   EXPECT_EQ(s2.trie_cache_misses, 0u);
   EXPECT_EQ(s2.trie_cache_hits, 2u);
 }
@@ -94,7 +169,8 @@ TEST(EvalContextTest, MutationInvalidatesExactlyTheStaleTries) {
   EvalContext ctx(db);
 
   EvalStats s;
-  auto before = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s);
+  auto before = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                              &s);
   ASSERT_TRUE(before.ok());
   const std::size_t triangles_before = before->size();
 
@@ -106,7 +182,7 @@ TEST(EvalContextTest, MutationInvalidatesExactlyTheStaleTries) {
   e->Insert({102, 103});
   e->Insert({103, 101});
 
-  auto after = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s);
+  auto after = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr, &s);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(s.trie_cache_misses, 2u);
   EXPECT_EQ(s.trie_cache_hits, 1u);
@@ -115,7 +191,7 @@ TEST(EvalContextTest, MutationInvalidatesExactlyTheStaleTries) {
   EXPECT_TRUE(after->Contains({101, 102, 103}));
 
   // And the rebuilt tries are clean again.
-  auto third = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s);
+  auto third = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr, &s);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(s.trie_cache_misses, 0u);
   EXPECT_EQ(s.trie_cache_hits, 3u);
@@ -127,11 +203,13 @@ TEST(EvalContextTest, ClearDropsCachedTries) {
   Database db = StarTriangleDatabase(8);
   EvalContext ctx(db);
   EvalStats s;
-  ASSERT_TRUE(EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s).ok());
+  ASSERT_TRUE(EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                            &s).ok());
   EXPECT_GT(ctx.size(), 0u);
   ctx.Clear();
   EXPECT_EQ(ctx.size(), 0u);
-  ASSERT_TRUE(EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s).ok());
+  ASSERT_TRUE(EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                            &s).ok());
   EXPECT_GT(s.trie_cache_misses, 0u);
 }
 
@@ -263,7 +341,7 @@ TEST(EvalContextTest, RejectsContextAttachedToAnotherDatabase) {
                         PlanKind::kGenericJoin, PlanKind::kHybridYannakakis}) {
     EvalStats stats;
     stats.output_size = 123;  // must be cleared even on the error path
-    auto result = EvaluateQuery(*q, db, kind, &ctx, &stats);
+    auto result = EvaluateQuery(*q, db, kind, &ctx, nullptr, &stats);
     EXPECT_FALSE(result.ok()) << PlanKindName(kind);
     EXPECT_EQ(stats.output_size, 0u) << PlanKindName(kind);
   }
@@ -299,8 +377,10 @@ TEST(HybridYannakakisTest, ChainWithDanglingTuplesReducesAndMatches) {
 
   EvalStats hybrid_stats, generic_stats;
   auto hybrid =
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &hybrid_stats);
-  auto generic = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &generic_stats);
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, nullptr, nullptr,
+                    &hybrid_stats);
+  auto generic = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr, nullptr,
+                               &generic_stats);
   auto naive = EvaluateQuery(*q, db, PlanKind::kNaive);
   ASSERT_TRUE(hybrid.ok());
   ASSERT_TRUE(generic.ok());
@@ -337,13 +417,13 @@ TEST(HybridYannakakisTest, CleanDatabaseKeepsCachedTriesUsable) {
   EvalContext ctx(db);
   EvalStats cold, warm;
   auto first =
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &cold);
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &cold);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(cold.semijoin_pass_ran);
   EXPECT_EQ(cold.semijoin_dropped_tuples, 0u);
   EXPECT_EQ(cold.trie_cache_misses, 4u);
   auto second =
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &warm);
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr, &warm);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(warm.trie_cache_misses, 0u);
   EXPECT_EQ(warm.trie_cache_hits, 4u);
@@ -370,7 +450,8 @@ TEST(HybridYannakakisTest, HighWidthQueryFallsBackToGenericJoin) {
   opts.domain_size = 6;
   Database db = RandomDatabase(*q, opts);
   EvalStats stats;
-  auto hybrid = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &stats);
+  auto hybrid = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, nullptr,
+                              nullptr, &stats);
   auto naive = EvaluateQuery(*q, db, PlanKind::kNaive);
   ASSERT_TRUE(hybrid.ok());
   ASSERT_TRUE(naive.ok());
@@ -389,7 +470,8 @@ TEST(HybridYannakakisTest, TriangleSingleBagStaysCorrect) {
   ASSERT_TRUE(q.ok());
   Database db = StarTriangleDatabase(30);
   EvalStats stats;
-  auto hybrid = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &stats);
+  auto hybrid = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, nullptr,
+                              nullptr, &stats);
   auto naive = EvaluateQuery(*q, db, PlanKind::kNaive);
   ASSERT_TRUE(hybrid.ok());
   ASSERT_TRUE(naive.ok());
@@ -425,7 +507,8 @@ TEST(PlanCacheTest, WarmHybridRunsZeroProbesAndZeroCopies) {
   EvalContext ctx(db);
 
   EvalStats cold;
-  auto first = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &cold);
+  auto first = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                             &cold);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cold.plan_cache_misses, 1u);
   EXPECT_EQ(cold.plan_cache_hits, 0u);
@@ -435,7 +518,8 @@ TEST(PlanCacheTest, WarmHybridRunsZeroProbesAndZeroCopies) {
   EXPECT_EQ(ctx.plan_size(), 1u);
 
   EvalStats warm;
-  auto second = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &warm);
+  auto second = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
+                              nullptr, &warm);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(warm.plan_cache_hits, 1u);
   EXPECT_EQ(warm.plan_cache_misses, 0u);
@@ -456,7 +540,8 @@ TEST(PlanCacheTest, GenerationBumpForcesReReduceButNeverReProbes) {
   EvalContext ctx(db);
 
   EvalStats s;
-  auto before = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &s);
+  auto before = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
+                              nullptr, &s);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(s.semijoin_pass_ran);
 
@@ -467,7 +552,7 @@ TEST(PlanCacheTest, GenerationBumpForcesReReduceButNeverReProbes) {
   // the cached per-step key sets) and drops the new tuple.
   db.FindMutable("R")->Insert({42, 99999});
   EvalStats mutated;
-  auto after = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
+  auto after = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
                              &mutated);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(mutated.plan_cache_hits, 1u);
@@ -484,7 +569,8 @@ TEST(PlanCacheTest, GenerationBumpForcesReReduceButNeverReProbes) {
   // cached survivor view of R instead of re-reducing (they would only
   // re-drop the same tuple).
   EvalStats again;
-  auto warm = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &again);
+  auto warm = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                            &again);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(again.semijoin_pass_skipped);
   EXPECT_FALSE(again.semijoin_pass_ran);
@@ -511,7 +597,8 @@ TEST(PlanCacheTest, PlannerAndExecutorShareTheCachedProbe) {
   // is a pure cache hit.
   EvalStats stats;
   ASSERT_TRUE(
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &stats).ok());
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &stats).ok());
   EXPECT_EQ(stats.plan_cache_hits, 1u);
   EXPECT_EQ(stats.treewidth_probe_runs, 0u);
   auto replanned = ChooseGenericJoinOrder(*q, &ctx);
@@ -537,11 +624,13 @@ TEST(PlanCacheTest, HighWidthShapeIsCachedWithoutEverProbing) {
 
   EvalStats cold, warm;
   ASSERT_TRUE(
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &cold).ok());
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &cold).ok());
   EXPECT_EQ(cold.plan_cache_misses, 1u);
   EXPECT_EQ(cold.treewidth_probe_runs, 0u);  // gated out, not cached out
   ASSERT_TRUE(
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &warm).ok());
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &warm).ok());
   EXPECT_EQ(warm.plan_cache_hits, 1u);
   EXPECT_EQ(warm.plan_cache_misses, 0u);
   EXPECT_EQ(warm.treewidth_probe_runs, 0u);
@@ -581,12 +670,14 @@ TEST(PlanCacheTest, SignatureCannotBeSpoofedByRelationNames) {
   EvalContext ctx(db);
   EvalStats s1, s2;
   auto first =
-      EvaluateQuery(two_atoms, db, PlanKind::kHybridYannakakis, &ctx, &s1);
+      EvaluateQuery(two_atoms, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &s1);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(s1.plan_cache_misses, 1u);
   // The spoofed shape must get its own plan entry, not the cached one.
   auto second =
-      EvaluateQuery(spoofed, db, PlanKind::kHybridYannakakis, &ctx, &s2);
+      EvaluateQuery(spoofed, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &s2);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(s2.plan_cache_misses, 1u);
   EXPECT_EQ(s2.plan_cache_hits, 0u);
@@ -602,13 +693,15 @@ TEST(PlanCacheTest, ClearDropsCachedPlans) {
   EvalContext ctx(db);
   EvalStats s;
   ASSERT_TRUE(
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &s).ok());
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &s).ok());
   EXPECT_EQ(ctx.plan_size(), 1u);
   ctx.Clear();
   EXPECT_EQ(ctx.plan_size(), 0u);
   EXPECT_EQ(ctx.size(), 0u);
   ASSERT_TRUE(
-      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, &s).ok());
+      EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx, nullptr,
+                    &s).ok());
   EXPECT_EQ(s.plan_cache_misses, 1u);
   EXPECT_EQ(s.treewidth_probe_runs, 1u);
 }
@@ -630,7 +723,7 @@ TEST(EvalStatsResetTest, ErrorPathsClearReusedStats) {
                         PlanKind::kGenericJoin, PlanKind::kHybridYannakakis}) {
     // First call succeeds and fills the counters.
     EvalStats stats;
-    ASSERT_TRUE(EvaluateQuery(*q, db, kind, &stats).ok());
+    ASSERT_TRUE(EvaluateQuery(*q, db, kind, nullptr, nullptr, &stats).ok());
     ASSERT_GT(stats.output_size, 0u) << PlanKindName(kind);
     ASSERT_FALSE(stats.intermediate_sizes.empty()) << PlanKindName(kind);
 
@@ -645,7 +738,7 @@ TEST(EvalStatsResetTest, ErrorPathsClearReusedStats) {
     stats.delta_tuples_processed = 99;
     auto bad = ParseQuery("Q(X,Z) :- R(X,Y), Missing(Y,Z).");
     ASSERT_TRUE(bad.ok());
-    EXPECT_FALSE(EvaluateQuery(*bad, db, kind, &stats).ok())
+    EXPECT_FALSE(EvaluateQuery(*bad, db, kind, nullptr, nullptr, &stats).ok())
         << PlanKindName(kind);
     EXPECT_EQ(stats.output_size, 0u) << PlanKindName(kind);
     EXPECT_EQ(stats.max_intermediate, 0u) << PlanKindName(kind);
@@ -665,8 +758,8 @@ TEST(EvalStatsResetTest, ErrorPathsClearReusedStats) {
   ASSERT_TRUE(
       EvaluateGenericJoin(*q, db, DefaultGenericJoinOrder(*q), &stats).ok());
   ASSERT_GT(stats.output_size, 0u);
-  // Without a context every trie is a transient from-scratch build: each
-  // counts as a miss and as a rebuild.
+  // Without a caller's context every trie is a cold build of the call's own
+  // context: each counts as a miss and as a rebuild.
   EXPECT_EQ(stats.trie_cache_misses, 2u);
   EXPECT_EQ(stats.trie_rebuilds, 2u);
   std::vector<int> bad_order = DefaultGenericJoinOrder(*q);
@@ -704,7 +797,7 @@ TEST(DegenerateAtomTest, NullaryAtomActsAsBooleanGuard) {
 
   for (PlanKind kind : kAllPlans) {
     EvalStats stats;
-    auto empty_guard = EvaluateQuery(q, db, kind, &stats);
+    auto empty_guard = EvaluateQuery(q, db, kind, nullptr, nullptr, &stats);
     ASSERT_TRUE(empty_guard.ok()) << PlanKindName(kind);
     EXPECT_EQ(empty_guard->size(), 0u) << PlanKindName(kind);
   }
@@ -769,17 +862,19 @@ TEST(DegenerateAtomTest, CacheServesDegenerateLayoutsToo) {
   EvalContext ctx(db);
 
   EvalStats s;
-  auto first = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s);
+  auto first = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr, &s);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->size(), 1u);
   EXPECT_EQ(s.trie_cache_misses, 1u);
 
-  ASSERT_TRUE(EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s).ok());
+  ASSERT_TRUE(EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                            &s).ok());
   EXPECT_EQ(s.trie_cache_hits, 1u);
   EXPECT_EQ(s.trie_cache_misses, 0u);
 
   r->Insert({4, 4});
-  auto mutated = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, &s);
+  auto mutated = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &ctx, nullptr,
+                               &s);
   ASSERT_TRUE(mutated.ok());
   EXPECT_EQ(s.trie_cache_misses, 1u);
   EXPECT_EQ(mutated->size(), 2u);

@@ -133,7 +133,7 @@ TEST(EvaluateStatsTest, EmptyFirstJoinShortCircuitsRemainingAtoms) {
                         PlanKind::kGenericJoin,
                         PlanKind::kHybridYannakakis}) {
     EvalStats stats;
-    auto result = EvaluateQuery(*q, db, kind, &stats);
+    auto result = EvaluateQuery(*q, db, kind, nullptr, nullptr, &stats);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->size(), 0u);
     EXPECT_EQ(stats.total_intermediate, 0u);

@@ -438,7 +438,8 @@ TEST(GenericJoinTest, IntermediatesStayWithinAgmEnvelopeOnAdversary) {
   const Rational envelope = FullJoinCoverExponent(*q);
 
   EvalStats generic_stats;
-  auto generic = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &generic_stats);
+  auto generic = EvaluateQuery(*q, db, PlanKind::kGenericJoin, nullptr, nullptr,
+                               &generic_stats);
   ASSERT_TRUE(generic.ok());
   EXPECT_TRUE(SatisfiesSizeBound(
       BigInt(static_cast<std::int64_t>(generic_stats.max_intermediate)), rmax,
@@ -446,7 +447,8 @@ TEST(GenericJoinTest, IntermediatesStayWithinAgmEnvelopeOnAdversary) {
 
   // And the adversary does hurt the naive plan as designed.
   EvalStats naive_stats;
-  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, &naive_stats);
+  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, nullptr, nullptr,
+                             &naive_stats);
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(naive_stats.max_intermediate,
             static_cast<std::size_t>(fanout) * fanout);
@@ -471,8 +473,10 @@ TEST(GenericJoinTest, IntermediatesStayWithinAgmEnvelopeOnWorstCaseDbs) {
 
     EvalStats generic_stats, naive_stats;
     auto generic = EvaluateQuery(*q, *db, PlanKind::kGenericJoin,
+                                 nullptr, nullptr,
                                  &generic_stats);
-    auto naive = EvaluateQuery(*q, *db, PlanKind::kNaive, &naive_stats);
+    auto naive = EvaluateQuery(*q, *db, PlanKind::kNaive, nullptr, nullptr,
+                               &naive_stats);
     ASSERT_TRUE(generic.ok());
     ASSERT_TRUE(naive.ok());
     ExpectSameRelation(*naive, *generic, "worst-case triangle");
@@ -501,8 +505,10 @@ TEST(GenericJoinTest, NaiveExceedsEnvelopeOnStarTriangleGenericJoinCannot) {
   EXPECT_EQ(envelope, Rational(3, 2));
 
   EvalStats naive_stats, generic_stats;
-  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, &naive_stats);
+  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, nullptr, nullptr,
+                             &naive_stats);
   auto generic = EvaluateQuery(*q, db, PlanKind::kGenericJoin,
+                               nullptr, nullptr,
                                &generic_stats);
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(generic.ok());
@@ -536,8 +542,10 @@ TEST(GenericJoinTest, RandomizedFourPlanCrossValidationWithEnvelope) {
     auto naive = EvaluateQuery(q, db, PlanKind::kNaive);
     auto project = EvaluateQuery(q, db, PlanKind::kJoinProject);
     auto generic = EvaluateQuery(q, db, PlanKind::kGenericJoin,
+                                 nullptr, nullptr,
                                  &generic_stats);
     auto hybrid = EvaluateQuery(q, db, PlanKind::kHybridYannakakis,
+                                nullptr, nullptr,
                                 &hybrid_stats);
     ASSERT_TRUE(naive.ok()) << q.ToString();
     ASSERT_TRUE(project.ok()) << q.ToString();
@@ -625,7 +633,8 @@ TEST(GenericJoinTest, BooleanQueryStopsAtTheFirstWitness) {
   for (int i = 0; i < 500; ++i) e->Insert({i, i + 1});
 
   EvalStats stats;
-  auto result = EvaluateQuery(q, db, PlanKind::kGenericJoin, &stats);
+  auto result = EvaluateQuery(q, db, PlanKind::kGenericJoin, nullptr, nullptr,
+                              &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 1u);
   EXPECT_TRUE(result->Contains(Tuple{}));

@@ -116,7 +116,8 @@ TEST(IntegrationTest, JoinProjectPlanEnvelope) {
   auto db = BuildWorstCaseDatabase(*q, bound->witness, 3);
   ASSERT_TRUE(db.ok());
   EvalStats stats;
-  auto result = EvaluateQuery(*q, *db, PlanKind::kJoinProject, &stats);
+  auto result = EvaluateQuery(*q, *db, PlanKind::kJoinProject, nullptr, nullptr,
+                              &stats);
   ASSERT_TRUE(result.ok());
   BigInt rmax(static_cast<std::int64_t>(db->RMax(*q).ValueOrDie()));
   // Intermediates may exceed |Q(D)| but not rmax^{C+1} (Cor 4.8's budget).

@@ -97,7 +97,8 @@ TEST(JoinPlanTest, GreedyOrderAvoidsCartesianWhenConnected) {
   }
   EvalStats plan_stats, naive_stats;
   auto via_plan = ExecuteJoinPlan(*q, plan->steps, db, &plan_stats);
-  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, &naive_stats);
+  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, nullptr, nullptr,
+                             &naive_stats);
   ASSERT_TRUE(via_plan.ok());
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(via_plan->size(), naive->size());

@@ -97,7 +97,7 @@ TEST_P(PlanCacheInterleavedMutationTest, FourPlansStayCorrectAcrossMutation) {
 
       for (PlanKind kind : kAllPlans) {
         EvalStats stats;
-        auto result = EvaluateQuery(q, db, kind, &ctx, &stats);
+        auto result = EvaluateQuery(q, db, kind, &ctx, nullptr, &stats);
         ASSERT_TRUE(result.ok()) << tag;
         ExpectSameRelation(*oracle, *result,
                            tag + " plan " + PlanKindName(kind));

@@ -344,8 +344,10 @@ TEST(EvaluateTest, JoinProjectReducesIntermediates) {
   auto q = ParseQuery("Q(A,C) :- R(A,X), S(X,B), T(B,Y), U(Y,C).");
   ASSERT_TRUE(q.ok());
   EvalStats naive_stats, jp_stats;
-  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, &naive_stats);
-  auto jp = EvaluateQuery(*q, db, PlanKind::kJoinProject, &jp_stats);
+  auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, nullptr, nullptr,
+                             &naive_stats);
+  auto jp = EvaluateQuery(*q, db, PlanKind::kJoinProject, nullptr, nullptr,
+                          &jp_stats);
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(jp.ok());
   EXPECT_EQ(naive->size(), 1u);
