@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """cqb_lint: repo-specific static checks for cqbounds.
 
-Six rule classes, each encoding an invariant the general-purpose toolchain
+Seven rule classes, each encoding an invariant the general-purpose toolchain
 cannot see (run `--explain <rule>` for the full rationale and the fix):
 
   include-guard       header guards spell CQBOUNDS_<PATH>_H_ exactly
@@ -14,6 +14,8 @@ cannot see (run `--explain <rule>` for the full rationale and the fix):
                       therefore lands in the --json dump)
   raw-row-access      library code outside src/relation/ reads rows through
                       ColumnStore, never the materializing tuples() accessor
+  one-hash-index      src/relation/ hashes through relation/flat_index.h
+                      only: no std hash containers, no hand-rolled probe
 
 Stdlib-only and offline by design: it must run in the bare CI lint job and
 in the network-less dev container. Regex-grade parsing, not a compiler --
@@ -561,6 +563,55 @@ is visible at the call site. For liveness, use IsLive()/live_size()."""
                 yield self.finding(lf, lf.line_of(m.start()), message)
 
 
+class OneHashIndexRule(Rule):
+    NAME = "one-hash-index"
+    SUMMARY = ("src/relation/ hashes through relation/flat_index.h only: no "
+               "std::unordered_map/unordered_set, no hand-rolled "
+               "`(slot + 1) & mask` probe")
+    EXPLAIN = """\
+The storage and evaluation layers have one hash index: FlatIndex in
+src/relation/flat_index.h (a power-of-two slot table of dense uint32_t ids,
+linear probing, load at most 1/2, the 2^32 - 1 id cap checked in one place)
+and the KeyedIndex built on it (Value-tuple keys with a support count and a
+chain of rows per key). The value pool, the store dictionaries, the row
+index, the semi-join books and the binary joins' indexes all sit on it, each
+with its own hash function, so a probe sequence or a capacity rule is
+written once.
+
+A std::unordered_map/unordered_set allocates a node per key and hides its
+probe behind an opaque hash; a second hand-rolled slot table re-grows the
+copies of the probe/grow/rehash code and the capacity check that
+flat_index.h exists to keep single.
+
+The rule flags, in src/relation/**/*.{h,cc} other than flat_index.h, any
+mention of std::unordered_map or std::unordered_set (the <unordered_*>
+includes too) and any linear-probe step spelled `(slot + 1) & mask` (any
+spacing). Comments and strings are ignored.
+
+Fix: key the lookup through FlatIndex (ids into your own dense arrays, with
+your hash and key test) or KeyedIndex (Value-tuple keys with row chains)."""
+
+    PATTERN = re.compile(
+        r"\bunordered_(?:map|set)\b"
+        r"|\(\s*slot\s*\+\s*1\s*\)\s*&\s*mask\b")
+
+    def check(self, files):
+        for lf in files:
+            if (not lf.relpath.startswith("src/relation/")
+                    or lf.relpath == "src/relation/flat_index.h"):
+                continue
+            for m in self.PATTERN.finditer(lf.code):
+                if "unordered" in m.group(0):
+                    message = ("std hash container in src/relation/: key it "
+                               "through FlatIndex or KeyedIndex "
+                               "(relation/flat_index.h)")
+                else:
+                    message = ("hand-rolled linear probe in src/relation/: "
+                               "FlatIndex::Probe (relation/flat_index.h) is "
+                               "the one probe loop")
+                yield self.finding(lf, lf.line_of(m.start()), message)
+
+
 RULES = [
     IncludeGuardRule(),
     NakedMutexRule(),
@@ -568,6 +619,7 @@ RULES = [
     StatsResetRule(),
     BenchTableDumpRule(),
     RawRowAccessRule(),
+    OneHashIndexRule(),
 ]
 
 

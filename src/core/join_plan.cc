@@ -133,10 +133,6 @@ std::string GenericJoinOrder::ToString(const Query& query) const {
   return os.str();
 }
 
-Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query) {
-  return ChooseGenericJoinOrder(query, /*ctx=*/nullptr);
-}
-
 Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query,
                                                 EvalContext* ctx) {
   CQB_RETURN_NOT_OK(query.Validate());

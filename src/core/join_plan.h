@@ -88,16 +88,14 @@ struct GenericJoinOrder {
 /// heuristic), and runs the exact treewidth engine on the query's
 /// variable-intersection graph, preferring the certified elimination order
 /// when the graph is low-width (<= 2; chains, trees, cycles, triangles).
-Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query);
-
-/// As above, sharing `ctx`'s plan tier (relation/eval_context.h) for the
+///
+/// A non-null `ctx` shares its plan tier (relation/eval_context.h) for the
 /// treewidth probe: the planner and the hybrid executor then derive their
 /// low-width certificates from the same cached entry, so planning a query
 /// that was already evaluated (or evaluating one that was already planned)
-/// re-runs zero TreewidthExact calls. `ctx` may be null (identical to the
-/// overload above).
+/// re-runs zero TreewidthExact calls.
 Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query,
-                                                EvalContext* ctx);
+                                                EvalContext* ctx = nullptr);
 
 }  // namespace cqbounds
 

@@ -1,18 +1,11 @@
 #include "relation/column_store.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace cqbounds {
 
 namespace {
-
-std::size_t HashValue(Value v) {
-  // Fibonacci multiply, then fold the well-mixed high half into the low
-  // bits the slot mask keeps: dense or strided ids spread evenly.
-  const std::uint64_t h =
-      static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(h ^ (h >> 32));
-}
 
 /// Lazy code translation from a foreign dictionary into `into`: a source
 /// code is interned on first use, so codes are minted in exactly the order
@@ -41,36 +34,25 @@ class CodeRemap {
 
 }  // namespace
 
-std::size_t ValueDictionary::ProbeSlot(Value v) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = HashValue(v) & mask;
-  while (slots_[slot] != kNoCode && values_[slots_[slot]] != v) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void ValueDictionary::Grow() {
-  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kNoCode);
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t code = 0; code < values_.size(); ++code) {
-    // Values are distinct: probe straight to the first free slot.
-    std::size_t slot = HashValue(values_[code]) & mask;
-    while (slots_[slot] != kNoCode) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(code);
-  }
-}
-
 std::uint32_t ValueDictionary::Intern(Value v) {
-  // Keep the load factor under 1/2 counting the value about to land.
-  if ((values_.size() + 1) * 2 > slots_.size()) Grow();
-  const std::size_t slot = ProbeSlot(v);
-  if (slots_[slot] != kNoCode) return slots_[slot];
-  CQB_CHECK(values_.size() < kNoCode);
-  const auto code = static_cast<std::uint32_t>(values_.size());
-  slots_[slot] = code;
-  values_.push_back(v);
+  const std::uint32_t code = index_.Intern(
+      values_.size(), FibonacciHash(static_cast<std::uint64_t>(v)),
+      [this, v](std::uint32_t c) { return values_[c] == v; },
+      [this](std::size_t c) {
+        return FibonacciHash(static_cast<std::uint64_t>(values_[c]));
+      });
+  if (code == values_.size()) values_.push_back(v);
   return code;
+}
+
+void ValueDictionary::Assign(std::vector<Value> values) {
+  values_ = std::move(values);
+  index_.Rebuild(
+      values_.size(), values_.size(),
+      [this](std::size_t c) {
+        return FibonacciHash(static_cast<std::uint64_t>(values_[c]));
+      },
+      [](std::size_t) { return true; });
 }
 
 ColumnStore::ColumnStore(int arity) : arity_(arity) {
@@ -90,7 +72,7 @@ Tuple ColumnStore::Row(std::size_t row) const {
   return t;
 }
 
-std::uint64_t ColumnStore::HashCodes(const std::uint32_t* codes) const {
+std::size_t ColumnStore::HashCodes(const std::uint32_t* codes) const {
   // FNV-1a over the code words. Codes are dense and per-store, so hashing
   // codes is equivalent to hashing the decoded values.
   std::uint64_t h = 1469598103934665603ull;
@@ -101,90 +83,37 @@ std::uint64_t ColumnStore::HashCodes(const std::uint32_t* codes) const {
   return h;
 }
 
-bool ColumnStore::RowEqualsCodes(std::size_t row,
-                                 const std::uint32_t* codes) const {
-  for (int c = 0; c < arity_; ++c) {
-    if (columns_[static_cast<std::size_t>(c)][row] != codes[c]) return false;
-  }
-  return true;
-}
-
-std::size_t ColumnStore::ProbeSlot(const std::uint32_t* codes) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(HashCodes(codes)) & mask;
-  while (slots_[slot] != kEmptySlot &&
-         !RowEqualsCodes(slots_[slot], codes)) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void ColumnStore::EnsureSlotCapacity(std::size_t upcoming_rows) {
-  // Keep load factor under 1/2; power-of-two table for mask probing. The
-  // early return keeps the per-row call in AppendCodedRow a compare.
-  if (!slots_.empty() && upcoming_rows * 2 <= slots_.size()) return;
-  std::size_t want = 16;
-  while (want < upcoming_rows * 2) want <<= 1;
-  if (want <= slots_.size()) return;
-  ReindexInto(want);
-}
-
-void ColumnStore::RehashAll() {
-  std::size_t want = 16;
-  while (want < rows_ * 2) want <<= 1;
-  ReindexInto(want);
-}
-
-void ColumnStore::ReindexInto(std::size_t capacity) {
-  slots_.assign(capacity, kEmptySlot);
-  const std::size_t mask = slots_.size() - 1;
-  std::vector<std::uint32_t> codes(static_cast<std::size_t>(arity_));
-  for (std::size_t row = 0; row < rows_; ++row) {
-    // Tombstoned rows are unindexed: a rehash would otherwise leave two
-    // slots matching one code-set, and a later probe could stop at the
-    // dead one and report a live tuple absent.
-    if (!IsLive(row)) continue;
-    for (int c = 0; c < arity_; ++c) {
-      codes[static_cast<std::size_t>(c)] = CodeAt(row, c);
-    }
-    // Live rows are already distinct: probe straight to the first free
-    // slot.
-    std::size_t slot = static_cast<std::size_t>(HashCodes(codes.data())) & mask;
-    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(row);
-  }
-}
-
-bool ColumnStore::AppendCodedRow(const std::uint32_t* codes) {
-  EnsureSlotCapacity(rows_ + 1);
-  const std::size_t slot = ProbeSlot(codes);
-  const bool over_dead =
-      slots_[slot] != kEmptySlot && !IsLive(slots_[slot]);
-  if (slots_[slot] != kEmptySlot && !over_dead) return false;
-  CQB_CHECK(rows_ < kEmptySlot);
-  // Re-appending a tombstoned tuple mints a NEW physical row (ids never
-  // resurrect, so journaled removals stay valid) and re-points the dead
-  // row's slot at it, keeping one indexed slot per code-set.
-  slots_[slot] = static_cast<std::uint32_t>(rows_);
-  for (int c = 0; c < arity_; ++c) {
-    columns_[static_cast<std::size_t>(c)].push_back(codes[c]);
-  }
-  if (!dead_.empty()) dead_.push_back(false);
-  ++rows_;
-  return true;
-}
-
-bool ColumnStore::Contains(const Tuple& t) const {
+bool ColumnStore::CodesOf(const Tuple& t, std::uint32_t* codes) const {
   CQB_CHECK(static_cast<int>(t.size()) == arity_);
-  if (rows_ == 0) return false;
-  std::vector<std::uint32_t> codes(static_cast<std::size_t>(arity_));
   for (int c = 0; c < arity_; ++c) {
-    const std::uint32_t code = dict_.CodeOf(t[static_cast<std::size_t>(c)]);
-    if (code == ValueDictionary::kNoCode) return false;
-    codes[static_cast<std::size_t>(c)] = code;
+    codes[c] = dict_.CodeOf(t[static_cast<std::size_t>(c)]);
+    if (codes[c] == ValueDictionary::kNoCode) return false;
   }
-  const std::size_t slot = ProbeSlot(codes.data());
-  return slots_[slot] != kEmptySlot && IsLive(slots_[slot]);
+  return true;
+}
+
+std::size_t ColumnStore::SlotOf(const std::uint32_t* codes) const {
+  return index_.Probe(HashCodes(codes), [this, codes](std::uint32_t row) {
+    for (int c = 0; c < arity_; ++c) {
+      if (CodeAt(row, c) != codes[c]) return false;
+    }
+    return true;
+  });
+}
+
+void ColumnStore::ReserveRows(std::size_t rows) {
+  index_.Reserve(
+      rows, rows_,
+      [this](std::size_t row) {
+        // HashCodes over the row's codes, read down the columns.
+        std::size_t h = 1469598103934665603ull;
+        for (const std::vector<std::uint32_t>& col : columns_) {
+          h ^= col[row];
+          h *= 1099511628211ull;
+        }
+        return h;
+      },
+      [this](std::size_t row) { return IsLive(row); });
 }
 
 bool ColumnStore::Append(const Tuple& t) {
@@ -193,12 +122,31 @@ bool ColumnStore::Append(const Tuple& t) {
     scratch_[static_cast<std::size_t>(c)] =
         dict_.Intern(t[static_cast<std::size_t>(c)]);
   }
-  return AppendCodedRow(scratch_.data());
+  ReserveRows(rows_ + 1);
+  const std::size_t slot = SlotOf(scratch_.data());
+  if (index_[slot] != FlatIndex::kNone && IsLive(index_[slot])) return false;
+  // Re-appending a tombstoned tuple mints a NEW physical row (ids never
+  // resurrect, so journaled removals stay valid) and re-points the dead
+  // row's slot at it, keeping one indexed slot per code-set.
+  index_.Set(slot, rows_);
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].push_back(scratch_[c]);
+  }
+  if (!dead_.empty()) dead_.push_back(false);
+  ++rows_;
+  return true;
+}
+
+bool ColumnStore::Contains(const Tuple& t) const {
+  std::vector<std::uint32_t> codes(static_cast<std::size_t>(arity_));
+  if (!CodesOf(t, codes.data()) || rows_ == 0) return false;
+  const std::uint32_t row = index_[SlotOf(codes.data())];
+  return row != FlatIndex::kNone && IsLive(row);
 }
 
 template <typename NextRow>
 std::size_t ColumnStore::AppendBulk(std::size_t incoming, NextRow&& next_row) {
-  EnsureSlotCapacity(rows_ + incoming);
+  ReserveRows(rows_ + incoming);
   const auto width = static_cast<std::size_t>(arity_);
   // Room for every incoming row up front; the columns are trimmed to the
   // rows actually added at the end.
@@ -208,31 +156,26 @@ std::size_t ColumnStore::AppendBulk(std::size_t incoming, NextRow&& next_row) {
     cols[c] = columns_[c].data();
   }
   std::uint32_t* const codes = scratch_.data();
-  std::uint32_t* const slots = slots_.data();
-  const std::size_t mask = slots_.size() - 1;
+  const auto matches = [&cols, width, codes](std::uint32_t row) {
+    std::size_t c = 0;
+    while (c < width && cols[c][row] == codes[c]) ++c;
+    return c == width;
+  };
   // Rows added by this call are live; only earlier rows can be tombstoned.
   const std::size_t dead_rows = dead_.size();
   std::size_t rows = rows_;
   for (std::size_t r = 0; r < incoming; ++r) {
     next_row(codes);
-    std::size_t slot = static_cast<std::size_t>(HashCodes(codes)) & mask;
-    bool present = false;
-    for (; slots[slot] != kEmptySlot; slot = (slot + 1) & mask) {
-      const std::size_t row = slots[slot];
-      std::size_t c = 0;
-      while (c < width && cols[c][row] == codes[c]) ++c;
-      if (c == width) {
-        present = row >= dead_rows || !dead_[row];
-        break;
-      }
-    }
+    const std::size_t slot = index_.Probe(HashCodes(codes), matches);
+    const std::uint32_t row = index_[slot];
     // A repeat keeps its first occurrence. An equal tombstoned row gets a
     // NEW physical row (ids never resurrect, so journaled removals stay
     // valid) and its slot is re-pointed at it, keeping one indexed slot per
     // code-set.
-    if (present) continue;
-    CQB_CHECK(rows < kEmptySlot);
-    slots[slot] = static_cast<std::uint32_t>(rows);
+    if (row != FlatIndex::kNone && (row >= dead_rows || !dead_[row])) {
+      continue;
+    }
+    index_.Set(slot, rows);
     for (std::size_t c = 0; c < width; ++c) cols[c][rows] = codes[c];
     ++rows;
   }
@@ -300,25 +243,18 @@ std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
 ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,
                                             std::uint32_t* removed_row,
                                             CompactionRecord* compaction) {
-  CQB_CHECK(static_cast<int>(t.size()) == arity_);
-  if (live_size() == 0) return EraseResult::kNotFound;
-  for (int c = 0; c < arity_; ++c) {
-    const std::uint32_t code = dict_.CodeOf(t[static_cast<std::size_t>(c)]);
-    if (code == ValueDictionary::kNoCode) return EraseResult::kNotFound;
-    scratch_[static_cast<std::size_t>(c)] = code;
-  }
-  const std::size_t slot = ProbeSlot(scratch_.data());
-  if (slots_[slot] == kEmptySlot || !IsLive(slots_[slot])) {
+  if (!CodesOf(t, scratch_.data()) || live_size() == 0) {
     return EraseResult::kNotFound;
   }
-  const std::size_t row = slots_[slot];
+  const std::uint32_t row = index_[SlotOf(scratch_.data())];
+  if (row == FlatIndex::kNone || !IsLive(row)) return EraseResult::kNotFound;
   // Tombstone: columns and index untouched, every live row id stable. The
   // slot keeps pointing at the dead row so a re-append of the same tuple
   // can re-point it in place.
   if (dead_.empty()) dead_.assign(rows_, false);
   dead_[row] = true;
   ++dead_count_;
-  if (removed_row != nullptr) *removed_row = static_cast<std::uint32_t>(row);
+  if (removed_row != nullptr) *removed_row = row;
   // Deferred compaction: once more than a quarter of the physical rows are
   // dead, the O(size * arity) rewrite amortizes against the removals that
   // earned it.
@@ -363,7 +299,9 @@ void ColumnStore::Compact(CompactionRecord* record) {
   rows_ = write;
   dead_.clear();
   dead_count_ = 0;
-  RehashAll();
+  // A fresh index, sized to the rows left.
+  index_ = FlatIndex();
+  ReserveRows(rows_);
 }
 
 void ColumnStore::Clear() {
@@ -371,33 +309,63 @@ void ColumnStore::Clear() {
   rows_ = 0;
   dead_.clear();
   dead_count_ = 0;
-  slots_.clear();
+  index_ = FlatIndex();
+}
+
+bool ColumnStore::ReclaimCodes(
+    const std::vector<std::vector<std::uint32_t>*>& held) {
+  // Old code -> new code, minted on first sight; kNoCode marks unused.
+  std::vector<std::uint32_t> remap(dict_.size(), ValueDictionary::kNoCode);
+  std::vector<Value> values;
+  auto mint = [&](std::uint32_t code) {
+    if (remap[code] == ValueDictionary::kNoCode) {
+      remap[code] = static_cast<std::uint32_t>(values.size());
+      values.push_back(dict_.ValueOf(code));
+    }
+  };
+  for (std::size_t row = 0; row < rows_; ++row) {
+    for (const std::vector<std::uint32_t>& col : columns_) mint(col[row]);
+  }
+  for (const std::vector<std::uint32_t>* codes : held) {
+    for (std::uint32_t code : *codes) mint(code);
+  }
+  if (values.size() * 4 >= dict_.size() * 3) return false;
+  for (std::vector<std::uint32_t>& col : columns_) {
+    for (std::uint32_t& code : col) code = remap[code];
+  }
+  for (std::vector<std::uint32_t>* codes : held) {
+    for (std::uint32_t& code : *codes) code = remap[code];
+  }
+  // One table sized for the codes kept: re-interning them one by one would
+  // grow it through every doubling, and raised the peak RSS.
+  dict_.Assign(std::move(values));
+  // Rows hash by their codes: a fresh index, as after a compaction.
+  index_ = FlatIndex();
+  ReserveRows(rows_);
+  return true;
+}
+
+std::vector<Value> ColumnStore::DistinctValues(int first, int last) const {
+  CQB_CHECK(0 <= first && first <= last && last <= arity_);
+  std::vector<bool> seen(dict_.size(), false);
+  std::vector<Value> values;
+  for (int col = first; col < last; ++col) {
+    for (std::size_t row = 0; row < rows_; ++row) {
+      const std::uint32_t code = CodeAt(row, col);
+      if (!IsLive(row) || seen[code]) continue;
+      seen[code] = true;
+      values.push_back(dict_.ValueOf(code));
+    }
+  }
+  std::sort(values.begin(), values.end());
+  return values;
 }
 
 ColumnStats ColumnStore::Stats(int col) const {
   CQB_CHECK(col >= 0 && col < arity_);
-  ColumnStats stats;
-  if (live_size() == 0) return stats;
-  const std::vector<std::uint32_t>& codes =
-      columns_[static_cast<std::size_t>(col)];
-  std::vector<bool> seen(dict_.size(), false);
-  bool seeded = false;
-  for (std::size_t row = 0; row < rows_; ++row) {
-    if (!IsLive(row)) continue;
-    const std::uint32_t code = codes[row];
-    if (seen[code]) continue;
-    seen[code] = true;
-    ++stats.distinct;
-    const Value v = dict_.ValueOf(code);
-    if (!seeded) {
-      stats.min = stats.max = v;
-      seeded = true;
-    } else {
-      stats.min = std::min(stats.min, v);
-      stats.max = std::max(stats.max, v);
-    }
-  }
-  return stats;
+  const std::vector<Value> values = DistinctValues(col, col + 1);
+  if (values.empty()) return ColumnStats{};
+  return ColumnStats{values.front(), values.back(), values.size()};
 }
 
 RowView RowView::Tail(const ColumnStore& store, std::size_t first,

@@ -5,14 +5,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "relation/flat_index.h"
 #include "relation/tuple.h"
 #include "util/status.h"
 
 namespace cqbounds {
 
 /// Per-column summary over the live rows: value bounds and distinct count.
-/// Computed on demand (one column scan); undefined fields are zero when the
-/// store is empty.
+/// Computed on demand (one column scan, one sort of its distinct values);
+/// undefined fields are zero when the store is empty.
 struct ColumnStats {
   Value min = 0;
   Value max = 0;
@@ -24,37 +25,36 @@ struct ColumnStats {
 /// ColumnStore so that intra-tuple equality (repeated query variables such
 /// as R(X,X)) reduces to code equality across columns.
 ///
-/// Storage is flat, like the row index: the values in code order plus a
-/// power-of-two table of codes (load factor below 1/2, linear probing), so
-/// an intern hit allocates nothing.
+/// Storage is flat: the values in code order, found through a FlatIndex
+/// (relation/flat_index.h) hashed by FibonacciHash, so an intern hit
+/// allocates nothing.
 class ValueDictionary {
  public:
-  /// Sentinel returned by CodeOf for values never interned, and the empty
-  /// slot marker. Doubles as the hard capacity limit: a store holds fewer
-  /// than 2^32 - 1 distinct values.
-  static constexpr std::uint32_t kNoCode = 0xFFFFFFFFu;
+  /// Sentinel returned by CodeOf for values never interned. Doubles as the
+  /// hard capacity limit (FlatIndex's id cap): a store holds fewer than
+  /// 2^32 - 1 distinct values.
+  static constexpr std::uint32_t kNoCode = FlatIndex::kNone;
 
   /// Code for `v`, minting the next dense code on first sight.
   std::uint32_t Intern(Value v);
 
   /// Code for `v`, or kNoCode if `v` was never interned.
   std::uint32_t CodeOf(Value v) const {
-    return slots_.empty() ? kNoCode : slots_[ProbeSlot(v)];
+    return index_.Find(FibonacciHash(static_cast<std::uint64_t>(v)),
+                       [this, v](std::uint32_t code) {
+                         return values_[code] == v;
+                       });
   }
 
   Value ValueOf(std::uint32_t code) const { return values_[code]; }
   std::size_t size() const { return values_.size(); }
 
- private:
-  /// Slot holding the code of `v`, or the empty slot where it would go.
-  /// Requires a non-empty slot table.
-  std::size_t ProbeSlot(Value v) const;
-  /// Doubles the slot table and re-inserts every code.
-  void Grow();
+  /// Replaces the contents with `values` (distinct): value i gets code i.
+  void Assign(std::vector<Value> values);
 
+ private:
   std::vector<Value> values_;
-  /// slot -> code, kNoCode when free.
-  std::vector<std::uint32_t> slots_;
+  FlatIndex index_;
 };
 
 /// Rows coded in a dictionary of their own: the flat buffer a producer
@@ -76,8 +76,8 @@ struct CodedSlice {
 };
 
 /// Dictionary-encoded columnar tuple storage with set semantics: `arity`
-/// contiguous uint32_t code columns plus an open-addressing hash index over
-/// row ids (no per-row heap nodes, no shadow tuple copies). Row order is
+/// contiguous uint32_t code columns plus a FlatIndex over row ids (no
+/// per-row heap nodes, no shadow tuple copies). Row order is
 /// first-insertion order; appends only ever extend the columns, so row ids
 /// are stable across appends and a row-id suffix is a well-defined delta.
 ///
@@ -190,43 +190,52 @@ class ColumnStore {
   EraseResult Erase(const Tuple& t, std::uint32_t* removed_row = nullptr,
                     CompactionRecord* compaction = nullptr);
 
-  /// Drops all rows, live and dead (structural). The dictionary survives:
-  /// codes are never recycled, so a long-lived store's dictionary is
-  /// append-only.
+  /// Drops all rows, live and dead (structural). The dictionary survives
+  /// until ReclaimCodes.
   void Clear();
+
+  /// Re-mints the dictionary over the codes in use -- the columns' (dead
+  /// rows included) and those of `held`, code tuples the caller keeps
+  /// outside the store (Relation's compaction journal) -- once more than a
+  /// quarter of its codes are unused, so a store whose values churn keeps
+  /// a dictionary the size of what it holds, not of every value it ever
+  /// saw. New codes follow first-seen order (the rows in order, then
+  /// `held`); the columns and `held` are rewritten and the row index is
+  /// rebuilt. Returns whether it re-minted.
+  bool ReclaimCodes(const std::vector<std::vector<std::uint32_t>*>& held);
 
   const ValueDictionary& dict() const { return dict_; }
 
-  /// min/max/distinct over the LIVE rows of column `col`, one scan. Pure
+  /// The distinct values of the LIVE rows in columns [first, last), sorted:
+  /// a dictionary-sized seen bitmap over the codes, then one sort. Pure
   /// read.
+  std::vector<Value> DistinctValues(int first, int last) const;
+
+  /// min/max/distinct over the LIVE rows of column `col`. Pure read.
   ColumnStats Stats(int col) const;
 
  private:
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-  std::uint64_t HashCodes(const std::uint32_t* codes) const;
-  bool RowEqualsCodes(std::size_t row, const std::uint32_t* codes) const;
-  /// Slot holding the row equal to `codes`, or the empty slot where it
-  /// would be inserted. Requires a non-empty slot table.
-  std::size_t ProbeSlot(const std::uint32_t* codes) const;
-  /// Grows the slot table (and rehashes) so `upcoming_rows` fit under the
-  /// target load factor.
-  void EnsureSlotCapacity(std::size_t upcoming_rows);
-  void RehashAll();
-  /// Rebuilds the slot table at `capacity` (a power of two) from the live
-  /// rows; tombstoned rows end up unindexed.
-  void ReindexInto(std::size_t capacity);
+  /// FNV-1a over a row's code words.
+  std::size_t HashCodes(const std::uint32_t* codes) const;
+  /// Codes `t` (arity() values) into `codes` without interning; false when
+  /// a value was never interned, so no row can hold `t`.
+  bool CodesOf(const Tuple& t, std::uint32_t* codes) const;
+  /// Index slot holding the row equal to `codes` (live or tombstoned), or
+  /// the free slot where it would go. Requires a table (rows ever added).
+  std::size_t SlotOf(const std::uint32_t* codes) const;
+  /// Grows the row index so `rows` physical rows fit; a growth indexes the
+  /// live rows only (a dead row left indexed would shadow a re-appended
+  /// copy of its tuple).
+  void ReserveRows(std::size_t rows);
   /// Deferred structural pass: copies the live rows down in order, drops
   /// the tombstone bitmap, rebuilds the index. Row ids shift. Records the
   /// dropped rows in `*record` when non-null.
   void Compact(CompactionRecord* record);
-  /// Probes and appends one coded row; true iff it was new.
-  bool AppendCodedRow(const std::uint32_t* codes);
   /// The one bulk loop behind AppendBatch, AppendFlat and AppendCoded:
   /// appends `incoming` rows, each coded into the scratch buffer by one call
   /// of `next_row(codes)` (in row order, so codes are minted as a row-wise
-  /// Append would mint them), with AppendCodedRow's semantics per row. The
-  /// columns are sized once and trimmed at the end. Returns the rows added.
+  /// Append would mint them), with Append's semantics per row. The columns
+  /// are sized once and trimmed at the end. Returns the rows added.
   template <typename NextRow>
   std::size_t AppendBulk(std::size_t incoming, NextRow&& next_row);
 
@@ -238,8 +247,8 @@ class ColumnStore {
   /// every row is live (the append-only fast path never pays for it).
   std::vector<bool> dead_;
   std::size_t dead_count_ = 0;
-  /// Open-addressing row index: slot -> row id, kEmptySlot when free.
-  std::vector<std::uint32_t> slots_;
+  /// Row index: one slot per live code-set, pointing at its newest row.
+  FlatIndex index_;
   /// Scratch code buffer for probe/append paths (non-const methods only).
   std::vector<std::uint32_t> scratch_;
 };

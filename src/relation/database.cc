@@ -4,43 +4,14 @@
 
 namespace cqbounds {
 
-namespace {
-
-std::size_t HashSpelling(std::string_view spelling) {
-  return std::hash<std::string_view>{}(spelling);
-}
-
-}  // namespace
-
-std::size_t ValuePool::ProbeSlot(std::string_view spelling) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = HashSpelling(spelling) & mask;
-  while (slots_[slot] != kEmptySlot && spellings_[slots_[slot]] != spelling) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void ValuePool::Grow() {
-  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kEmptySlot);
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t id = 0; id < spellings_.size(); ++id) {
-    // Spellings are distinct: probe straight to the first free slot.
-    std::size_t slot = HashSpelling(spellings_[id]) & mask;
-    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(id);
-  }
-}
-
 Value ValuePool::Intern(std::string_view spelling) {
-  // Keep the load factor under 1/2 counting the spelling about to land.
-  if ((spellings_.size() + 1) * 2 > slots_.size()) Grow();
-  const std::size_t slot = ProbeSlot(spelling);
-  if (slots_[slot] != kEmptySlot) return static_cast<Value>(slots_[slot]);
-  CQB_CHECK(!full());
-  slots_[slot] = static_cast<std::uint32_t>(spellings_.size());
-  spellings_.emplace_back(spelling);
-  return static_cast<Value>(spellings_.size() - 1);
+  const std::hash<std::string_view> hash;
+  const std::uint32_t id = index_.Intern(
+      spellings_.size(), hash(spelling),
+      [this, spelling](std::uint32_t i) { return spellings_[i] == spelling; },
+      [this, &hash](std::size_t i) { return hash(spellings_[i]); });
+  if (id == spellings_.size()) spellings_.emplace_back(spelling);
+  return static_cast<Value>(id);
 }
 
 std::string ValuePool::Spelling(Value id) const {

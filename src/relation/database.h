@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cq/query.h"
+#include "relation/flat_index.h"
 #include "relation/relation.h"
 #include "util/status.h"
 
@@ -19,14 +20,14 @@ namespace cqbounds {
 /// space is structured (e.g. the color-index vectors of the Proposition 4.5
 /// product construction, or Shamir shares tagged by group).
 ///
-/// Storage is flat: the spellings in id order plus a power-of-two table of
-/// uint32_t ids (load factor below 1/2, linear probing), so an intern hit
-/// allocates nothing and a miss appends one string.
+/// Storage is flat: the spellings in id order, found through a FlatIndex
+/// (relation/flat_index.h) hashed by std::hash<std::string_view>, so an
+/// intern hit allocates nothing and a miss appends one string.
 class ValuePool {
  public:
-  /// Capacity limit: ids are uint32_t slots and the all-ones slot marks an
-  /// empty one, so a pool holds at most 2^32 - 1 spellings.
-  static constexpr std::size_t kMaxSpellings = 0xFFFFFFFFu;
+  /// Capacity limit: FlatIndex's id cap, so a pool holds at most 2^32 - 1
+  /// spellings.
+  static constexpr std::size_t kMaxSpellings = FlatIndex::kNone;
 
   /// Returns the id of `spelling`, interning it on first use. Aborts when a
   /// new spelling would exceed kMaxSpellings; callers loading untrusted
@@ -41,17 +42,8 @@ class ValuePool {
   bool full() const { return spellings_.size() >= kMaxSpellings; }
 
  private:
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-  /// Slot holding the id of `spelling`, or the empty slot where it would
-  /// go. Requires a non-empty slot table.
-  std::size_t ProbeSlot(std::string_view spelling) const;
-  /// Doubles the slot table and re-inserts every id.
-  void Grow();
-
   std::vector<std::string> spellings_;
-  /// slot -> id, kEmptySlot when free.
-  std::vector<std::uint32_t> slots_;
+  FlatIndex index_;
 };
 
 /// A database instance D = (U_D, R_1, ..., R_n): named relations over a

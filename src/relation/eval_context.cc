@@ -33,97 +33,7 @@ std::string PlanSignature(const Query& query) {
   return os.str();
 }
 
-/// Fibonacci multiply per value, folding the well-mixed high half into the
-/// low bits the slot mask keeps (the ValueDictionary hash, chained).
-std::size_t HashKey(const Value* key, std::size_t width) {
-  std::uint64_t h = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    h = (h ^ static_cast<std::uint64_t>(key[i])) * 0x9E3779B97F4A7C15ull;
-  }
-  return static_cast<std::size_t>(h ^ (h >> 32));
-}
-
 }  // namespace
-
-void EvalContext::StepKeys::Reset(std::size_t width,
-                                  std::size_t expected_keys,
-                                  std::size_t target_rows) {
-  CQB_CHECK(width >= 1);
-  width_ = width;
-  keys_.clear();
-  entries_.clear();
-  next_.clear();
-  keys_.reserve(expected_keys * width);
-  entries_.reserve(expected_keys);
-  next_.reserve(target_rows);
-  // Load factor under 1/2 once every expected key has landed.
-  std::size_t capacity = 16;
-  while (capacity < 2 * (expected_keys + 1)) capacity *= 2;
-  Rehash(capacity);
-}
-
-std::size_t EvalContext::StepKeys::ProbeSlot(const Value* key) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = HashKey(key, width_) & mask;
-  while (slots_[slot] != kNone &&
-         !std::equal(key, key + width_,
-                     keys_.begin() + slots_[slot] * width_)) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void EvalContext::StepKeys::Rehash(std::size_t capacity) {
-  slots_.assign(capacity, kNone);
-  const std::size_t mask = capacity - 1;
-  for (std::size_t e = 0; e < entries_.size(); ++e) {
-    // Keys are distinct: probe straight to the first free slot.
-    std::size_t slot = HashKey(&keys_[e * width_], width_) & mask;
-    while (slots_[slot] != kNone) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(e);
-  }
-}
-
-std::uint32_t EvalContext::StepKeys::Find(const Value* key) const {
-  return slots_[ProbeSlot(key)];
-}
-
-std::uint32_t EvalContext::StepKeys::FindOrInsert(const Value* key) {
-  // Keep the load factor under 1/2 counting the key about to land.
-  if ((entries_.size() + 1) * 2 > slots_.size()) Rehash(slots_.size() * 2);
-  const std::size_t slot = ProbeSlot(key);
-  if (slots_[slot] != kNone) return slots_[slot];
-  CQB_CHECK(entries_.size() < kNone);
-  const auto entry = static_cast<std::uint32_t>(entries_.size());
-  slots_[slot] = entry;
-  keys_.insert(keys_.end(), key, key + width_);
-  entries_.push_back(Entry{0, kNone});
-  return entry;
-}
-
-void EvalContext::StepKeys::Link(std::uint32_t entry, std::uint32_t row) {
-  if (row >= next_.size()) next_.resize(row + 1, kNone);
-  next_[row] = entries_[entry].head;
-  entries_[entry].head = row;
-}
-
-void EvalContext::StepKeys::RemapRows(
-    const std::vector<std::uint32_t>& to_current) {
-  std::vector<std::uint32_t> next(to_current.size(), kNone);
-  for (Entry& e : entries_) {
-    // Relink the chain's surviving rows under their new ids, in order.
-    std::uint32_t row = e.head;
-    std::uint32_t tail = kNone;
-    e.head = kNone;
-    for (; row != kNone; row = next_[row]) {
-      const std::uint32_t moved = to_current[row];
-      if (moved == kNone) continue;
-      (tail == kNone ? e.head : next[tail]) = moved;
-      tail = moved;
-    }
-  }
-  next_ = std::move(next);
-}
 
 EvalContext::Shard& EvalContext::ShardFor(const Key& key) {
   // Name + layout shape: two layouts of one relation land on (usually)

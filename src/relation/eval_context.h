@@ -14,6 +14,7 @@
 #include "cq/query.h"
 #include "graph/treewidth_bb.h"
 #include "relation/database.h"
+#include "relation/flat_index.h"
 #include "relation/trie_index.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -130,91 +131,6 @@ class EvalContext {
  public:
   explicit EvalContext(const Database& db) : db_(&db) {}
 
-  /// One schedule step's semi-join keys: a flat open-addressing table over
-  /// decoded key tuples of `width` Values each. Keys are values, not
-  /// codes, because the step's source and target atoms read different
-  /// stores (different dictionaries). The layout is the one ColumnStore's
-  /// row index and ValueDictionary use: entries live in dense arrays (keys
-  /// inline in one arena), and a power-of-two slot table of entry indices
-  /// (load factor below 1/2, linear probing) finds them -- no per-key heap
-  /// node.
-  ///
-  /// Each entry carries the key's *support count* (how many of the source
-  /// atom's rows alive at this step project onto it) and the head of an
-  /// intrusive *chain* through the target atom's rows carrying the key:
-  /// `next_row(row)` continues the chain, so a key's target rows are found
-  /// without scanning the target. An entry outlives its support: a key at
-  /// count zero stays in the table, because its chain still names the
-  /// target rows the step dropped for lacking it.
-  class StepKeys {
-   public:
-    /// End-of-chain marker and "no such entry" result.
-    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-    /// Empties the table, sets the key width (>= 1), and sizes it for
-    /// `expected_keys` keys chained through target rows [0, target_rows)
-    /// without regrowing. Keeps the buffers' capacity.
-    void Reset(std::size_t width, std::size_t expected_keys,
-               std::size_t target_rows);
-    std::size_t width() const { return width_; }
-    /// Number of distinct keys ever inserted since the last Reset.
-    std::size_t size() const { return entries_.size(); }
-
-    /// Entry holding `key` (`width()` values), or kNone.
-    std::uint32_t Find(const Value* key) const;
-    /// Entry holding `key`, inserted with count zero and an empty chain
-    /// when new.
-    std::uint32_t FindOrInsert(const Value* key);
-
-    std::uint32_t& count(std::uint32_t entry) {
-      return entries_[entry].count;
-    }
-    std::uint32_t count(std::uint32_t entry) const {
-      return entries_[entry].count;
-    }
-
-    /// Prepends target row `row` to `entry`'s chain. A row is linked at
-    /// most once per Reset.
-    void Link(std::uint32_t entry, std::uint32_t row);
-    /// First row of `entry`'s chain, or kNone.
-    std::uint32_t head(std::uint32_t entry) const {
-      return entries_[entry].head;
-    }
-    /// The row after `row` in its chain, or kNone.
-    std::uint32_t next_row(std::uint32_t row) const { return next_[row]; }
-
-    /// Carries the chains across a compaction of the target atom: row r
-    /// becomes `to_current[r]`, and rows mapped to kNone leave their
-    /// chains. Every linked row must lie inside `to_current`. O(keys +
-    /// linked rows).
-    void RemapRows(const std::vector<std::uint32_t>& to_current);
-
-   private:
-    /// Slot holding `key`'s entry, or the empty slot where it would go.
-    /// Requires a prior Reset (which allocates the slot table).
-    std::size_t ProbeSlot(const Value* key) const;
-    /// Resizes the slot table to `capacity` (a power of two) and
-    /// re-inserts every entry.
-    void Rehash(std::size_t capacity);
-
-    std::size_t width_ = 0;
-    /// Entry e's key is keys_[e * width_, (e + 1) * width_).
-    std::vector<Value> keys_;
-    /// An entry's support count next to its chain head: a pass that
-    /// adjusts a count reads the head too, and finds both in one cache
-    /// line.
-    struct Entry {
-      std::uint32_t count;
-      std::uint32_t head;
-    };
-    std::vector<Entry> entries_;
-    /// slot -> entry, kNone when free.
-    std::vector<std::uint32_t> slots_;
-    /// Target row -> next row of its chain (kNone ends it), indexed by
-    /// physical row id of the target's store.
-    std::vector<std::uint32_t> next_;
-  };
-
   /// Cached outcome of one semi-join reduction pass under a plan -- the
   /// working state of the counting delta pass -- keyed by the generation
   /// vector it was computed at. Written only by that pass (RunDeltaPass in
@@ -271,7 +187,7 @@ class EvalContext {
     /// row joins it at its step's re-check); removed rows stay linked
     /// until a compaction drops them (the remap unlinks them) and are
     /// filtered out by their kAbsent drop step meanwhile.
-    std::vector<StepKeys> steps;
+    std::vector<KeyedIndex> steps;
     /// Per atom, per physical row of its store: the first schedule step
     /// that dropped the row, kSurvives, or kAbsent. Rows appended after
     /// the state was computed lie past the end.

@@ -6,13 +6,12 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "graph/graph.h"
 #include "graph/tree_decomposition.h"
 #include "graph/treewidth_bb.h"
 #include "relation/column_store.h"
+#include "relation/flat_index.h"
 #include "relation/trie_index.h"
 #include "relation/tuple.h"
 #include "util/mutex.h"
@@ -670,7 +669,6 @@ std::vector<FilterStep> BuildFilterSchedule(
 }
 
 using SemijoinState = EvalContext::SemijoinState;
-using StepKeys = EvalContext::StepKeys;
 constexpr std::uint32_t kSurvives = SemijoinState::kSurvives;
 constexpr std::uint32_t kAbsent = SemijoinState::kAbsent;
 
@@ -696,15 +694,18 @@ struct TrackedRow {
   std::uint32_t new_drop;  // new pass's first drop step so far
 };
 
-/// One atom's tracked rows, in tracking order, with a row -> index map.
+/// One atom's tracked rows, in tracking order, indexed by row id.
 struct TrackedRows {
   std::vector<TrackedRow> rows;
-  std::unordered_map<std::uint32_t, std::size_t> index;
+  FlatIndex index;
 
-  bool Contains(std::uint32_t row) const { return index.count(row) != 0; }
+  /// Tracks `t` unless its row is tracked already.
   void Add(const TrackedRow& t) {
-    index.emplace(t.row, rows.size());
-    rows.push_back(t);
+    const std::uint32_t i = index.Intern(
+        rows.size(), FibonacciHash(t.row),
+        [this, &t](std::uint32_t k) { return rows[k].row == t.row; },
+        [this](std::size_t k) { return FibonacciHash(rows[k].row); });
+    if (i == rows.size()) rows.push_back(t);
   }
 };
 
@@ -717,7 +718,7 @@ void RemapAtom(const std::vector<FilterStep>& schedule, std::size_t atom,
                const std::vector<std::uint32_t>& compacted,
                SemijoinState* state) {
   std::vector<std::uint32_t>& drop = state->drop_step[atom];
-  std::vector<std::uint32_t> to_current(drop.size(), StepKeys::kNone);
+  std::vector<std::uint32_t> to_current(drop.size(), KeyedIndex::kNone);
   std::size_t k = 0;
   for (std::size_t row = 0; row < drop.size(); ++row) {
     if (k < compacted.size() && compacted[k] == row) {
@@ -845,7 +846,7 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
   std::vector<std::uint32_t> returned;
   for (std::size_t s = 0; s < schedule.size(); ++s) {
     const FilterStep& step = schedule[s];
-    StepKeys& keys = state->steps[s];
+    KeyedIndex& keys = state->steps[s];
     if (from_empty) {
       // Emptied at first use, so its slot table is fresh in cache. Source
       // and target keys overlap in a useful join, so the larger side bounds
@@ -867,7 +868,7 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
       LoadKey(src, row, step.src_pos, key.data());
       ++stats->semijoin_rows_visited;
       const std::uint32_t entry = keys.FindOrInsert(key.data());
-      if (keys.head(entry) != StepKeys::kNone) {
+      if (keys.head(entry) != KeyedIndex::kNone) {
         touched.emplace_back(entry, keys.count(entry));
       }
       if (up) {
@@ -908,11 +909,11 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
     // was leaning on it (alive at this step in the old pass); rows already
     // tracked settle their fate in the re-check below.
     for (const std::uint32_t entry : vanished) {
-      for (std::uint32_t row = keys.head(entry); row != StepKeys::kNone;
+      for (std::uint32_t row = keys.head(entry); row != KeyedIndex::kNone;
            row = keys.next_row(row)) {
         ++stats->semijoin_rows_visited;
         const std::uint32_t d = tgt_drop[row];
-        if (d == kAbsent || d <= s32 || target.Contains(row)) continue;
+        if (d == kAbsent || d <= s32) continue;
         target.Add(TrackedRow{row, true, d, s32});
       }
     }
@@ -920,10 +921,10 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
     // chained rows this step dropped for lacking it; later steps then
     // judge them individually.
     for (const std::uint32_t entry : returned) {
-      for (std::uint32_t row = keys.head(entry); row != StepKeys::kNone;
+      for (std::uint32_t row = keys.head(entry); row != KeyedIndex::kNone;
            row = keys.next_row(row)) {
         ++stats->semijoin_rows_visited;
-        if (tgt_drop[row] != s32 || target.Contains(row)) continue;
+        if (tgt_drop[row] != s32) continue;
         target.Add(TrackedRow{row, true, s32, kSurvives});
       }
     }
@@ -938,7 +939,7 @@ void RunDeltaPass(const std::vector<FilterStep>& schedule,
       LoadKey(tgt, t.row, step.tgt_pos, key.data());
       ++stats->semijoin_rows_visited;
       const std::uint32_t entry = keys.Find(key.data());
-      if (entry == StepKeys::kNone || keys.count(entry) == 0) {
+      if (entry == KeyedIndex::kNone || keys.count(entry) == 0) {
         t.new_drop = s32;
       }
     }
@@ -1232,6 +1233,9 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
   std::vector<int> bound_vars;
   std::vector<int> var_slot(query.num_variables(), -1);
   std::vector<Tuple> bindings = {Tuple{}};
+  // Per step: the join index, then the projection dedup.
+  KeyedIndex index;
+  std::vector<Value> key;
 
   for (std::size_t step = 0; step < steps.size(); ++step) {
     const Atom& atom = query.atoms()[steps[step].atom_index];
@@ -1245,8 +1249,11 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
     }
 
     // Split the atom's positions into join positions (variable already
-    // bound) and new positions (first occurrence of a new variable).
+    // bound), equality filters (a new variable repeated inside the atom,
+    // checked against its first occurrence while indexing) and new
+    // positions (first occurrence of a new variable).
     std::vector<std::pair<int, int>> join_pos;  // (atom position, binding idx)
+    std::vector<std::pair<int, int>> eq_pos;    // (atom position, first pos)
     std::vector<std::pair<int, int>> new_pos;   // (atom position, new var)
     std::vector<int> first_seen(query.num_variables(), -1);
     for (std::size_t p = 0; p < atom.vars.size(); ++p) {
@@ -1254,9 +1261,7 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
       if (var_slot[var] >= 0) {
         join_pos.emplace_back(static_cast<int>(p), var_slot[var]);
       } else if (first_seen[var] >= 0) {
-        // Repeated new variable inside the atom: equality filter against its
-        // first occurrence, handled below during indexing.
-        join_pos.emplace_back(static_cast<int>(p), -1 - first_seen[var]);
+        eq_pos.emplace_back(static_cast<int>(p), first_seen[var]);
       } else {
         first_seen[var] = static_cast<int>(p);
         new_pos.emplace_back(static_cast<int>(p), var);
@@ -1266,29 +1271,24 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
     // Index the relation on the join-key values, reading the key columns
     // straight from the store (row ids, not tuple pointers -- nothing is
     // materialized). Rows violating intra-atom repeated-variable equality
-    // are skipped; the equality check compares dictionary codes.
+    // are skipped; the equality check compares dictionary codes. Rows are
+    // linked last to first, so each key's chain lists them in row order.
     const ColumnStore& store = rel->store();
-    std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> index;
-    Tuple ikey;
-    for (std::size_t row = 0; row < store.size(); ++row) {
-      if (!store.IsLive(row)) continue;
-      bool self_consistent = true;
-      ikey.clear();
-      for (const auto& [pos, ref] : join_pos) {
-        if (ref < 0) {
-          const int first_pos = -1 - ref;
-          if (store.CodeAt(row, pos) != store.CodeAt(row, first_pos)) {
-            self_consistent = false;
-            break;
-          }
-        } else {
-          ikey.push_back(store.ValueAt(row, pos));
-        }
+    key.resize(join_pos.size());
+    index.Reset(join_pos.size(), 0, store.size());
+    for (std::size_t row = store.size(); row-- > 0;) {
+      if (!store.IsLive(row) ||
+          !std::all_of(eq_pos.begin(), eq_pos.end(), [&](const auto& eq) {
+            return store.CodeAt(row, eq.first) == store.CodeAt(row, eq.second);
+          })) {
+        continue;
       }
-      if (self_consistent) {
-        index[ikey].push_back(static_cast<std::uint32_t>(row));
-        ++local.indexed_tuples;
+      for (std::size_t i = 0; i < join_pos.size(); ++i) {
+        key[i] = store.ValueAt(row, join_pos[i].first);
       }
+      index.Link(index.FindOrInsert(key.data()),
+                 static_cast<std::uint32_t>(row));
+      ++local.indexed_tuples;
     }
 
     // Probe; the new variables take the slots after the bound ones.
@@ -1298,13 +1298,13 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
     }
     std::vector<Tuple> next;
     for (const Tuple& binding : bindings) {
-      Tuple key;
-      for (const auto& jp : join_pos) {
-        if (jp.second >= 0) key.push_back(binding[jp.second]);
+      for (std::size_t i = 0; i < join_pos.size(); ++i) {
+        key[i] = binding[join_pos[i].second];
       }
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (const std::uint32_t row : it->second) {
+      const std::uint32_t entry = index.Find(key.data());
+      if (entry == KeyedIndex::kNone) continue;
+      for (std::uint32_t row = index.head(entry); row != KeyedIndex::kNone;
+           row = index.next_row(row)) {
         Tuple extended = binding;
         for (const auto& np : new_pos) {
           extended.push_back(store.ValueAt(row, np.first));
@@ -1320,13 +1320,15 @@ Result<Relation> ExecuteJoinPlan(const Query& query,
     if (keep.size() != bound_vars.size()) {
       std::vector<int> kept_positions;
       for (int v : keep) kept_positions.push_back(var_slot[v]);
-      std::unordered_set<Tuple, TupleHash> dedup;
+      index.Reset(keep.size(), bindings.size(), 0);
       std::vector<Tuple> projected;
       for (const Tuple& binding : bindings) {
         Tuple p;
         p.reserve(kept_positions.size());
         for (int pos : kept_positions) p.push_back(binding[pos]);
-        if (dedup.insert(p).second) projected.push_back(std::move(p));
+        if (index.FindOrInsert(p.data()) == projected.size()) {
+          projected.push_back(std::move(p));
+        }
       }
       for (int v : bound_vars) var_slot[v] = -1;
       for (std::size_t i = 0; i < keep.size(); ++i) {
@@ -1409,17 +1411,20 @@ Relation EquiJoin(const Relation& left, const Relation& right,
     CQB_CHECK(rp >= 0 && rp < right.arity());
   }
   Relation out(result_name, left.arity() + right.arity());
-  // Index the right side on its join key, by row id into its store.
+  // Index the right side on its join key, by row id into its store, last
+  // row first: each key's chain then lists the right rows in row order.
   const ColumnStore& ls = left.store();
   const ColumnStore& rs = right.store();
-  std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> index;
-  Tuple key(pairs.size());
-  for (std::size_t row = 0; row < rs.size(); ++row) {
+  KeyedIndex index;
+  index.Reset(pairs.size(), 0, rs.size());
+  std::vector<Value> key(pairs.size());
+  for (std::size_t row = rs.size(); row-- > 0;) {
     if (!rs.IsLive(row)) continue;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       key[i] = rs.ValueAt(row, pairs[i].second);
     }
-    index[key].push_back(static_cast<std::uint32_t>(row));
+    index.Link(index.FindOrInsert(key.data()),
+               static_cast<std::uint32_t>(row));
   }
   Tuple joined(static_cast<std::size_t>(out.arity()));
   for (std::size_t lrow = 0; lrow < ls.size(); ++lrow) {
@@ -1427,9 +1432,10 @@ Relation EquiJoin(const Relation& left, const Relation& right,
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       key[i] = ls.ValueAt(lrow, pairs[i].first);
     }
-    auto it = index.find(key);
-    if (it == index.end()) continue;
-    for (const std::uint32_t rrow : it->second) {
+    const std::uint32_t entry = index.Find(key.data());
+    if (entry == KeyedIndex::kNone) continue;
+    for (std::uint32_t rrow = index.head(entry); rrow != KeyedIndex::kNone;
+         rrow = index.next_row(rrow)) {
       for (int c = 0; c < left.arity(); ++c) {
         joined[static_cast<std::size_t>(c)] = ls.ValueAt(lrow, c);
       }

@@ -139,14 +139,16 @@ struct EvalStats {
   /// Trie tier: cache misses served by *patching* a cached trie -- the
   /// journal names the window since the cached build (Relation::
   /// DeltasSince) and it removed no rows, so the appended keys were
-  /// spliced into the cached trie instead of sorting the whole relation.
-  /// Every patch also counts in trie_cache_misses (a patched trie is still
-  /// a new object).
+  /// spliced into the cached trie instead of sorting the whole relation --
+  /// in place when no reader still holds it, on a copy otherwise
+  /// (SpliceOrCopy in relation/trie_index.h). Every patch also counts in
+  /// trie_cache_misses (the cached entry was stale).
   std::size_t trie_patches = 0;
   /// Trie tier: cache misses served by *unpatching* a cached trie -- as a
   /// patch, but the window removed rows too, so the splice also subtracts
-  /// the removed keys' support: O(delta) probes plus a bulk copy of the
-  /// untouched runs, no sort of the base. Every unpatch also counts in
+  /// the removed keys' support: O(delta * depth) probes and edits, with the
+  /// untouched runs moved in bulk, no sort of the base, and in place unless
+  /// a reader holds the trie. Every unpatch also counts in
   /// trie_cache_misses.
   std::size_t trie_unpatches = 0;
   /// Trie tier: cache misses that ran the full from-scratch relation sort

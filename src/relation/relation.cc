@@ -76,6 +76,11 @@ bool Relation::Remove(const Tuple& t) {
     }
     epochs_.erase(epochs_.begin(),
                   epochs_.begin() + static_cast<std::ptrdiff_t>(discard));
+    // Codes neither a row nor a retained epoch holds are reclaimed: churn
+    // through fresh values does not grow the dictionary without bound.
+    std::vector<std::vector<std::uint32_t>*> held;
+    for (Epoch& e : epochs_) held.push_back(&e.codes);
+    store_.ReclaimCodes(held);
   }
   return true;
 }
@@ -250,39 +255,11 @@ Relation Relation::Project(const std::vector<int>& positions,
 
 std::vector<Value> Relation::ColumnValues(int pos) const {
   CQB_CHECK(pos >= 0 && pos < arity());
-  // Distinct codes via a dictionary-sized seen bitmap, then one sort of the
-  // decoded values -- no per-row tree or hash nodes.
-  std::vector<bool> seen(store_.dict().size(), false);
-  std::vector<Value> values;
-  const std::vector<std::uint32_t>& codes = store_.column(pos);
-  for (std::size_t row = 0; row < store_.size(); ++row) {
-    if (!store_.IsLive(row)) continue;
-    const std::uint32_t code = codes[row];
-    if (!seen[code]) {
-      seen[code] = true;
-      values.push_back(store_.dict().ValueOf(code));
-    }
-  }
-  std::sort(values.begin(), values.end());
-  return values;
+  return store_.DistinctValues(pos, pos + 1);
 }
 
 std::vector<Value> Relation::ActiveDomain() const {
-  std::vector<bool> seen(store_.dict().size(), false);
-  std::vector<Value> values;
-  for (int c = 0; c < arity(); ++c) {
-    const std::vector<std::uint32_t>& codes = store_.column(c);
-    for (std::size_t row = 0; row < store_.size(); ++row) {
-      if (!store_.IsLive(row)) continue;
-      const std::uint32_t code = codes[row];
-      if (!seen[code]) {
-        seen[code] = true;
-        values.push_back(store_.dict().ValueOf(code));
-      }
-    }
-  }
-  std::sort(values.begin(), values.end());
-  return values;
+  return store_.DistinctValues(0, arity());
 }
 
 bool Relation::SatisfiesFd(const std::vector<int>& lhs, int rhs) const {

@@ -149,7 +149,7 @@ class Relation {
   /// evaluation, index builds, and IO.
   const ColumnStore& store() const { return store_; }
 
-  /// Per-column min/max/distinct summary (one column scan).
+  /// Per-column min/max/distinct summary (ColumnStore::Stats).
   ColumnStats Stats(int col) const { return store_.Stats(col); }
 
   /// Projection onto `positions` (0-based, may repeat), with set semantics.

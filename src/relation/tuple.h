@@ -14,18 +14,6 @@ using Value = std::int64_t;
 /// A database tuple: a fixed-arity list of values.
 using Tuple = std::vector<Value>;
 
-/// FNV-1a style hash for tuples, usable with unordered containers.
-struct TupleHash {
-  std::size_t operator()(const Tuple& t) const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (Value v : t) {
-      h ^= static_cast<std::uint64_t>(v);
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 }  // namespace cqbounds
 
 #endif  // CQBOUNDS_RELATION_TUPLE_H_

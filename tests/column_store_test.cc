@@ -423,6 +423,43 @@ TEST(ColumnStoreTest, CompactionTriggersPastTheQuarterDeadThreshold) {
   EXPECT_TRUE(store.Append({4}));
 }
 
+TEST(ColumnStoreTest, ReclaimCodesReMintsOncePastAQuarterUnused) {
+  ColumnStore store(2);
+  for (Value v = 0; v < 8; ++v) store.Append({v, 100 + v});
+  ColumnStore::CompactionRecord dropped;
+  for (Value v = 0; v < 3; ++v) store.Erase({v, 100 + v}, nullptr, &dropped);
+  ASSERT_EQ(store.size(), 5u);  // compacted: rows {3..7, 103..107}
+  ASSERT_EQ(dropped.codes.size(), 6u);
+  // Holding dropped row {1, 101} keeps 12 of 16 codes in use: exactly a
+  // quarter unused, so nothing is re-minted.
+  std::vector<std::uint32_t> held(dropped.codes.begin() + 2,
+                                  dropped.codes.begin() + 4);
+  EXPECT_FALSE(store.ReclaimCodes({&held}));
+  EXPECT_EQ(store.dict().size(), 16u);
+  // Holding {101} alone leaves 5 of 16 unused: re-minted in first-seen
+  // order, the rows first and then the held code, which is rewritten.
+  held = {held[1]};
+  EXPECT_TRUE(store.ReclaimCodes({&held}));
+  EXPECT_EQ(store.dict().size(), 11u);
+  EXPECT_EQ(store.CodeAt(0, 0), 0u);
+  EXPECT_EQ(store.CodeAt(0, 1), 1u);
+  ASSERT_EQ(held, (std::vector<std::uint32_t>{10}));
+  EXPECT_EQ(store.dict().ValueOf(held[0]), 101);
+  EXPECT_EQ(store.dict().CodeOf(100), ValueDictionary::kNoCode);
+  for (Value v = 3; v < 8; ++v) {
+    EXPECT_EQ(store.Row(static_cast<std::size_t>(v - 3)), (Tuple{v, 100 + v}));
+  }
+  // The rebuilt row index serves membership, dedup and erasure.
+  EXPECT_TRUE(store.Contains({4, 104}));
+  EXPECT_FALSE(store.Contains({0, 100}));
+  EXPECT_FALSE(store.Append({3, 103}));
+  EXPECT_TRUE(store.Append({0, 101}));
+  EXPECT_EQ(store.CodeAt(5, 1), 10u);  // 101 kept its code
+  EXPECT_EQ(store.CodeAt(5, 0), 11u);  // 0 was minted afresh
+  EXPECT_EQ(store.Erase({5, 105}), ColumnStore::EraseResult::kTombstoned);
+  EXPECT_FALSE(store.Contains({5, 105}));
+}
+
 TEST(ColumnStoreTest, ClearOnAlreadyEmptyStoreIsIdempotent) {
   ColumnStore store(2);
   store.Clear();
@@ -683,6 +720,41 @@ TEST(RelationJournalTest, EpochRetentionBoundsTheJournal) {
   EXPECT_EQ(ds.removed_rows.size(), 14u);
   EXPECT_EQ(RemovedValues(r, ds).front(), (Tuple{11}));
   EXPECT_EQ(RemovedValues(r, ds).back(), (Tuple{24}));
+}
+
+TEST(RelationJournalTest, ChurnThroughFreshValuesKeepsTheDictionaryBounded) {
+  // A sliding window: round v removes {v} and inserts {40 + v}. Every 14th
+  // removal compacts, and every second compaction finds more than a
+  // quarter of the codes unused (95 -> 67 codes). Without reclaiming, the
+  // dictionary would hold all 1040 values ever seen.
+  Relation r = Iota(40);
+  std::uint64_t snapshot = 0;
+  bool shrank_in_window = false;
+  for (Value v = 0; v < 1000; ++v) {
+    if (v == 966) snapshot = r.generation();  // right after a compaction
+    const std::size_t dict_before = r.store().dict().size();
+    EXPECT_TRUE(r.Remove({v}));
+    if (v >= 966 && r.store().dict().size() < dict_before) {
+      shrank_in_window = true;
+    }
+    r.Insert({40 + v});
+    EXPECT_LE(r.store().dict().size(), 95u);
+  }
+  EXPECT_TRUE(shrank_in_window);
+  // The window spans a re-mint; both of its sides still decode.
+  Relation::DeltaSet ds;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  std::vector<Tuple> removed, appended;
+  for (Value v = 966; v < 1000; ++v) removed.push_back({v});
+  for (std::uint32_t row : ds.appended_rows) {
+    appended.push_back(r.store().Row(row));
+  }
+  EXPECT_EQ(RemovedValues(r, ds), removed);
+  ASSERT_EQ(appended.size(), 34u);
+  EXPECT_EQ(appended.front(), (Tuple{1006}));
+  EXPECT_EQ(appended.back(), (Tuple{1039}));
+  for (Value v = 1000; v < 1040; ++v) EXPECT_TRUE(r.Contains({v}));
+  EXPECT_FALSE(r.Contains({999}));
 }
 
 TEST(RelationJournalTest, ClearStillBreaksDeltasAcrossEpochs) {

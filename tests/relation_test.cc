@@ -2,6 +2,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "cq/parser.h"
 #include "relation/database.h"
@@ -375,6 +376,43 @@ TEST(EquiJoinTest, MultiConditionJoin) {
   s.Insert({1, 3});
   Relation j = EquiJoin(r, s, {{0, 0}, {1, 1}});
   EXPECT_EQ(j.size(), 2u);  // exact matches only
+}
+
+TEST(EquiJoinTest, RowOrderMatchesTheJoinPlanExecutor) {
+  // Both binary joins index a side by key and emit, per probing row, its
+  // matches in row order: EquiJoin and a two-step plan over the same
+  // relations emit one sequence, the nested-loop order. Duplicate keys on
+  // both sides make any reversed chain show.
+  Database db;
+  Relation* r = db.AddRelation("R", 2);
+  Relation* s = db.AddRelation("S", 2);
+  for (Value a : {5, 1, 4, 2}) {
+    r->Insert({a, a % 2});
+    r->Insert({a + 10, 1});
+  }
+  for (Value d : {31, 10, 21, 40, 0, 7}) s->Insert({d % 2, d});
+  auto q = ParseQuery("Q(A,B,B,D) :- R(A,B), S(B,D).");
+  ASSERT_TRUE(q.ok());
+  const Query& query = *q;
+  auto planned = ExecuteJoinPlan(
+      query,
+      {JoinPlanStep{0, {query.FindVariable("A"), query.FindVariable("B")}},
+       JoinPlanStep{1,
+                    {query.FindVariable("A"), query.FindVariable("B"), query.FindVariable("D")}}},
+      db, nullptr);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const Relation joined = EquiJoin(*r, *s, {{1, 0}});
+  std::vector<Tuple> nested_loop;
+  for (const Tuple& left : r->tuples()) {
+    for (const Tuple& right : s->tuples()) {
+      if (left[1] == right[0]) {
+        nested_loop.push_back({left[0], left[1], right[0], right[1]});
+      }
+    }
+  }
+  ASSERT_EQ(nested_loop.size(), 24u);
+  EXPECT_EQ(joined.tuples(), nested_loop);
+  EXPECT_EQ(planned->tuples(), joined.tuples());
 }
 
 TEST(GeneratorTest, RandomDatabaseSatisfiesFds) {
