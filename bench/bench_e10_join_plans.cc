@@ -90,16 +90,13 @@ void PrintTables() {
   auto chain = ParseQuery("Q(A,C) :- R(A,X), S(X,B), T(B,Y), U(Y,C).");
   auto chain_bound = ComputeSizeBound(*chain);
   auto chain_order = ChooseGenericJoinOrder(*chain);
-  std::cout << "chain:    " << chain_order->ToString(*chain) << "\n";
 
   auto triangle = ParseQuery("S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z).");
   auto tri_bound = ComputeSizeBound(*triangle);
   auto tri_order = ChooseGenericJoinOrder(*triangle);
-  std::cout << "triangle: " << tri_order->ToString(*triangle) << "\n";
 
   auto star = ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).");
   auto star_order = ChooseGenericJoinOrder(*star);
-  std::cout << "star:     " << star_order->ToString(*star) << "\n\n";
 
   std::cout << "Chain adversary (binary plans capped at rmax^{C+1}, "
                "Cor 4.8; generic join\nat the AGM cap rmax^{rho*full}):\n";
@@ -156,6 +153,37 @@ void PrintTables() {
     }
   }
   vars.Print();
+
+  // The planner's choice per query, in a table so a changed order or plan
+  // shows in the baseline diff.
+  auto projection = ParseQuery("P(A) :- F(A,B), G(B,C).");
+  auto projection_order = ChooseGenericJoinOrder(*projection);
+  std::cout << "\nPlanned queries (ChooseGenericJoinOrder): the generic join "
+               "where its order is\nprovably input-linear, the hybrid where "
+               "a reduction may pay:\n";
+  bench::Table plans({"query", "source", "width", "plan", "reason", "order"});
+  struct Planned {
+    const char* name;
+    const Query& query;
+    const GenericJoinOrder& order;
+  };
+  const Planned planned[] = {{"chain", *chain, *chain_order},
+                             {"triangle", *triangle, *tri_order},
+                             {"star", *star, *star_order},
+                             {"projection", *projection, *projection_order}};
+  for (const Planned& p : planned) {
+    std::string order_text;
+    for (int v : p.order.order) {
+      order_text += (order_text.empty() ? "" : " ") + p.query.variable_name(v);
+    }
+    plans.AddRow({p.name, VariableOrderSourceName(p.order.source),
+                  p.order.intersection_width >= 0
+                      ? bench::Num(p.order.intersection_width)
+                      : "-",
+                  PlanKindName(p.order.recommended_plan),
+                  PlanReasonName(p.order), order_text});
+  }
+  plans.Print();
 
   std::cout << "\nShape check: naive intermediates scale with fanout^2 on\n"
                "the chain, where the join-project plan stays linear within\n"

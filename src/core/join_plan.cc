@@ -1,5 +1,6 @@
 #include "core/join_plan.h"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -120,17 +121,49 @@ const char* VariableOrderSourceName(VariableOrderSource source) {
   return "unknown";
 }
 
+const char* PlanReasonName(const GenericJoinOrder& order) {
+  if (order.intersection_width < 0) return "width>2";
+  return order.recommended_plan == PlanKind::kGenericJoin
+             ? "input-linear"
+             : "reduction-may-pay";
+}
+
 std::string GenericJoinOrder::ToString(const Query& query) const {
   std::ostringstream os;
   os << "GenericJoinOrder(source=" << VariableOrderSourceName(source);
   if (intersection_width >= 0) os << ", width=" << intersection_width;
-  os << ", plan=" << PlanKindName(recommended_plan);
+  os << ", plan=" << PlanKindName(recommended_plan)
+     << ", reason=" << PlanReasonName(*this);
   os << ", envelope rmax^" << envelope_exponent.ToString() << "): ";
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (i) os << " -> ";
     os << NameOrInvalid(query, order[i]);
   }
   return os.str();
+}
+
+bool GenericJoinIsInputLinear(const Query& query,
+                              const std::vector<int>& order) {
+  const std::set<int> body = query.BodyVarSet();
+  if (order.size() != body.size() ||
+      std::set<int>(order.begin(), order.end()) != body) {
+    return false;
+  }
+  if (order.empty()) return true;
+  // (1) One atom holds every variable but the last.
+  bool prefix_in_one_atom = false;
+  for (std::size_t j = 0; j < query.atoms().size() && !prefix_in_one_atom;
+       ++j) {
+    const std::set<int> vars = query.AtomVarSet(static_cast<int>(j));
+    prefix_in_one_atom =
+        std::all_of(order.begin(), order.end() - 1,
+                    [&vars](int v) { return vars.count(v) > 0; });
+  }
+  // (2) The last depth is witness-only, or its bindings are the answers.
+  const std::set<int> head = query.HeadVarSet();
+  return prefix_in_one_atom &&
+         (!head.count(order.back()) ||
+          std::includes(head.begin(), head.end(), body.begin(), body.end()));
 }
 
 Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query,
@@ -164,8 +197,17 @@ Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query,
   if (probe.low_width) {
     out.intersection_width = probe.tw.width;
     out.source = VariableOrderSource::kTreeDecomposition;
-    out.recommended_plan = PlanKind::kHybridYannakakis;
     out.order = probe.order;
+    // The reduction pass costs Theta(input); it pays only where some depth
+    // may enumerate more than the input or the answers. The certificate is
+    // taken on the order EvaluateQuery's kGenericJoin runs.
+    std::vector<int> default_order = DefaultGenericJoinOrder(query);
+    if (!GenericJoinIsInputLinear(query, default_order)) {
+      out.recommended_plan = PlanKind::kHybridYannakakis;
+    } else if (!GenericJoinIsInputLinear(query, out.order)) {
+      out.source = VariableOrderSource::kGreedy;
+      out.order = std::move(default_order);
+    }
     return out;
   }
 

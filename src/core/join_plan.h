@@ -52,8 +52,9 @@ enum class VariableOrderSource {
   /// optimal cover weight bind first (they are intersected by more of the
   /// relations that pay for the AGM envelope), extended connected-first.
   kFractionalCover,
-  /// Atom-degree greedy fallback (DefaultGenericJoinOrder) when the cover
-  /// LP is unavailable.
+  /// Atom-degree greedy order (DefaultGenericJoinOrder): the fallback when
+  /// the cover LP is unavailable, and the low-width order when it carries
+  /// the input-linear certificate and the elimination order does not.
   kGreedy,
 };
 
@@ -72,22 +73,52 @@ struct GenericJoinOrder {
   /// enumerates at most rmax^envelope_exponent bindings at every depth.
   Rational envelope_exponent;
   /// Certified treewidth of the variable-intersection graph when the
-  /// kTreeDecomposition path was taken; -1 otherwise.
+  /// low-width path (width <= kHybridWidthThreshold) was taken; -1
+  /// otherwise.
   int intersection_width = -1;
   /// The executor this module recommends: kHybridYannakakis exactly when
-  /// the low-width tree-decomposition path certified (the same gate the
-  /// hybrid executor re-derives, so EvaluateQuery's kHybridYannakakis
-  /// semi-join pass will actually engage), kGenericJoin otherwise.
+  /// the low-width path certified (the same gate the hybrid executor
+  /// re-derives, so EvaluateQuery's kHybridYannakakis semi-join pass will
+  /// actually engage) and the generic join is not provably input-linear
+  /// (GenericJoinIsInputLinear) under DefaultGenericJoinOrder, the order
+  /// EvaluateQuery's kGenericJoin binds in; kGenericJoin otherwise.
+  /// PlanReasonName says which case.
   PlanKind recommended_plan = PlanKind::kGenericJoin;
 
   std::string ToString(const Query& query) const;
 };
+
+/// Why ChooseGenericJoinOrder recommended `order.recommended_plan`, read off
+/// its fields: "width>2" (no certified width <= kHybridWidthThreshold, so
+/// the hybrid's reduction pass cannot engage), "input-linear" (low width,
+/// and the certificate holds: no semi-join pass can lower any depth's
+/// bound) or "reduction-may-pay" (low width without the certificate).
+const char* PlanReasonName(const GenericJoinOrder& order);
+
+/// The planner's certificate that the generic join over `order` (a
+/// permutation of the body variables) enumerates O(input + output)
+/// bindings. True when (1) the variables before the last all lie in one
+/// atom R_j, so every depth below the last binds distinct tuples of a
+/// projection of R_j, at most |R_j| of them; and (2) the last variable is
+/// projected away, so its depth runs witness-only (at most one binding per
+/// binding of the depth above), or the head covers the body, so that
+/// depth's bindings are the answers. A semi-join reduction only removes
+/// tuples, so it cannot lower either bound. False for an `order` that is
+/// not a permutation of the body variables.
+bool GenericJoinIsInputLinear(const Query& query,
+                              const std::vector<int>& order);
 
 /// Derives the generic-join variable order for `query`: solves the
 /// full-body fractional edge cover LP (the AGM envelope and the weight
 /// heuristic), and runs the exact treewidth engine on the query's
 /// variable-intersection graph, preferring the certified elimination order
 /// when the graph is low-width (<= 2; chains, trees, cycles, triangles).
+/// On that path the generic join is recommended when
+/// DefaultGenericJoinOrder carries the input-linear certificate, and the
+/// order is then the elimination order if it carries the certificate too,
+/// else the default order: a recommended generic join is certified in the
+/// order returned and in the order EvaluateQuery runs. Without the
+/// certificate the hybrid is recommended over the elimination order.
 ///
 /// A non-null `ctx` shares its plan tier (relation/eval_context.h) for the
 /// treewidth probe: the planner and the hybrid executor then derive their

@@ -516,6 +516,9 @@ struct ReductionAtom {
   /// Every tuple position each var occupies (parallel to `vars`); repeats
   /// are the intra-atom equality filters.
   std::vector<std::vector<int>> var_positions;
+  /// True iff some variable occupies two positions, so rows must pass
+  /// SelfConsistent's intra-atom equality filter.
+  bool repeated = false;
   int bag = -1;              // owning bag index, -1 for variable-free atoms
   int depth = 0;             // BFS depth of `bag` in the bag tree
   /// Level positions of the atom's survivor trie: the layout the
@@ -537,6 +540,7 @@ ReductionAtom MakeReductionAtom(const Atom& atom,
   for (auto& [v, ps] : positions) {
     a.vars.push_back(v);
     a.var_pos.push_back(ps.front());
+    a.repeated = a.repeated || ps.size() > 1;
     a.var_positions.push_back(std::move(ps));
   }
   a.trie_levels = LayoutForAtom(atom, rank).level_positions;
@@ -550,6 +554,7 @@ ReductionAtom MakeReductionAtom(const Atom& atom,
 /// alike.
 bool SelfConsistent(const ReductionAtom& a, const RowView& src,
                     std::size_t row) {
+  if (!a.repeated) return true;
   for (const std::vector<int>& ps : a.var_positions) {
     const std::uint32_t code = src.CodeAt(row, ps[0]);
     for (std::size_t i = 1; i < ps.size(); ++i) {

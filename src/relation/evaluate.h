@@ -39,8 +39,11 @@ enum class PlanKind {
   /// tuples out of every atom before a generic-join enumeration over the
   /// reduced relations (whose intermediates are a subset of the plain
   /// generic join's, so the AGM envelope still holds), binding along the
-  /// reverse elimination order. High-width queries fall back to plain
-  /// generic join over DefaultGenericJoinOrder. The reduction is
+  /// reverse elimination order (LowWidthProbe::order). High-width queries
+  /// fall back to plain generic join over DefaultGenericJoinOrder.
+  /// ChooseGenericJoinOrder recommends this plan only where the generic
+  /// join is not provably input-linear (core/join_plan.h,
+  /// GenericJoinIsInputLinear). The reduction is
   /// zero-copy: atoms that lost tuples hand a filtered view of their
   /// survivors straight to trie construction. Through an EvalContext the
   /// width probe runs once per query shape and the reduction's books are

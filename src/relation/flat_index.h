@@ -122,10 +122,11 @@ class KeyedIndex {
     width_ = width;
     keys_.clear();
     entries_.clear();
-    next_.clear();
     keys_.reserve(expected_keys * width);
     entries_.reserve(expected_keys);
-    next_.reserve(rows);
+    // Sized up front, not row by row in Link, which grows it only for
+    // rows past `rows` (a delta pass's appends).
+    next_.assign(rows, kNone);
     index_.Reset(expected_keys + 1);
   }
   std::size_t width() const { return width_; }

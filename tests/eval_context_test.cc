@@ -608,6 +608,68 @@ TEST(PlanCacheTest, PlannerAndExecutorShareTheCachedProbe) {
   EXPECT_GE(ctx.plan_hits(), 2u);
 }
 
+TEST(PlanCacheTest, BodyKeyedPlanIsTheSameWhicheverHeadComesFirst) {
+  // The plan tier keys on the body and its probe reads no head: a
+  // boolean-head copy shares its creator's entry and binding order, and
+  // each query's plan is the one it gets without a context, whichever of
+  // the two reached the context first.
+  auto q = ParseQuery("P(A) :- F(A,B), G(B,C).");
+  ASSERT_TRUE(q.ok());
+  Query copy = *q;
+  copy.SetHead(q->head_relation(), {});
+  Database db;
+  Relation* f = db.AddRelation("F", 2);
+  Relation* g = db.AddRelation("G", 2);
+  for (int i = 0; i < 12; ++i) {
+    f->Insert({i, i % 4});
+    g->Insert({i % 6, 100 + i});
+  }
+  auto alone = ChooseGenericJoinOrder(*q);
+  auto copy_alone = ChooseGenericJoinOrder(copy);
+  ASSERT_TRUE(alone.ok() && copy_alone.ok());
+  // P(A) runs the certified default order B -> A -> C; the copy's reverse
+  // elimination order C -> B -> A projects A away, so it is certified too.
+  EXPECT_EQ(alone->order, (std::vector<int>{1, 0, 2}));
+  EXPECT_EQ(alone->recommended_plan, PlanKind::kGenericJoin);
+  EXPECT_EQ(copy_alone->order, (std::vector<int>{2, 1, 0}));
+  EXPECT_EQ(copy_alone->recommended_plan, PlanKind::kGenericJoin);
+
+  for (bool copy_first : {false, true}) {
+    SCOPED_TRACE(copy_first ? "copy first" : "creator first");
+    EvalContext ctx(db);
+    auto first = ChooseGenericJoinOrder(copy_first ? copy : *q, &ctx);
+    auto second = ChooseGenericJoinOrder(copy_first ? *q : copy, &ctx);
+    ASSERT_TRUE(first.ok() && second.ok());
+    const GenericJoinOrder& order = copy_first ? *second : *first;
+    const GenericJoinOrder& copy_order = copy_first ? *first : *second;
+    EXPECT_EQ(order.order, alone->order);
+    EXPECT_EQ(order.recommended_plan, alone->recommended_plan);
+    EXPECT_EQ(copy_order.order, copy_alone->order);
+    EXPECT_EQ(copy_order.recommended_plan, copy_alone->recommended_plan);
+    EXPECT_EQ(ctx.plan_misses(), 1u);
+    EXPECT_EQ(&ctx.GetPlan(copy, nullptr), &ctx.GetPlan(*q, nullptr));
+    EXPECT_EQ(ctx.GetPlan(copy, nullptr).probe.order, copy_alone->order);
+  }
+
+  // The copy's reduction pass fills the shared entry's books; the creator
+  // then evaluates over them.
+  EvalContext ctx(db);
+  EvalStats stats;
+  auto witness = EvaluateQuery(copy, db, PlanKind::kHybridYannakakis, &ctx,
+                               nullptr, &stats);
+  ASSERT_TRUE(witness.ok());
+  EXPECT_EQ(witness->size(), 1u);
+  EXPECT_TRUE(stats.semijoin_pass_ran);
+  EvalStats again;
+  auto answer = EvaluateQuery(*q, db, PlanKind::kHybridYannakakis, &ctx,
+                              nullptr, &again);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(again.plan_cache_hits, 1u);
+  EXPECT_TRUE(again.semijoin_pass_skipped);
+  ExpectSameRelation(*EvaluateQuery(*q, db, PlanKind::kNaive), *answer,
+                     "creator after its boolean copy");
+}
+
 TEST(PlanCacheTest, HighWidthShapeIsCachedWithoutEverProbing) {
   // K4's variable graph has 6 edges > 2n-3 = 5: the sparsity gate means
   // even the cold run never calls TreewidthExact -- and the cached plan

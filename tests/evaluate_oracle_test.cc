@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 
+#include "core/join_plan.h"
 #include "cq/parser.h"
 #include "cq/random_query.h"
 #include "relation/evaluate.h"
@@ -85,6 +88,37 @@ TEST(EvaluateOracleTest, HandPickedQueries) {
   }
 }
 
+/// The bounds GenericJoinIsInputLinear certifies, checked on the binding
+/// counts the generic join reported over `order`: each depth d < n-1 binds
+/// at most |R_j| for every atom R_j holding the prefix (so at most the
+/// smallest such |R_j|), and the last depth at most the output (full head)
+/// or at most depth n-2's count (witness-only; at most 1 when n = 1).
+void ExpectInputLinearCounts(const Query& q, const Database& db,
+                             const std::vector<int>& order,
+                             const EvalStats& stats, const char* which) {
+  const std::size_t n = order.size();
+  ASSERT_EQ(stats.intermediate_sizes.size(), n) << which;
+  if (n == 0) return;
+  for (std::size_t d = 0; d + 1 < n; ++d) {
+    std::size_t bound = std::numeric_limits<std::size_t>::max();
+    for (std::size_t j = 0; j < q.atoms().size(); ++j) {
+      const std::set<int> vars = q.AtomVarSet(static_cast<int>(j));
+      if (std::all_of(order.begin(), order.begin() + d + 1,
+                      [&vars](int v) { return vars.count(v) > 0; })) {
+        bound = std::min(bound, db.Find(q.atoms()[j].relation)->size());
+      }
+    }
+    EXPECT_LE(stats.intermediate_sizes[d], bound)
+        << q.ToString() << " " << which << " depth " << d;
+  }
+  const std::set<int> head = q.HeadVarSet();
+  const std::size_t last =
+      head.count(order.back()) ? stats.output_size
+                               : (n == 1 ? 1 : stats.intermediate_sizes[n - 2]);
+  EXPECT_LE(stats.intermediate_sizes[n - 1], last)
+      << q.ToString() << " " << which << " last depth";
+}
+
 class EvaluateOracleRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EvaluateOracleRandomTest, MatchesDefinitionOnRandomInstances) {
@@ -111,6 +145,21 @@ TEST_P(EvaluateOracleRandomTest, MatchesDefinitionOnRandomInstances) {
       for (const Tuple& t : oracle.tuples()) {
         EXPECT_TRUE(result->Contains(t)) << q.ToString();
       }
+    }
+    // Where the planner recommends the generic join for a low-width query,
+    // it has certified both orders the join may run in: check the bounds.
+    auto plan = ChooseGenericJoinOrder(q);
+    ASSERT_TRUE(plan.ok()) << q.ToString();
+    if (plan->intersection_width >= 0 &&
+        plan->recommended_plan == PlanKind::kGenericJoin) {
+      EvalStats chosen, fallback;
+      ASSERT_TRUE(EvaluateGenericJoin(q, db, plan->order, &chosen).ok());
+      ASSERT_TRUE(EvaluateQuery(q, db, PlanKind::kGenericJoin, nullptr,
+                                nullptr, &fallback)
+                      .ok());
+      ExpectInputLinearCounts(q, db, plan->order, chosen, "chosen order");
+      ExpectInputLinearCounts(q, db, DefaultGenericJoinOrder(q), fallback,
+                              "default order");
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <string>
 
 #include "core/color_number.h"
 #include "core/join_plan.h"
@@ -681,6 +682,138 @@ TEST(GenericJoinOrderTest, DenseQueryFallsBackToCoverWeights) {
   EXPECT_EQ(order->source, VariableOrderSource::kFractionalCover);
   EXPECT_EQ(order->order.size(), 4u);
   EXPECT_EQ(order->envelope_exponent, Rational(2));  // perfect matching
+  EXPECT_EQ(order->recommended_plan, PlanKind::kGenericJoin);
+  EXPECT_EQ(std::string(PlanReasonName(*order)), "width>2");
+  EXPECT_NE(order->ToString(*q).find("reason=width>2"), std::string::npos);
+}
+
+/// `order` as variable names joined by spaces.
+std::string OrderNames(const Query& q, const std::vector<int>& order) {
+  std::string out;
+  for (int v : order) out += (out.empty() ? "" : " ") + q.variable_name(v);
+  return out;
+}
+
+/// The variable ids of `names`, in order.
+std::vector<int> OrderOf(const Query& q,
+                         const std::vector<std::string>& names) {
+  std::vector<int> order;
+  for (const std::string& name : names) {
+    for (int v = 0; v < q.num_variables(); ++v) {
+      if (q.variable_name(v) == name) order.push_back(v);
+    }
+  }
+  return order;
+}
+
+TEST(GenericJoinOrderTest, ProjectionRunsTheCertifiedDefaultOrder) {
+  // The reverse elimination order C B A binds the head last, so it fails
+  // the certificate; the default order B A C carries it and is returned.
+  auto q = ParseQuery("P(A) :- F(A,B), G(B,C).");
+  ASSERT_TRUE(q.ok());
+  auto order = ChooseGenericJoinOrder(*q);
+  ASSERT_TRUE(order.ok()) << order.status();
+  EXPECT_EQ(order->source, VariableOrderSource::kGreedy);
+  EXPECT_EQ(order->intersection_width, 1);
+  EXPECT_EQ(OrderNames(*q, order->order), "B A C");
+  EXPECT_EQ(order->order, DefaultGenericJoinOrder(*q));
+  EXPECT_EQ(order->recommended_plan, PlanKind::kGenericJoin);
+  EXPECT_EQ(std::string(PlanReasonName(*order)), "input-linear");
+  EXPECT_NE(order->ToString(*q).find("reason=input-linear"),
+            std::string::npos);
+}
+
+TEST(GenericJoinOrderTest, UncertifiedLowWidthQueriesKeepOrderAndHybrid) {
+  // The default order fails the certificate: the hybrid, over the reverse
+  // certified elimination order.
+  struct Case {
+    const char* text;
+    const char* order;
+  };
+  const Case cases[] = {
+      {"Q(A,C) :- R(A,X), S(X,B), T(B,Y), U(Y,C).", "Y B X C A"},
+      {"QC(X,Z) :- H(X), L(X,Y), M(Y,Z).", "Y Z X"},
+      {"Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).", "D C B A"},
+  };
+  for (const Case& c : cases) {
+    auto q = ParseQuery(c.text);
+    ASSERT_TRUE(q.ok()) << c.text;
+    auto order = ChooseGenericJoinOrder(*q);
+    ASSERT_TRUE(order.ok()) << c.text;
+    EXPECT_EQ(order->source, VariableOrderSource::kTreeDecomposition)
+        << c.text;
+    EXPECT_EQ(OrderNames(*q, order->order), c.order) << c.text;
+    EXPECT_EQ(order->recommended_plan, PlanKind::kHybridYannakakis) << c.text;
+    EXPECT_EQ(std::string(PlanReasonName(*order)), "reduction-may-pay")
+        << c.text;
+  }
+}
+
+TEST(GenericJoinOrderTest, TriangleIsInputLinear) {
+  auto q = ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).");
+  ASSERT_TRUE(q.ok());
+  auto order = ChooseGenericJoinOrder(*q);
+  ASSERT_TRUE(order.ok());
+  EXPECT_EQ(order->intersection_width, 2);
+  // Both orders are certified, so the elimination order stands.
+  EXPECT_EQ(order->source, VariableOrderSource::kTreeDecomposition);
+  EXPECT_EQ(OrderNames(*q, order->order), "Z Y X");
+  EXPECT_EQ(order->recommended_plan, PlanKind::kGenericJoin);
+  EXPECT_EQ(std::string(PlanReasonName(*order)), "input-linear");
+}
+
+TEST(GenericJoinOrderTest, InputLinearCertificateCases) {
+  struct Case {
+    const char* text;
+    std::vector<std::string> order;
+    bool certified;
+  };
+  const Case cases[] = {
+      // Projection: {A,B} lies in F and the projected C binds last.
+      {"P(A) :- F(A,B), G(B,C).", {"A", "B", "C"}, true},
+      {"P(A) :- F(A,B), G(B,C).", {"B", "A", "C"}, true},
+      // The reverse certified elimination order binds the head last.
+      {"P(A) :- F(A,B), G(B,C).", {"C", "B", "A"}, false},
+      // {A,C} lies in no atom.
+      {"P(A) :- F(A,B), G(B,C).", {"A", "C", "B"}, false},
+      // Full heads: any two triangle variables share an atom.
+      {"T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).", {"Z", "Y", "X"}, true},
+      {"T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).", {"X", "Y", "Z"}, true},
+      {"QK(X,V) :- K(X), B(X,V).", {"X", "V"}, true},
+      // Chains: the prefix spans several atoms.
+      {"Q(A,C) :- R(A,X), S(X,B), T(B,Y), U(Y,C).",
+       {"Y", "B", "X", "C", "A"}, false},
+      {"Q(A,C) :- R(A,X), S(X,B), T(B,Y), U(Y,C).",
+       {"X", "B", "Y", "A", "C"}, false},
+      {"Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).", {"D", "C", "B", "A"}, false},
+      {"Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).", {"B", "C", "A", "D"}, false},
+      // QC: {Y,Z} lies in M, but the head variable X binds last and the
+      // head misses Y; {X,Y} lies in L, but Z is a head variable.
+      {"QC(X,Z) :- H(X), L(X,Y), M(Y,Z).", {"Y", "Z", "X"}, false},
+      {"QC(X,Z) :- H(X), L(X,Y), M(Y,Z).", {"X", "Y", "Z"}, false},
+      // Not a permutation of the body variables.
+      {"P(A) :- F(A,B), G(B,C).", {"A", "B"}, false},
+      {"P(A) :- F(A,B), G(B,C).", {"A", "B", "B"}, false},
+  };
+  for (const Case& c : cases) {
+    auto q = ParseQuery(c.text);
+    ASSERT_TRUE(q.ok()) << c.text;
+    const std::vector<int> order = OrderOf(*q, c.order);
+    EXPECT_EQ(GenericJoinIsInputLinear(*q, order), c.certified)
+        << c.text << " under " << OrderNames(*q, order);
+  }
+  // A recommended generic join is certified in the order returned and in
+  // the order EvaluateQuery runs.
+  for (const char* text : {"P(A) :- F(A,B), G(B,C).",
+                           "T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."}) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok());
+    auto order = ChooseGenericJoinOrder(*q);
+    ASSERT_TRUE(order.ok());
+    EXPECT_TRUE(GenericJoinIsInputLinear(*q, order->order)) << text;
+    EXPECT_TRUE(GenericJoinIsInputLinear(*q, DefaultGenericJoinOrder(*q)))
+        << text;
+  }
 }
 
 TEST(GenericJoinOrderTest, ChosenOrderEvaluatesIdentically) {
