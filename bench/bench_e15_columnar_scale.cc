@@ -22,12 +22,15 @@
 // Wall times live in the timed sections: per-tuple insert loop vs one
 // InsertFlat call at 10^6, the 10^6-row radix build, the warm join, the
 // text reader and writer at 10^5 tuples (seconds per rep / 10^5 is their
-// per-row cost), and answer emission at 10^5 rows: per-row Insert vs the
-// coded-rows door.
+// per-row cost) with the reader's pool and store door timed apart, a
+// three-relation read at 6*10^4 tuples, and answer emission at 10^5 rows:
+// per-row Insert vs the coded-rows door.
 
 #include <cstddef>
 #include <iostream>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -36,6 +39,7 @@
 #include "relation/evaluate.h"
 #include "relation/text_io.h"
 #include "relation/trie_index.h"
+#include "util/rng.h"
 
 namespace cqbounds {
 namespace {
@@ -104,6 +108,70 @@ const Database& CycleTextDb() {
     return d;
   }();
   return db;
+}
+
+/// The cycle text's value tokens in file order: what the reader hands the
+/// pool.
+const std::vector<std::string_view>& CycleTokens() {
+  static const std::vector<std::string_view> tokens = [] {
+    std::vector<std::string_view> t;
+    t.reserve(2 * kTextRows);
+    const std::string_view text = CycleText();
+    std::size_t line = text.find('\n') + 1;  // past the declaration
+    while (line < text.size()) {
+      const std::size_t end = text.find('\n', line);
+      const std::size_t a = line + 2;  // past "E "
+      const std::size_t b = text.find(' ', a) + 1;
+      t.push_back(text.substr(a, b - 1 - a));
+      t.push_back(text.substr(b, end - b));
+      line = end + 1;
+    }
+    return t;
+  }();
+  return tokens;
+}
+
+/// The cycle text's pool ids, row-major: what the reader hands the store.
+const std::vector<std::uint32_t>& CycleIds() {
+  static const std::vector<std::uint32_t> ids = [] {
+    const ColumnStore& store = CycleTextDb().Find("E")->store();
+    std::vector<std::uint32_t> flat;
+    flat.reserve(2 * store.size());
+    for (std::size_t row = 0; row < store.size(); ++row) {
+      for (int col = 0; col < 2; ++col) {
+        flat.push_back(static_cast<std::uint32_t>(store.ValueAt(row, col)));
+      }
+    }
+    return flat;
+  }();
+  return ids;
+}
+
+/// Three relations of 2*10^4 edges each, R over [0,10^4) x [0,2*10^5),
+/// S over the middle domain, T back to the end domain, written relation
+/// after relation: most spellings are seen once, and the relations share
+/// the pool, so pool ids are not codes. The shape of a three-hop chain
+/// whose tuples mostly dangle.
+constexpr std::size_t kChainRows = 20000;
+const std::string& ChainText() {
+  static const std::string text = [] {
+    constexpr std::uint64_t kEnd = 10000, kMid = 200000;
+    Rng rng(15);
+    std::string t = "relation R 2\nrelation S 2\nrelation T 2\n";
+    const struct {
+      const char* name;
+      std::uint64_t from, to;
+    } parts[] = {{"R", kEnd, kMid}, {"S", kMid, kMid}, {"T", kMid, kEnd}};
+    for (const auto& part : parts) {
+      for (std::size_t i = 0; i < kChainRows; ++i) {
+        t += std::string(part.name) + " " +
+             std::to_string(rng.NextBelow(part.from)) + " " +
+             std::to_string(rng.NextBelow(part.to)) + "\n";
+      }
+    }
+    return t;
+  }();
+  return text;
 }
 
 /// The 100800 answers of the full two-hop query over a 2800-vertex cycle
@@ -233,9 +301,12 @@ void PrintTables() {
   }
   join_table.Print();
 
-  // Build the text fixtures now, so the text1e5 timers time only the
-  // reader and the writer.
+  // Build the text fixtures now, so the text timers time only the reader,
+  // the pool, the store door and the writer.
   CycleTextDb();
+  CycleTokens();
+  CycleIds();
+  ChainText();
 
   std::cout << "\nShape check: ingestion adds exactly half its fed rows at "
                "every scale\n(the dup pass), both trie builds keep the "
@@ -273,7 +344,7 @@ CQB_BENCH_TIMED("chain1M/warm-join", [] {
       .ValueOrDie();
 })
 
-// Text ingestion (tokenize, intern through the pool, one InsertFlat) and
+// Text ingestion (tokenize, intern through the pool, one InsertDense) and
 // rendering of the same 10^5-tuple file; the render must reproduce it.
 CQB_BENCH_TIMED("text1e5/read", [] {
   Database db;
@@ -284,6 +355,30 @@ CQB_BENCH_TIMED("text1e5/read", [] {
 CQB_BENCH_TIMED("text1e5/write", [] {
   CQB_CHECK(WriteDatabaseTextToString(CycleTextDb()).ValueOrDie() ==
             CycleText());
+})
+
+// The read's two layers apart: the pool alone, interning the file's 2*10^5
+// value tokens (half of them hits), and the store door alone, landing the
+// pool ids those tokens got.
+CQB_BENCH_TIMED("text1e5/intern", [] {
+  ValuePool pool;
+  for (std::string_view token : CycleTokens()) pool.Intern(token);
+  CQB_CHECK(pool.size() == kTextRows);
+})
+
+CQB_BENCH_TIMED("text1e5/ingest", [] {
+  Relation r("E", 2);
+  CQB_CHECK(r.InsertDense(CycleIds(), kTextRows, kTextRows) == kTextRows);
+})
+
+// A multi-relation read whose pool ids are not codes: three relations of
+// 2*10^4 rows over high-distinct domains.
+CQB_BENCH_TIMED("chain6e4/read", [] {
+  Database db;
+  CQB_CHECK(ReadDatabaseTextFromString(ChainText(), &db).ok());
+  CQB_CHECK(db.Find("R")->size() + db.Find("S")->size() +
+                db.Find("T")->size() <=
+            3 * kChainRows);
 })
 
 // Emitting 10^5 answers (arity 3), starting from their values either way:

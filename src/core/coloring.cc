@@ -15,12 +15,6 @@ std::set<int> Coloring::UnionOver(const std::set<int>& vars) const {
   return out;
 }
 
-int Coloring::NumColors() const {
-  std::set<int> all;
-  for (const auto& label : labels) all.insert(label.begin(), label.end());
-  return static_cast<int>(all.size());
-}
-
 bool Coloring::AnyNonEmpty() const {
   return std::any_of(labels.begin(), labels.end(),
                      [](const std::set<int>& l) { return !l.empty(); });

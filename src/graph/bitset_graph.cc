@@ -27,13 +27,6 @@ int VertexBitset::Count() const {
   return total;
 }
 
-bool VertexBitset::None() const {
-  for (Block b : blocks_) {
-    if (b != 0) return false;
-  }
-  return true;
-}
-
 int VertexBitset::First() const {
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     if (blocks_[i] != 0) {
@@ -44,21 +37,9 @@ int VertexBitset::First() const {
   return -1;
 }
 
-void VertexBitset::InplaceAnd(const VertexBitset& other) {
-  CQB_CHECK(universe_ == other.universe_);
-  for (std::size_t i = 0; i < blocks_.size(); ++i) blocks_[i] &= other.blocks_[i];
-}
-
 void VertexBitset::InplaceOr(const VertexBitset& other) {
   CQB_CHECK(universe_ == other.universe_);
   for (std::size_t i = 0; i < blocks_.size(); ++i) blocks_[i] |= other.blocks_[i];
-}
-
-void VertexBitset::InplaceAndNot(const VertexBitset& other) {
-  CQB_CHECK(universe_ == other.universe_);
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    blocks_[i] &= ~other.blocks_[i];
-  }
 }
 
 int VertexBitset::CountAnd(const VertexBitset& other) const {

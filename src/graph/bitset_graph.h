@@ -50,16 +50,12 @@ class VertexBitset {
 
   /// Cardinality via POPCOUNT over blocks. O(n/64).
   int Count() const;
-  bool None() const;
-  bool Any() const { return !None(); }
 
   /// Smallest member, or -1 when empty. O(n/64).
   int First() const;
 
   /// Word-parallel set algebra; `this` is the destination. O(n/64).
-  void InplaceAnd(const VertexBitset& other);
   void InplaceOr(const VertexBitset& other);
-  void InplaceAndNot(const VertexBitset& other);
 
   /// |this & other| without materializing the intersection. O(n/64).
   int CountAnd(const VertexBitset& other) const;

@@ -55,6 +55,19 @@ void ValueDictionary::Assign(std::vector<Value> values) {
       [](std::size_t) { return true; });
 }
 
+void ValueDictionary::AppendNew(const std::vector<Value>& values) {
+  const std::size_t first = values_.size();
+  values_.insert(values_.end(), values.begin(), values.end());
+  const auto hash = [this](std::size_t c) {
+    return FibonacciHash(static_cast<std::uint64_t>(values_[c]));
+  };
+  index_.Reserve(values_.size(), first, hash, [](std::size_t) { return true; });
+  // The values are new, so each goes to the first free slot of its probe.
+  for (std::size_t c = first; c < values_.size(); ++c) {
+    index_.Set(index_.Probe(hash(c), [](std::uint32_t) { return false; }), c);
+  }
+}
+
 ColumnStore::ColumnStore(int arity) : arity_(arity) {
   CQB_CHECK(arity >= 0);
   columns_.resize(static_cast<std::size_t>(arity));
@@ -206,6 +219,38 @@ std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
     for (std::size_t c = 0; c < width; ++c) codes[c] = dict_.Intern(values[c]);
     values += width;
   });
+}
+
+std::size_t ColumnStore::AppendDense(const std::vector<std::uint32_t>& ids,
+                                     std::size_t num_rows, std::size_t bound) {
+  const auto width = static_cast<std::size_t>(arity_);
+  CQB_CHECK(ids.size() == num_rows * width);
+  // Id -> code, seeded with the values the dictionary holds, so a miss is a
+  // value new to the store: it takes the next code, as Intern would mint it.
+  std::vector<std::uint32_t> code_of(bound, ValueDictionary::kNoCode);
+  for (std::uint32_t code = 0; code < dict_.size(); ++code) {
+    const Value v = dict_.ValueOf(code);
+    if (v >= 0 && static_cast<std::size_t>(v) < bound) {
+      code_of[static_cast<std::size_t>(v)] = code;
+    }
+  }
+  const std::size_t first = dict_.size();
+  std::vector<Value> fresh;
+  const std::uint32_t* id = ids.data();
+  const std::size_t added = AppendBulk(num_rows, [&](std::uint32_t* codes) {
+    for (std::size_t c = 0; c < width; ++c, ++id) {
+      CQB_CHECK(*id < bound);
+      std::uint32_t& code = code_of[*id];
+      if (code == ValueDictionary::kNoCode) {
+        CQB_CHECK(first + fresh.size() < ValueDictionary::kNoCode);
+        code = static_cast<std::uint32_t>(first + fresh.size());
+        fresh.push_back(*id);
+      }
+      codes[c] = code;
+    }
+  });
+  dict_.AppendNew(fresh);
+  return added;
 }
 
 std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,

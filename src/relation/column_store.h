@@ -52,6 +52,10 @@ class ValueDictionary {
   /// Replaces the contents with `values` (distinct): value i gets code i.
   void Assign(std::vector<Value> values);
 
+  /// Appends `values` -- distinct, none yet interned -- as the next codes,
+  /// in order, indexing them in one pass.
+  void AppendNew(const std::vector<Value>& values);
+
  private:
   std::vector<Value> values_;
   FlatIndex index_;
@@ -168,6 +172,15 @@ class ColumnStore {
   /// `num_rows * arity()` values (empty for nullary stores).
   std::size_t AppendFlat(const std::vector<Value>& flat, std::size_t num_rows);
 
+  /// As AppendFlat over values that are dense ids below `bound`, such as a
+  /// ValuePool's: `ids` holds `num_rows * arity()` of them. An id -> code
+  /// table replaces the dictionary probe: each distinct id costs one table
+  /// miss and a repeat one array load, the codes minted are exactly those
+  /// AppendFlat would mint, and the new values are indexed once, at the
+  /// end. Returns the number of rows added.
+  std::size_t AppendDense(const std::vector<std::uint32_t>& ids,
+                          std::size_t num_rows, std::size_t bound);
+
   /// The bulk door for rows coded in foreign dictionaries: appends the rows
   /// of `slices`, slice after slice. Source codes are remapped lazily --
   /// each interned into this store's dictionary on first use -- so the
@@ -231,7 +244,8 @@ class ColumnStore {
   /// the tombstone bitmap, rebuilds the index. Row ids shift. Records the
   /// dropped rows in `*record` when non-null.
   void Compact(CompactionRecord* record);
-  /// The one bulk loop behind AppendBatch, AppendFlat and AppendCoded:
+  /// The one bulk loop behind AppendBatch, AppendFlat, AppendDense and
+  /// AppendCoded:
   /// appends `incoming` rows, each coded into the scratch buffer by one call
   /// of `next_row(codes)` (in row order, so codes are minted as a row-wise
   /// Append would mint them), with Append's semantics per row. The columns

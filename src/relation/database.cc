@@ -1,29 +1,77 @@
 #include "relation/database.h"
 
-#include <functional>
+#include <algorithm>
+#include <cstring>
+#include <limits>
 
 namespace cqbounds {
 
+namespace {
+
+/// Spellings of at most this many bytes are their own key.
+constexpr std::size_t kInlineBytes = 7;
+constexpr std::uint64_t kLow56 = (std::uint64_t{1} << 56) - 1;
+
+/// A multiply-xorshift hash over 8-byte words, for spellings longer than
+/// kInlineBytes; the last word overlaps the one before it.
+std::uint64_t HashBytes(std::string_view s) {
+  const auto mix = [](std::uint64_t h, const char* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+    return h ^ (h >> 32);
+  };
+  std::uint64_t h = s.size();
+  std::size_t i = 0;
+  for (; i + 8 < s.size(); i += 8) h = mix(h, s.data() + i);
+  return mix(h, s.data() + s.size() - 8);
+}
+
+/// The packed key: the length (saturated at 255) in the top byte, and below
+/// it the spelling's bytes when it has at most kInlineBytes of them, else
+/// HashBytes with its top byte cleared. Inline keys are equal only for equal
+/// spellings.
+std::uint64_t PackKey(std::string_view s) {
+  std::uint64_t low = 0;
+  if (s.size() > kInlineBytes) {
+    low = HashBytes(s) & kLow56;
+  } else if (!s.empty()) {
+    std::memcpy(&low, s.data(), s.size());
+  }
+  return low | (std::min<std::uint64_t>(s.size(), 255) << 56);
+}
+
+}  // namespace
+
 Value ValuePool::Intern(std::string_view spelling) {
-  const std::hash<std::string_view> hash;
+  const std::uint64_t key = PackKey(spelling);
+  const bool inline_key = spelling.size() <= kInlineBytes;
   const std::uint32_t id = index_.Intern(
-      spellings_.size(), hash(spelling),
-      [this, spelling](std::uint32_t i) { return spellings_[i] == spelling; },
-      [this, &hash](std::size_t i) { return hash(spellings_[i]); });
-  if (id == spellings_.size()) spellings_.emplace_back(spelling);
+      keys_.size(), FibonacciHash(key),
+      [this, key, inline_key, spelling](std::uint32_t i) {
+        return keys_[i] == key && (inline_key || View(i) == spelling);
+      },
+      [this](std::size_t i) { return FibonacciHash(keys_[i]); });
+  if (id == keys_.size()) {
+    CQB_CHECK(spelling.size() <=
+              std::numeric_limits<std::uint32_t>::max() - arena_.size());
+    arena_.append(spelling);
+    offsets_.push_back(static_cast<std::uint32_t>(arena_.size()));
+    keys_.push_back(key);
+  }
   return static_cast<Value>(id);
 }
 
 std::string ValuePool::Spelling(Value id) const {
-  if (id < 0 || id >= static_cast<Value>(spellings_.size())) {
+  if (id < 0 || id >= static_cast<Value>(size())) {
     return "?" + std::to_string(id);
   }
-  return spellings_[static_cast<std::size_t>(id)];
+  return std::string(View(static_cast<std::size_t>(id)));
 }
 
 std::string_view ValuePool::SpellingView(Value id) const {
-  CQB_CHECK(id >= 0 && id < static_cast<Value>(spellings_.size()));
-  return spellings_[static_cast<std::size_t>(id)];
+  CQB_CHECK(id >= 0 && id < static_cast<Value>(size()));
+  return View(static_cast<std::size_t>(id));
 }
 
 Relation* Database::AddRelation(const std::string& name, int arity) {

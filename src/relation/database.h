@@ -20,9 +20,14 @@ namespace cqbounds {
 /// space is structured (e.g. the color-index vectors of the Proposition 4.5
 /// product construction, or Shamir shares tagged by group).
 ///
-/// Storage is flat: the spellings in id order, found through a FlatIndex
-/// (relation/flat_index.h) hashed by std::hash<std::string_view>, so an
-/// intern hit allocates nothing and a miss appends one string.
+/// Storage is flat: the spellings back to back in one char arena, bounded
+/// by u32 offsets, and one packed u64 key per id, found through a FlatIndex
+/// (relation/flat_index.h) hashed by FibonacciHash of the key. A key holds
+/// the spelling's length (saturated at 255) in its top byte; below it, a
+/// spelling of at most 7 bytes stores its bytes, so a probe that hits it
+/// compares no bytes, and a longer one stores a hash of its bytes and is
+/// compared against the arena. A growth re-hashes the stored keys, not the
+/// spellings. An intern hit allocates nothing; a miss appends to the arena.
 class ValuePool {
  public:
   /// Capacity limit: FlatIndex's id cap, so a pool holds at most 2^32 - 1
@@ -30,7 +35,8 @@ class ValuePool {
   static constexpr std::size_t kMaxSpellings = FlatIndex::kNone;
 
   /// Returns the id of `spelling`, interning it on first use. Aborts when a
-  /// new spelling would exceed kMaxSpellings; callers loading untrusted
+  /// new spelling would exceed kMaxSpellings, or push the arena past its
+  /// u32 offsets (4 GiB of spelling bytes); callers loading untrusted
   /// input check full() first.
   Value Intern(std::string_view spelling);
   /// Reverse lookup; returns "?<id>" if the id was never interned.
@@ -38,11 +44,19 @@ class ValuePool {
   /// The spelling of an interned id, without a copy. Requires
   /// 0 <= id < size().
   std::string_view SpellingView(Value id) const;
-  std::size_t size() const { return spellings_.size(); }
-  bool full() const { return spellings_.size() >= kMaxSpellings; }
+  std::size_t size() const { return keys_.size(); }
+  bool full() const { return size() >= kMaxSpellings; }
 
  private:
-  std::vector<std::string> spellings_;
+  /// Spelling `id` occupies arena_[offsets_[id], offsets_[id + 1]).
+  std::string_view View(std::size_t id) const {
+    return std::string_view(arena_.data() + offsets_[id],
+                            offsets_[id + 1] - offsets_[id]);
+  }
+
+  std::string arena_;
+  std::vector<std::uint32_t> offsets_ = {0};
+  std::vector<std::uint64_t> keys_;
   FlatIndex index_;
 };
 

@@ -27,6 +27,13 @@ std::size_t Relation::InsertFlat(const std::vector<Value>& flat_values,
   return added;
 }
 
+std::size_t Relation::InsertDense(const std::vector<std::uint32_t>& ids,
+                                  std::size_t num_rows, std::size_t bound) {
+  const std::size_t added = store_.AppendDense(ids, num_rows, bound);
+  generation_ += added;
+  return added;
+}
+
 std::size_t Relation::InsertCoded(const std::vector<CodedRows>& sources,
                                   const std::vector<CodedSlice>& slices) {
   const std::size_t added = store_.AppendCoded(sources, slices);

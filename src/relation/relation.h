@@ -111,6 +111,12 @@ class Relation {
   std::size_t InsertFlat(const std::vector<Value>& flat_values,
                          std::size_t num_rows);
 
+  /// As InsertFlat over dense ids below `bound` (a ValuePool's ids: the
+  /// text reader's door) -- ColumnStore::AppendDense: one array load per
+  /// repeated value instead of a dictionary probe, the same codes minted.
+  std::size_t InsertDense(const std::vector<std::uint32_t>& ids,
+                          std::size_t num_rows, std::size_t bound);
+
   /// As InsertBatch over rows coded in foreign dictionaries, slice after
   /// slice -- the bulk door of ColumnStore::AppendCoded: codes minted as a
   /// row-wise Insert would mint them, present rows skipped.

@@ -1,7 +1,7 @@
 #include "relation/text_io.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <cstring>
 #include <sstream>
@@ -12,14 +12,21 @@ namespace cqbounds {
 
 namespace {
 
-/// Characters that would corrupt the line-oriented format if written
-/// verbatim inside a token: the tokenizer's separators (whitespace), the
-/// comment introducer, the escape character itself, and control characters
-/// (which survive a write but make the file hostile to every other tool).
-bool NeedsEscape(char c) {
-  const unsigned char u = static_cast<unsigned char>(c);
-  return c == '%' || c == '#' || std::isspace(u) || std::iscntrl(u);
-}
+/// Bytes that would corrupt the line-oriented format if written verbatim
+/// inside a token: the tokenizer's separators (whitespace), the comment
+/// introducer, the escape character itself, and control characters (which
+/// survive a write but make the file hostile to every other tool). A fixed
+/// table -- {0x00-0x20, '#', '%', 0x7F}, the C locale's isspace and
+/// iscntrl bytes plus two -- so the bytes written never follow the process
+/// locale.
+constexpr std::array<bool, 256> kEscaped = [] {
+  std::array<bool, 256> escaped{};
+  for (int c = 0; c <= 0x20; ++c) escaped[static_cast<std::size_t>(c)] = true;
+  escaped['#'] = escaped['%'] = escaped[0x7F] = true;
+  return escaped;
+}();
+
+bool NeedsEscape(char c) { return kEscaped[static_cast<unsigned char>(c)]; }
 
 /// Appends `spelling` to `out` as one whitespace-delimited token:
 /// unsafe bytes become %XX (uppercase hex), and the empty spelling -- which
@@ -128,16 +135,17 @@ Status CheckWritableRelationName(const std::string& name) {
 /// The reader proper, over the whole input in one flat buffer. Tokenized
 /// in place with pointer scans -- no per-line stream extraction and no
 /// per-token string construction: escape-free tokens intern straight from
-/// their buffer slice. Tuple lines are parsed into per-relation flat column
-/// builders (row-major values, one vector per relation) and flushed in one
-/// InsertFlat batch per relation at end of input -- a single dedup pass
-/// over the appended block instead of a per-tuple hash insert. Arity,
-/// escape and capacity errors carry their line numbers (checked during the
-/// parse); on error nothing is flushed.
+/// their buffer slice. Tuple lines are parsed into per-relation buffers of
+/// u32 pool ids (row-major, one vector per relation) and flushed in one
+/// InsertDense batch per relation at end of input -- a single dedup pass
+/// over the appended block, and a pool id -> code table instead of a
+/// dictionary probe per value. Arity, escape and capacity errors carry
+/// their line numbers (checked during the parse); on error nothing is
+/// flushed.
 Status ParseDatabaseText(std::string_view buf, Database* db) {
   struct PendingRows {
     Relation* rel = nullptr;
-    std::vector<Value> flat;
+    std::vector<std::uint32_t> ids;
     std::size_t rows = 0;
   };
   // In first-tuple-seen relation order. Files declare a handful of
@@ -244,7 +252,7 @@ Status ParseDatabaseText(std::string_view buf, Database* db) {
             ": value pool is full (" +
             std::to_string(ValuePool::kMaxSpellings) + " spellings)");
       }
-      rows.flat.push_back(pool->Intern(spelling));
+      rows.ids.push_back(static_cast<std::uint32_t>(pool->Intern(spelling)));
       ++width;
     }
     if (static_cast<int>(width) != rows.rel->arity()) {
@@ -257,7 +265,7 @@ Status ParseDatabaseText(std::string_view buf, Database* db) {
     p = next_line;
   }
   for (PendingRows& rows : pending) {
-    rows.rel->InsertFlat(rows.flat, rows.rows);
+    rows.rel->InsertDense(rows.ids, rows.rows, pool->size());
   }
   return Status::OK();
 }
@@ -265,16 +273,23 @@ Status ParseDatabaseText(std::string_view buf, Database* db) {
 }  // namespace
 
 Status ReadDatabaseText(std::istream& in, Database* db) {
-  // Slurp the stream in large chunks straight from its buffer.
+  // Slurp the stream straight from its buffer. A file or string stream
+  // reports what is left (in_avail), so the buffer is sized once and read
+  // in one go; anything past that comes in 64 KiB chunks.
+  using Traits = std::streambuf::traits_type;
   constexpr std::streamsize kChunk = 1 << 16;
   std::string buf;
   if (std::streambuf* const sb = in.rdbuf()) {
+    std::streamsize want = std::max(sb->in_avail(), kChunk);
     for (;;) {
       const std::size_t used = buf.size();
-      buf.resize(used + kChunk);
-      const std::streamsize got = sb->sgetn(buf.data() + used, kChunk);
+      buf.resize(used + static_cast<std::size_t>(want));
+      const std::streamsize got = sb->sgetn(buf.data() + used, want);
       buf.resize(used + static_cast<std::size_t>(got));
-      if (got < kChunk) break;
+      if (got < want || Traits::eq_int_type(sb->sgetc(), Traits::eof())) {
+        break;
+      }
+      want = kChunk;
     }
   }
   return ParseDatabaseText(buf, db);

@@ -247,6 +247,64 @@ TEST(ValuePoolTest, EmptyNulAndSliceSpellings) {
   EXPECT_EQ(pool.size(), 4u);
 }
 
+TEST(ValuePoolTest, PackedKeysAcrossTheInlineBoundary) {
+  // Spellings of length 0..9 straddle the 7-byte inline key: at each
+  // length, four spellings that differ in their last byte (NUL and 0xFF
+  // among them) must take distinct ids in first-seen order and spell back
+  // exactly.
+  ValuePool pool;
+  std::vector<std::string> spellings;
+  for (std::size_t len = 0; len <= 9; ++len) {
+    for (char last : {'a', 'b', '\0', '\xff'}) {
+      std::string s(len, 'x');
+      if (len > 0) s.back() = last;
+      spellings.push_back(s);
+    }
+  }
+  for (const std::string& s : spellings) pool.Intern(s);
+  // Length 0 yields one spelling, every other length four distinct ones.
+  ASSERT_EQ(pool.size(), 1u + 9u * 4u);
+  for (const std::string& s : spellings) {
+    const Value id = pool.Intern(s);
+    EXPECT_EQ(pool.Spelling(id), s);
+    EXPECT_EQ(pool.SpellingView(id), s);
+  }
+  EXPECT_EQ(pool.size(), 1u + 9u * 4u);
+  // First-seen order: the ids follow the order of the first interns.
+  Value next = 0;
+  for (const std::string& s : spellings) {
+    const Value id = pool.Intern(s);
+    if (id == next) ++next;
+    EXPECT_LT(id, next) << s.size();
+  }
+  EXPECT_EQ(pool.Spelling(next), "?" + std::to_string(next));
+}
+
+TEST(ValuePoolTest, ShortSpellingsThatPackAlikeStayDistinct) {
+  // "0", "00", "0" plus a trailing NUL and the empty spelling share their
+  // bytes up to zero padding; the length byte keeps their keys apart.
+  ValuePool pool;
+  const Value zero = pool.Intern("0");
+  const Value zero_zero = pool.Intern("00");
+  const Value zero_nul = pool.Intern(std::string("0\0", 2));
+  const Value empty = pool.Intern("");
+  EXPECT_EQ(zero, 0);
+  EXPECT_EQ(zero_zero, 1);
+  EXPECT_EQ(zero_nul, 2);
+  EXPECT_EQ(empty, 3);
+  EXPECT_EQ(pool.Spelling(zero_nul), std::string("0\0", 2));
+  EXPECT_EQ(pool.Spelling(empty), "");
+  // Long spellings that share their first and last words are compared
+  // through the arena.
+  const std::string a = "prefix--" + std::string(9, 'm') + "--suffix";
+  std::string b = a;
+  b[10] = 'n';
+  EXPECT_EQ(pool.Intern(a), 4);
+  EXPECT_EQ(pool.Intern(b), 5);
+  EXPECT_EQ(pool.Intern(a), 4);
+  EXPECT_EQ(pool.Spelling(5), b);
+}
+
 Database CartesianExample() {
   // Example 2.1: R(A,B) = {(1,1), (1,2), ..., (1,n)} with n = 4.
   Database db;

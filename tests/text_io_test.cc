@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -270,6 +271,156 @@ TEST(TextIoTest, ZeroArityRelation) {
   Database db;
   ASSERT_TRUE(ReadDatabaseTextFromString("relation Nil 0\nNil\n", &db).ok());
   EXPECT_EQ(db.Find("Nil")->size(), 1u);  // the empty tuple
+}
+
+TEST(TextIoTest, EveryByteRoundTripsAndExactlyTheFixedSetIsEscaped) {
+  // The escaped set is {0x00-0x20, '#', '%', 0x7F} whatever the locale;
+  // every other byte is written as itself.
+  Database db;
+  Relation* r = db.AddRelation("R", 1);
+  for (int b = 0; b < 256; ++b) {
+    r->Insert({db.value_pool()->Intern(std::string(1, static_cast<char>(b)))});
+  }
+  auto rendered = WriteDatabaseTextToString(db);
+  ASSERT_TRUE(rendered.ok()) << rendered.status();
+  std::string expected = "relation R 1\n";
+  for (int b = 0; b < 256; ++b) {
+    const bool escaped = b <= 0x20 || b == '#' || b == '%' || b == 0x7F;
+    static const char kHex[] = "0123456789ABCDEF";
+    expected += "R ";
+    if (escaped) {
+      expected += {'%', kHex[b >> 4], kHex[b & 0xF]};
+    } else {
+      expected += static_cast<char>(b);
+    }
+    expected += '\n';
+  }
+  EXPECT_EQ(*rendered, expected);
+
+  Database again;
+  ASSERT_TRUE(ReadDatabaseTextFromString(*rendered, &again).ok());
+  const Relation* back = again.Find("R");
+  ASSERT_EQ(back->size(), 256u);
+  for (std::size_t row = 0; row < 256; ++row) {
+    EXPECT_EQ(again.value_pool()->Spelling(back->store().ValueAt(row, 0)),
+              std::string(1, static_cast<char>(row)))
+        << row;
+  }
+}
+
+TEST(TextIoTest, ZeroSpellingsThatPackAlikeReadAsDistinctValues) {
+  // "0", "00", "0" with a trailing NUL and the empty spelling read as four
+  // values, with pool ids in first-seen order.
+  Database db;
+  ASSERT_TRUE(ReadDatabaseTextFromString(
+                  "relation R 1\nR 0\nR 00\nR 0%00\nR %\nR 0\nR %\n", &db)
+                  .ok());
+  const Relation* r = db.Find("R");
+  ASSERT_EQ(r->size(), 4u);
+  const std::vector<std::string> spellings = {"0", "00", std::string("0\0", 2),
+                                              ""};
+  for (std::size_t row = 0; row < 4; ++row) {
+    EXPECT_EQ(r->store().ValueAt(row, 0), static_cast<Value>(row));
+    EXPECT_EQ(db.value_pool()->Spelling(static_cast<Value>(row)),
+              spellings[row]);
+  }
+  EXPECT_EQ(db.value_pool()->Spelling(4), "?4");
+}
+
+/// The store state a load must reproduce: dictionary (code -> value), rows
+/// in order with their codes and liveness, and the generation.
+void ExpectSameStore(const Relation& got, const Relation& want) {
+  const ColumnStore& a = got.store();
+  const ColumnStore& b = want.store();
+  ASSERT_EQ(a.dict().size(), b.dict().size()) << got.name();
+  for (std::uint32_t code = 0; code < a.dict().size(); ++code) {
+    EXPECT_EQ(a.dict().ValueOf(code), b.dict().ValueOf(code)) << code;
+  }
+  ASSERT_EQ(a.size(), b.size()) << got.name();
+  for (std::size_t row = 0; row < a.size(); ++row) {
+    EXPECT_EQ(a.IsLive(row), b.IsLive(row)) << row;
+    for (int col = 0; col < a.arity(); ++col) {
+      EXPECT_EQ(a.CodeAt(row, col), b.CodeAt(row, col)) << row << "," << col;
+    }
+  }
+  EXPECT_EQ(got.generation(), want.generation()) << got.name();
+  EXPECT_EQ(a.dict().CodeOf(-1), ValueDictionary::kNoCode);
+  for (std::uint32_t code = 0; code < a.dict().size(); ++code) {
+    EXPECT_EQ(a.dict().CodeOf(a.dict().ValueOf(code)), code) << code;
+  }
+}
+
+/// Loads `text` into `*loaded` through the reader, and into `*reference`
+/// by hand: each token interned in the pool in file order, then one
+/// InsertFlat of the pool ids per relation, relations in first-tuple order.
+/// The text holds no escapes and no comments.
+void LoadBothWays(const std::string& text, Database* loaded,
+                  Database* reference) {
+  ASSERT_TRUE(ReadDatabaseTextFromString(text, loaded).ok());
+  std::vector<std::pair<Relation*, std::vector<Value>>> pending;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream tokens(line);
+    std::string name, token;
+    tokens >> name;
+    if (name == "relation") {
+      int arity = 0;
+      tokens >> name >> arity;
+      ASSERT_NE(reference->AddRelation(name, arity), nullptr);
+      continue;
+    }
+    Relation* rel = reference->FindMutable(name);
+    auto it = std::find_if(pending.begin(), pending.end(),
+                           [rel](const auto& p) { return p.first == rel; });
+    if (it == pending.end()) it = pending.insert(pending.end(), {rel, {}});
+    while (tokens >> token) {
+      it->second.push_back(reference->value_pool()->Intern(token));
+    }
+  }
+  for (auto& [rel, flat] : pending) {
+    rel->InsertFlat(flat, flat.size() / static_cast<std::size_t>(rel->arity()));
+  }
+  ASSERT_EQ(loaded->value_pool()->size(), reference->value_pool()->size());
+}
+
+TEST(TextIoTest, DenseDoorMintsWhatInsertFlatMints) {
+  // Three interleaved relations sharing values, with repeats inside a row,
+  // repeated rows and a value first seen in another relation.
+  const std::string text =
+      "relation R 2\nrelation S 3\nrelation T 1\n"
+      "S 5 6 5\nR 1 2\nR 2 1\nS 5 6 5\nR 1 2\nT 9\nR 6 6\n"
+      "S 1 9 7\nT 5\nR 3 1\nT 9\nS 7 7 7\n";
+  Database loaded, reference;
+  LoadBothWays(text, &loaded, &reference);
+  for (const char* name : {"R", "S", "T"}) {
+    ExpectSameStore(*loaded.Find(name), *reference.Find(name));
+  }
+  EXPECT_EQ(loaded.Find("R")->size(), 4u);
+  EXPECT_EQ(loaded.Find("S")->size(), 3u);
+}
+
+TEST(TextIoTest, DenseDoorIntoARelationThatHoldsRows) {
+  // Both databases start alike: pool spellings, rows over pool ids and
+  // over values no pool id equals, and a removed row whose values stay in
+  // the dictionary. The load must then mint as InsertFlat does.
+  const auto prepare = [](Database* db) {
+    ValuePool* pool = db->value_pool();
+    Relation* r = db->AddRelation("R", 2);
+    const Value a = pool->Intern("a");
+    const Value b = pool->Intern("b");
+    const Value c = pool->Intern("c");
+    r->InsertFlat({b, -7, 1000000, a, c, c}, 3);
+    ASSERT_TRUE(r->Remove({c, c}));
+    pool->Intern("unused");
+  };
+  Database loaded, reference;
+  prepare(&loaded);
+  prepare(&reference);
+  LoadBothWays("R a b\nR c a\nR b -7\nR d a\nR c c\nR 1000000 d\n",
+               &loaded, &reference);
+  ExpectSameStore(*loaded.Find("R"), *reference.Find("R"));
+  EXPECT_EQ(loaded.Find("R")->size(), 8u);
 }
 
 }  // namespace
