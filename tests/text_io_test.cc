@@ -140,7 +140,8 @@ TEST(TextIoTest, WriterBytesMatchFixedExpectation) {
 }
 
 TEST(TextIoTest, StreamReadSpansManyChunksWithLineNumbers) {
-  // ReadDatabaseText slurps its stream in chunks: an input several chunks
+  // ReadDatabaseText reads a stream in one sized read when the stream says
+  // how much is left, else in chunks: either way an input several chunks
   // long must load exactly as the same text handed over as a string, and
   // an error past the first chunk still names its line.
   std::string text = "relation E 2\n";
@@ -168,6 +169,29 @@ TEST(TextIoTest, StreamReadSpansManyChunksWithLineNumbers) {
       << status;
   // Nothing is flushed on error.
   EXPECT_EQ(rejected.Find("E")->size(), 0u);
+
+  // A stream that cannot say how much is left (a pipe, say) is read in
+  // chunks: this one hands out 1000 bytes per refill and reports nothing
+  // ahead.
+  struct Trickle : std::streambuf {
+    explicit Trickle(const std::string& s) : text(s) {}
+    int_type underflow() override {
+      if (next == text.size()) return traits_type::eof();
+      char* begin = const_cast<char*>(text.data()) + next;
+      const std::size_t n = std::min<std::size_t>(1000, text.size() - next);
+      next += n;
+      setg(begin, begin, begin + n);
+      return traits_type::to_int_type(*begin);
+    }
+    const std::string& text;
+    std::size_t next = 0;
+  } trickle(text);
+  std::istream piped(&trickle);
+  Database from_pipe;
+  ASSERT_TRUE(ReadDatabaseText(piped, &from_pipe).ok());
+  auto c = WriteDatabaseTextToString(from_pipe);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(*a, *c);
 
   // A stream without a buffer reads as empty input.
   std::istream no_buffer(nullptr);
