@@ -9,8 +9,9 @@
 // answer sink, merged (with exact per-depth counter sums) at the end.
 // Every search emits answers as codes into per-worker buffers that merge
 // once, in depth-0 order, the merge dropping a projection's repeats; the
-// twohop1e5 timers isolate that emission at ~10^5 answers, and the
-// proj2hop timers the same path when ~2/3 of the bindings are repeats.
+// twohop1e5 timers isolate that emission at ~10^5 answers (a full CQ, so
+// the merge adopts the input's dictionary), and the proj2hop timers the
+// re-interning merge when ~2/3 of the bindings are repeats.
 // The skewtri1e5 timer is the serial triangle on a skewed 10^5-edge graph,
 // where the leapfrog's seeks, not emission, are the op.
 //

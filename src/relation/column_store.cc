@@ -1,7 +1,10 @@
 #include "relation/column_store.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
+
+#include "util/thread_pool.h"
 
 namespace cqbounds {
 
@@ -31,6 +34,15 @@ class CodeRemap {
   ValueDictionary* into_;
   std::vector<std::uint32_t> map_;
 };
+
+/// Whether column `c` is the first to name its dictionary.
+bool FirstOf(const DistinctRows& distinct, std::size_t c) {
+  const ValueDictionary* dict = distinct.column_dict(c);
+  for (std::size_t k = 0; k < c; ++k) {
+    if (distinct.column_dict(k) == dict) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -114,18 +126,19 @@ std::size_t ColumnStore::SlotOf(const std::uint32_t* codes) const {
   });
 }
 
+std::size_t ColumnStore::RowHash(std::size_t row) const {
+  // HashCodes over the row's codes, read down the columns.
+  std::size_t h = 1469598103934665603ull;
+  for (const std::vector<std::uint32_t>& col : columns_) {
+    h ^= col[row];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 void ColumnStore::ReserveRows(std::size_t rows) {
   index_.Reserve(
-      rows, rows_,
-      [this](std::size_t row) {
-        // HashCodes over the row's codes, read down the columns.
-        std::size_t h = 1469598103934665603ull;
-        for (const std::vector<std::uint32_t>& col : columns_) {
-          h ^= col[row];
-          h *= 1099511628211ull;
-        }
-        return h;
-      },
+      rows, rows_, [this](std::size_t row) { return RowHash(row); },
       [this](std::size_t row) { return IsLive(row); });
 }
 
@@ -254,7 +267,8 @@ std::size_t ColumnStore::AppendDense(const std::vector<std::uint32_t>& ids,
 }
 
 std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
-                                     const std::vector<CodedSlice>& slices) {
+                                     const std::vector<CodedSlice>& slices,
+                                     const DistinctRows* distinct) {
   const auto width = static_cast<std::size_t>(arity_);
   for (const CodedRows& src : sources) {
     CQB_CHECK(src.codes.size() == src.num_rows * width);
@@ -264,6 +278,16 @@ std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
     CQB_CHECK(s.source < sources.size() && s.begin <= s.end &&
               s.end <= sources[s.source].num_rows);
     incoming += s.end - s.begin;
+  }
+  if (distinct != nullptr && width > 0 && rows_ == 0 && dict_.size() == 0) {
+    // O(|dictionary|) work only when the answer is at least that large.
+    std::size_t values = 0;
+    for (std::size_t c = 0; c < width; ++c) {
+      if (FirstOf(*distinct, c)) values += distinct->column_dict(c)->size();
+    }
+    if (values <= incoming * width) {
+      return AdoptCoded(sources, slices, incoming, *distinct);
+    }
   }
   std::vector<CodeRemap> remaps;
   remaps.reserve(sources.size());
@@ -283,6 +307,83 @@ std::size_t ColumnStore::AppendCoded(const std::vector<CodedRows>& sources,
     src += width;
     --left;
   });
+}
+
+std::size_t ColumnStore::AdoptCoded(const std::vector<CodedRows>& sources,
+                                    const std::vector<CodedSlice>& slices,
+                                    std::size_t incoming,
+                                    const DistinctRows& distinct) {
+  const auto width = static_cast<std::size_t>(arity_);
+  CQB_CHECK(incoming < FlatIndex::kNone);
+  ThreadPool* const pool = distinct.pool;
+  const auto for_each = [pool](std::size_t tasks,
+                               const std::function<void(std::size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(tasks, fn);
+    } else {
+      for (std::size_t t = 0; t < tasks; ++t) fn(t);
+    }
+  };
+  // Adopt: the union of the column dictionaries, in column order.
+  dict_ = *distinct.column_dict(0);
+  for (std::size_t c = 1; c < width; ++c) {
+    if (!FirstOf(distinct, c)) continue;
+    const ValueDictionary& more = *distinct.column_dict(c);
+    for (std::uint32_t code = 0; code < more.size(); ++code) {
+      dict_.Intern(more.ValueOf(code));
+    }
+  }
+  // Remap: each source dictionary into the adopted one, by lookup.
+  std::vector<std::vector<std::uint32_t>> to_store(sources.size());
+  for_each(sources.size(), [&](std::size_t k) {
+    const ValueDictionary& from = sources[k].dict;
+    std::vector<std::uint32_t>& map = to_store[k];
+    map.resize(from.size());
+    for (std::uint32_t code = 0; code < from.size(); ++code) {
+      map[code] = dict_.CodeOf(from.ValueOf(code));
+      CQB_CHECK(map[code] != ValueDictionary::kNoCode);
+    }
+  });
+  // Write: output rows [t * step, (t + 1) * step) per task, slice after
+  // slice from the slice that holds the task's first row; starts[s] is
+  // slice s's first output row.
+  std::vector<std::size_t> starts(slices.size() + 1, 0);
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    starts[s + 1] = starts[s] + (slices[s].end - slices[s].begin);
+  }
+  constexpr std::size_t kMinStep = 4096;
+  const std::size_t threads =
+      pool == nullptr ? 1 : static_cast<std::size_t>(pool->num_workers()) + 1;
+  const std::size_t step =
+      std::max(kMinStep, (incoming + 4 * threads - 1) / (4 * threads));
+  std::vector<std::uint32_t*> cols(width);
+  for (std::size_t c = 0; c < width; ++c) {
+    columns_[c].resize(incoming);
+    cols[c] = columns_[c].data();
+  }
+  for_each((incoming + step - 1) / step, [&](std::size_t t) {
+    std::size_t at = t * step;
+    const std::size_t stop = std::min(at + step, incoming);
+    auto s = static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end(), at) - starts.begin() -
+        1);
+    for (; at < stop; ++s) {
+      const CodedSlice& slice = slices[s];
+      const std::uint32_t* map = to_store[slice.source].data();
+      const std::uint32_t* src = sources[slice.source].codes.data() +
+                                 (slice.begin + at - starts[s]) * width;
+      for (const std::size_t end = std::min(stop, starts[s + 1]); at < end;
+           ++at) {
+        for (std::size_t c = 0; c < width; ++c) cols[c][at] = map[*src++];
+      }
+    }
+  });
+  // Index: the rows are distinct, so each goes to the first free slot.
+  rows_ = incoming;
+  index_.Rebuild(
+      incoming, incoming, [this](std::size_t row) { return RowHash(row); },
+      [](std::size_t) { return true; });
+  return incoming;
 }
 
 ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,

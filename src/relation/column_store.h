@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "relation/flat_index.h"
@@ -10,6 +11,8 @@
 #include "util/status.h"
 
 namespace cqbounds {
+
+class ThreadPool;
 
 /// Per-column summary over the live rows: value bounds and distinct count.
 /// Computed on demand (one column scan, one sort of its distinct values);
@@ -77,6 +80,19 @@ struct CodedSlice {
   std::size_t source = 0;
   std::size_t begin = 0;
   std::size_t end = 0;
+};
+
+/// What the producer of an AppendCoded merge knows about its rows: they are
+/// pairwise distinct by construction (a full CQ's answer), and every value
+/// a source dictionary holds lies in one of the column dictionaries, column
+/// c's being `column_dict(c)`, the store dictionary of an input relation
+/// holding the column's variable. A function rather than a list, so a
+/// merge that does not adopt allocates nothing for it. `pool`, when
+/// non-null, runs the merge's parallel steps; it never decides which path
+/// the merge takes.
+struct DistinctRows {
+  std::function<const ValueDictionary*(std::size_t)> column_dict;
+  ThreadPool* pool = nullptr;
 };
 
 /// Dictionary-encoded columnar tuple storage with set semantics: `arity`
@@ -189,8 +205,21 @@ class ColumnStore {
   /// skipped when already present, so repeats -- within the slices or
   /// against the store -- keep their first occurrence: producers need not
   /// dedup. Returns the number of rows added.
+  ///
+  /// With `distinct` (see DistinctRows), a merge into an empty store (no
+  /// rows, no dictionary) of arity at least one whose column dictionaries,
+  /// their sizes summed, hold no more values than the codes merged *adopts*
+  /// instead: the store's dictionary becomes the union of the column
+  /// dictionaries (a copy when there is one), each source dictionary is
+  /// mapped into it by lookup, one task per source, the rows are written at
+  /// their prefix-sum offsets in parallel chunks, and the row index is
+  /// rebuilt over them, with no key compared. Rows, their order and the count
+  /// returned are the other path's; the dictionary may hold values no row
+  /// carries, and codes follow the union's order, not first-seen order.
+  /// Any other merge takes the path above.
   std::size_t AppendCoded(const std::vector<CodedRows>& sources,
-                          const std::vector<CodedSlice>& slices);
+                          const std::vector<CodedSlice>& slices,
+                          const DistinctRows* distinct = nullptr);
 
   /// Removes `t` if present. The common case is a tombstone: O(arity), row
   /// ids stable, the open-addressing index untouched. When the tombstone
@@ -230,6 +259,8 @@ class ColumnStore {
  private:
   /// FNV-1a over a row's code words.
   std::size_t HashCodes(const std::uint32_t* codes) const;
+  /// HashCodes of row `row`, read down the columns.
+  std::size_t RowHash(std::size_t row) const;
   /// Codes `t` (arity() values) into `codes` without interning; false when
   /// a value was never interned, so no row can hold `t`.
   bool CodesOf(const Tuple& t, std::uint32_t* codes) const;
@@ -252,6 +283,11 @@ class ColumnStore {
   /// are sized once and trimmed at the end. Returns the rows added.
   template <typename NextRow>
   std::size_t AppendBulk(std::size_t incoming, NextRow&& next_row);
+  /// AppendCoded's adopting path into this empty store: `incoming` rows in
+  /// `slices`, as `distinct` describes them. Returns `incoming`.
+  std::size_t AdoptCoded(const std::vector<CodedRows>& sources,
+                         const std::vector<CodedSlice>& slices,
+                         std::size_t incoming, const DistinctRows& distinct);
 
   int arity_;
   ValueDictionary dict_;

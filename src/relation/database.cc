@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 namespace cqbounds {
 
@@ -53,8 +52,7 @@ Value ValuePool::Intern(std::string_view spelling) {
       },
       [this](std::size_t i) { return FibonacciHash(keys_[i]); });
   if (id == keys_.size()) {
-    CQB_CHECK(spelling.size() <=
-              std::numeric_limits<std::uint32_t>::max() - arena_.size());
+    CQB_CHECK(HasRoom(spelling.size()));
     arena_.append(spelling);
     offsets_.push_back(static_cast<std::uint32_t>(arena_.size()));
     keys_.push_back(key);

@@ -33,11 +33,21 @@ class ValuePool {
   /// Capacity limit: FlatIndex's id cap, so a pool holds at most 2^32 - 1
   /// spellings.
   static constexpr std::size_t kMaxSpellings = FlatIndex::kNone;
+  /// Arena limit: spelling offsets are u32, so the spellings add up to at
+  /// most 2^32 - 1 bytes.
+  static constexpr std::size_t kMaxArenaBytes = 0xFFFFFFFFu;
+
+  /// Whether an arena holding `used` bytes (at most kMaxArenaBytes) has
+  /// room for `bytes` more.
+  static constexpr bool Fits(std::size_t used, std::size_t bytes) {
+    return bytes <= kMaxArenaBytes - used;
+  }
+  /// Whether `bytes` more spelling bytes fit this pool's arena.
+  bool HasRoom(std::size_t bytes) const { return Fits(arena_.size(), bytes); }
 
   /// Returns the id of `spelling`, interning it on first use. Aborts when a
-  /// new spelling would exceed kMaxSpellings, or push the arena past its
-  /// u32 offsets (4 GiB of spelling bytes); callers loading untrusted
-  /// input check full() first.
+  /// new spelling would exceed kMaxSpellings or the arena's room; callers
+  /// loading untrusted input check full() and HasRoom first.
   Value Intern(std::string_view spelling);
   /// Reverse lookup; returns "?<id>" if the id was never interned.
   std::string Spelling(Value id) const;

@@ -312,6 +312,19 @@ std::vector<Value> CollectDepth0Matches(GenericJoinSearch* search,
   return matches;
 }
 
+/// Whether `search` emits rows distinct by construction: every variable
+/// bound up to the last head depth is a head variable (a full CQ, or a
+/// prefix projection under the witness-only exit).
+bool RowsAreDistinct(const GenericJoinSearch& search) {
+  const std::vector<int>& head = search.head_vars;
+  if (search.last_head_depth < 0) return false;
+  for (int d = 0; d <= search.last_head_depth; ++d) {
+    const int v = search.order[static_cast<std::size_t>(d)];
+    if (std::find(head.begin(), head.end(), v) == head.end()) return false;
+  }
+  return true;
+}
+
 /// Runs `proto` and writes its answers into `output` (empty on entry).
 ///
 /// Without a pool the whole search is one claim, run on the calling thread.
@@ -331,8 +344,16 @@ std::vector<Value> CollectDepth0Matches(GenericJoinSearch* search,
 /// order, and its per-row probe keeps the first occurrence of every head
 /// tuple (a projection may derive one from several bindings). The output
 /// therefore equals the serial run's row for row whatever the thread
-/// timing.
+/// timing. When the rows are distinct by construction (RowsAreDistinct),
+/// the append is told so once the search is done, with head column c's
+/// values in the store dictionary of the first atom of `query` (over
+/// `rels`) holding its variable, and may adopt those dictionaries
+/// (ColumnStore::AppendCoded); which path it takes depends on the query
+/// and the answer's size only, so codes match between serial and pooled
+/// runs.
 void RunGenericJoin(GenericJoinSearch* proto, ThreadPool* pool,
+                    const Query& query,
+                    const std::vector<const Relation*>& rels,
                     Relation* output, EvalStats* local) {
   std::vector<Value> matches;
   std::vector<std::size_t> lone;
@@ -404,7 +425,22 @@ void RunGenericJoin(GenericJoinSearch* proto, ThreadPool* pool,
     local->intersection_seeks += s.intersection_seeks;
     local->projection_subtrees_skipped += s.projection_subtrees_skipped;
   }
-  output->InsertCoded(buffers, slices);
+  // Two references: small enough that std::function does not allocate.
+  const DistinctRows distinct{
+      [&query, &rels](std::size_t c) {
+        const int v = query.head_vars()[c];
+        const auto atom = std::find_if(
+            query.atoms().begin(), query.atoms().end(), [v](const Atom& a) {
+              return std::find(a.vars.begin(), a.vars.end(), v) !=
+                     a.vars.end();
+            });
+        return &rels[static_cast<std::size_t>(atom - query.atoms().begin())]
+                    ->store()
+                    .dict();
+      },
+      pool};
+  output->InsertCoded(buffers, slices,
+                      RowsAreDistinct(*proto) ? &distinct : nullptr);
 }
 
 /// Per-atom trie overrides for the hybrid plan: atom i enumerates over
@@ -492,7 +528,8 @@ Result<Relation> GenericJoinImpl(const Query& query,
     const bool parallel = pool != nullptr && pool->num_workers() > 0 &&
                           search.last_head_depth >= 0 &&
                           !search.atoms_at[0].empty();
-    RunGenericJoin(&search, parallel ? pool : nullptr, &output, local);
+    RunGenericJoin(&search, parallel ? pool : nullptr, query, rels, &output,
+                   local);
   } else if (query.atoms().empty()) {
     output.Insert(Tuple{});  // empty body: the single empty substitution
   }

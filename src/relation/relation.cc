@@ -35,8 +35,9 @@ std::size_t Relation::InsertDense(const std::vector<std::uint32_t>& ids,
 }
 
 std::size_t Relation::InsertCoded(const std::vector<CodedRows>& sources,
-                                  const std::vector<CodedSlice>& slices) {
-  const std::size_t added = store_.AppendCoded(sources, slices);
+                                  const std::vector<CodedSlice>& slices,
+                                  const DistinctRows* distinct) {
+  const std::size_t added = store_.AppendCoded(sources, slices, distinct);
   generation_ += added;
   return added;
 }

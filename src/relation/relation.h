@@ -119,9 +119,12 @@ class Relation {
 
   /// As InsertBatch over rows coded in foreign dictionaries, slice after
   /// slice -- the bulk door of ColumnStore::AppendCoded: codes minted as a
-  /// row-wise Insert would mint them, present rows skipped.
+  /// row-wise Insert would mint them, present rows skipped. With
+  /// `distinct`, a large merge into an empty relation adopts the column
+  /// dictionaries instead (see AppendCoded): the same rows, other codes.
   std::size_t InsertCoded(const std::vector<CodedRows>& sources,
-                          const std::vector<CodedSlice>& slices);
+                          const std::vector<CodedSlice>& slices,
+                          const DistinctRows* distinct = nullptr);
 
   /// Removes `t` if present; returns true if removed. Preserves the order
   /// of the remaining tuples. A removal is a *tombstone*: row ids stay

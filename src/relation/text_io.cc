@@ -152,6 +152,11 @@ Status ParseDatabaseText(std::string_view buf, Database* db) {
   // relations, so a linear scan finds a relation's slot.
   std::vector<PendingRows> pending;
   ValuePool* pool = db->value_pool();
+  // The spellings a read interns add up to at most its bytes, so a buffer
+  // that fits the arena's room cannot overflow it: only a read that does
+  // not fit checks each token. That check counts every token as new, so
+  // near the cap it may also refuse a spelling already interned.
+  const bool check_room = !pool->HasRoom(buf.size());
 
   const char* p = buf.data();
   const char* const buf_end = p + buf.size();
@@ -251,6 +256,12 @@ Status ParseDatabaseText(std::string_view buf, Database* db) {
             "line " + std::to_string(line_number) +
             ": value pool is full (" +
             std::to_string(ValuePool::kMaxSpellings) + " spellings)");
+      }
+      if (check_room && !pool->HasRoom(spelling.size())) {
+        return Status::ResourceExhausted(
+            "line " + std::to_string(line_number) +
+            ": value pool is out of spelling bytes (" +
+            std::to_string(ValuePool::kMaxArenaBytes) + " bytes)");
       }
       rows.ids.push_back(static_cast<std::uint32_t>(pool->Intern(spelling)));
       ++width;

@@ -11,6 +11,7 @@
 #include "relation/relation.h"
 #include "relation/trie_index.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cqbounds {
 namespace {
@@ -355,6 +356,169 @@ TEST(ColumnStoreTest, BulkDoorsMatchRowWiseAppend) {
       ExpectSameStore(batch, reference, probes, context + " AppendBatch");
     }
   }
+}
+
+// --- The adopting regime of the coded-rows door ------------------------------
+
+/// Distinct rows split into `num_sources` worker buffers the way a pooled
+/// search leaves them: runs of random length (empty ones too), each run a
+/// slice of a random source, every source coded in its own dictionary.
+void SplitIntoSources(const std::vector<Tuple>& rows, std::size_t num_sources,
+                      Rng* rng, std::vector<CodedRows>* sources,
+                      std::vector<CodedSlice>* slices) {
+  sources->assign(num_sources, CodedRows{});
+  slices->clear();
+  for (std::size_t next = 0; next < rows.size();) {
+    const std::size_t k = rng->NextBelow(num_sources);
+    CodedRows& src = (*sources)[k];
+    const std::size_t n =
+        std::min<std::size_t>(rng->NextBelow(700), rows.size() - next);
+    slices->push_back({k, src.num_rows, src.num_rows + n});
+    for (std::size_t i = 0; i < n; ++i, ++next) {
+      for (Value v : rows[next]) src.codes.push_back(src.dict.Intern(v));
+      ++src.num_rows;
+    }
+  }
+}
+
+TEST(ColumnStoreTest, CodedDoorAdoptsTheInputDictionaries) {
+  // Two input dictionaries, as two relations' stores hold them: A carries
+  // columns 0 and 1, B column 2. Each holds values no row carries.
+  ValueDictionary a, b;
+  for (Value v = 0; v < 120; ++v) a.Intern(v * 7 - 50);
+  for (Value v = 0; v < 60; ++v) b.Intern(100000 + v);
+  std::vector<Tuple> rows;
+  for (Value x = 0; x < 50; ++x) {
+    for (Value y = 0; y < 50; ++y) {
+      for (Value z = 0; z < 4; ++z) {
+        rows.push_back({x * 7 - 50, (x + y) % 100 * 7 - 50,
+                        100000 + (x * 3 + z) % 55});
+      }
+    }
+  }
+  Relation reference("P", 3);
+  for (const Tuple& t : rows) ASSERT_TRUE(reference.Insert(t));
+
+  Rng rng(20261021);
+  ThreadPool pool(3);
+  std::vector<std::uint32_t> first_codes;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "no pool" : "pool of 3");
+    std::vector<CodedRows> sources;
+    std::vector<CodedSlice> slices;
+    SplitIntoSources(rows, 4, &rng, &sources, &slices);
+    const DistinctRows distinct{
+        [&a, &b](std::size_t c) { return c < 2 ? &a : &b; }, p};
+    Relation adopted("P", 3);
+    ASSERT_EQ(adopted.InsertCoded(sources, slices, &distinct), rows.size());
+
+    // The rows of a row-wise Insert: values, order and generation.
+    EXPECT_EQ(adopted.tuples(), reference.tuples());
+    EXPECT_EQ(adopted.generation(), reference.generation());
+    const ColumnStore& store = adopted.store();
+    // The dictionary is the union of the inputs', unused values included:
+    // A's codes as they were, then B's values after them.
+    ASSERT_EQ(store.dict().size(), a.size() + b.size());
+    for (std::uint32_t code = 0; code < a.size(); ++code) {
+      EXPECT_EQ(store.dict().ValueOf(code), a.ValueOf(code));
+    }
+    for (std::uint32_t code = 0; code < b.size(); ++code) {
+      EXPECT_NE(store.dict().CodeOf(b.ValueOf(code)),
+                ValueDictionary::kNoCode);
+    }
+    // The codes do not depend on the pool or on how rows were split.
+    std::vector<std::uint32_t> codes;
+    for (std::size_t r = 0; r < store.size(); ++r) {
+      for (int c = 0; c < 3; ++c) codes.push_back(store.CodeAt(r, c));
+    }
+    if (first_codes.empty()) first_codes = codes;
+    EXPECT_EQ(codes, first_codes);
+
+    // The row index serves every later door.
+    for (const Tuple& t : rows) ASSERT_TRUE(adopted.Contains(t));
+    EXPECT_FALSE(adopted.Contains({-50, -50, 100059}));  // values held, no row
+    EXPECT_FALSE(adopted.Contains({1, 2, 3}));           // values unknown
+    EXPECT_FALSE(adopted.Insert(rows[1234]));
+    EXPECT_EQ(adopted.size(), rows.size());
+    ASSERT_TRUE(adopted.Remove(rows[1234]));
+    EXPECT_FALSE(adopted.Contains(rows[1234]));
+    ASSERT_TRUE(adopted.Insert(rows[1234]));
+    EXPECT_TRUE(adopted.Contains(rows[1234]));
+    EXPECT_EQ(adopted.store().size(), rows.size() + 1);  // a fresh row id
+    EXPECT_EQ(adopted.store().Row(rows.size()), rows[1234]);
+    EXPECT_TRUE(adopted.Insert({1, 2, 3}));
+    EXPECT_EQ(adopted.store().dict().size(), a.size() + b.size() + 3);
+  }
+}
+
+TEST(ColumnStoreTest, CodedDoorAdoptsOnlyWhenSafe) {
+  // Each case lands the same distinct rows with and without `distinct`:
+  // taking the other path, the door mints first-seen codes, as row-wise
+  // appends would.
+  // Column 0's dictionary is `first`, column 1's `second`.
+  auto columns = [](const ValueDictionary* first,
+                    const ValueDictionary* second) {
+    return DistinctRows{
+        [first, second](std::size_t c) { return c == 0 ? first : second; },
+        nullptr};
+  };
+  auto expect_first_seen = [](ColumnStore* target,
+                              const std::vector<Tuple>& rows,
+                              const DistinctRows& distinct,
+                              const std::string& context) {
+    ColumnStore reference = *target;
+    for (const Tuple& t : rows) reference.Append(t);
+    std::vector<CodedRows> sources;
+    sources.push_back(Coded(rows, {-7}));
+    target->AppendCoded(sources, {{0, 0, rows.size()}}, &distinct);
+    ExpectSameStore(*target, reference, rows, context);
+  };
+  ValueDictionary small, large;
+  for (Value v = 0; v < 6; ++v) small.Intern(v);
+  for (Value v = 0; v < 1000; ++v) large.Intern(v);
+  // 8 codes: enough for `small` (6 values, 4 of them unused), and only it.
+  const std::vector<Tuple> rows = {{3, 1}, {1, 2}, {2, 3}, {5, 0}};
+
+  // The union is larger than the codes merged: 1000 values, 8 codes.
+  ColumnStore fresh(2);
+  expect_first_seen(&fresh, rows, columns(&large, &small), "large union");
+  // The store already holds a row.
+  ColumnStore seeded(2);
+  seeded.Append({5, 5});
+  expect_first_seen(&seeded, rows, columns(&small, &small), "rows held");
+  // No rows, but a dictionary left by them.
+  ColumnStore cleared(2);
+  cleared.Append({8, 8});
+  cleared.Clear();
+  expect_first_seen(&cleared, rows, columns(&small, &small),
+                    "dictionary held");
+  // The same rows adopt when all three hold.
+  ColumnStore adopting(2);
+  std::vector<CodedRows> sources;
+  sources.push_back(Coded(rows));
+  const DistinctRows distinct = columns(&small, &small);
+  EXPECT_EQ(adopting.AppendCoded(sources, {{0, 0, rows.size()}}, &distinct),
+            rows.size());
+  EXPECT_EQ(adopting.dict().size(), small.size());
+  EXPECT_EQ(adopting.CodeAt(0, 0), small.CodeOf(3));
+  // Rows not declared distinct take the other path, repeats included.
+  ColumnStore undeclared(2);
+  std::vector<Tuple> repeated = rows;
+  repeated.push_back(rows[0]);
+  ColumnStore reference(2);
+  for (const Tuple& t : repeated) reference.Append(t);
+  sources.clear();
+  sources.push_back(Coded(repeated));
+  EXPECT_EQ(undeclared.AppendCoded(sources, {{0, 0, repeated.size()}}),
+            rows.size());
+  ExpectSameStore(undeclared, reference, repeated, "undeclared");
+  // A nullary store has no column to adopt.
+  ColumnStore nullary(0);
+  std::vector<CodedRows> empty_rows(1);
+  empty_rows[0].num_rows = 1;
+  const DistinctRows no_columns = columns(nullptr, nullptr);
+  EXPECT_EQ(nullary.AppendCoded(empty_rows, {{0, 0, 1}}, &no_columns), 1u);
+  EXPECT_TRUE(nullary.Contains(Tuple{}));
 }
 
 TEST(ColumnStoreTest, EraseTombstonesWithoutMovingRows) {

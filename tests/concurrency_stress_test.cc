@@ -235,12 +235,16 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
   // appends their per-match slices in depth-0 order, keeping each head
   // tuple's first occurrence. The parallel output is then the serial output
   // as a *sequence*, whatever the thread timing -- for full CQs, prefix
-  // projections and general projections alike, under both trie plans.
+  // projections and general projections alike, under both trie plans -- and
+  // its codes are the serial output's codes.
   struct Case {
     std::string label;
     Query query;
     Database db;
     PlanKind kind = PlanKind::kGenericJoin;
+    /// A full CQ whose answer is large enough that the merge adopts the
+    /// input dictionaries: the answer's dictionary holds every input value.
+    bool adopts = false;
   };
   std::vector<Case> cases;
   cases.push_back({"triangle",
@@ -263,6 +267,28 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
   cases.push_back({"three-hop projection", three_hop, ChordedCycle(2000)});
   cases.push_back({"three-hop projection (hybrid)", three_hop,
                    ChordedCycle(2000), PlanKind::kHybridYannakakis});
+  // Full CQs large enough to adopt: a head whose columns come from two
+  // relations (the merge adopts their union; S's dangling rows put values
+  // no answer carries in it), and a repeated head variable.
+  Database two_relations;
+  {
+    Relation* r = two_relations.AddRelation("R", 2);
+    Relation* s = two_relations.AddRelation("S", 2);
+    for (int i = 0; i < 200; ++i) {
+      for (int d = 1; d <= 3; ++d) {
+        r->Insert({i, (i + d) % 200});
+        s->Insert({i, 5000 + (7 * i + d) % 150});
+        s->Insert({300 + i, 9000 + i});
+      }
+    }
+  }
+  cases.push_back({"two-relation full CQ",
+                   ParseQuery("Q(X,Y,Z) :- R(X,Y), S(Y,Z).").ValueOrDie(),
+                   std::move(two_relations), PlanKind::kGenericJoin, true});
+  cases.push_back(
+      {"repeated head variable",
+       ParseQuery("P(X,Y,Z,X) :- E(X,Y), E(Y,Z).").ValueOrDie(),
+       ChordedCycle(300), PlanKind::kGenericJoin, true});
   Rng rng(20261017);
   for (int trial = 0; trial < 8; ++trial) {
     RandomQueryOptions options;
@@ -285,6 +311,17 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
         EvaluateQuery(c.query, c.db, c.kind, nullptr, nullptr, &serial_stats);
     ASSERT_TRUE(serial.ok()) << c.label;
     const std::vector<Tuple> serial_rows = serial->tuples();
+    const ColumnStore& serial_store = serial->store();
+    if (c.adopts) {
+      for (const auto& [name, rel] : c.db.relations()) {
+        const ValueDictionary& input = rel.store().dict();
+        for (std::uint32_t code = 0; code < input.size(); ++code) {
+          EXPECT_NE(serial_store.dict().CodeOf(input.ValueOf(code)),
+                    ValueDictionary::kNoCode)
+              << c.label << " relation " << name;
+        }
+      }
+    }
     for (ThreadPool* pool : {&pool1, &pool3, &pool7}) {
       const std::string tag =
           c.label + " pool " + std::to_string(pool->num_workers());
@@ -295,6 +332,15 @@ TEST(ParallelGenericJoinTest, RowOrderMatchesSerial) {
       ASSERT_TRUE(parallel.ok()) << tag;
       EXPECT_EQ(parallel->tuples(), serial_rows) << tag;
       EXPECT_EQ(parallel->generation(), serial->generation()) << tag;
+      // Serial and pooled merges take the same path, so the codes agree.
+      const ColumnStore& store = parallel->store();
+      EXPECT_EQ(store.dict().size(), serial_store.dict().size()) << tag;
+      for (std::size_t row = 0; row < store.size(); ++row) {
+        for (int col = 0; col < store.arity(); ++col) {
+          ASSERT_EQ(store.CodeAt(row, col), serial_store.CodeAt(row, col))
+              << tag << " row " << row << " col " << col;
+        }
+      }
       EXPECT_EQ(stats.intermediate_sizes, serial_stats.intermediate_sizes)
           << tag;
       EXPECT_EQ(stats.projection_subtrees_skipped,

@@ -280,6 +280,24 @@ TEST(ValuePoolTest, PackedKeysAcrossTheInlineBoundary) {
   EXPECT_EQ(pool.Spelling(next), "?" + std::to_string(next));
 }
 
+TEST(ValuePoolTest, ArenaRoomAtTheCap) {
+  // The reader's once-per-read check: a buffer fits when its bytes fit the
+  // room the u32 offsets leave, to the byte.
+  constexpr std::size_t kCap = ValuePool::kMaxArenaBytes;
+  static_assert(kCap == 0xFFFFFFFFu, "u32 offsets");
+  EXPECT_TRUE(ValuePool::Fits(0, kCap));
+  EXPECT_FALSE(ValuePool::Fits(0, kCap + 1));
+  EXPECT_TRUE(ValuePool::Fits(kCap - 10, 10));
+  EXPECT_FALSE(ValuePool::Fits(kCap - 10, 11));
+  EXPECT_TRUE(ValuePool::Fits(kCap, 0));
+  EXPECT_FALSE(ValuePool::Fits(kCap, 1));
+  ValuePool pool;
+  pool.Intern("abc");
+  pool.Intern("abc");  // a hit takes no room
+  EXPECT_TRUE(pool.HasRoom(kCap - 3));
+  EXPECT_FALSE(pool.HasRoom(kCap - 2));
+}
+
 TEST(ValuePoolTest, ShortSpellingsThatPackAlikeStayDistinct) {
   // "0", "00", "0" plus a trailing NUL and the empty spelling share their
   // bytes up to zero padding; the length byte keeps their keys apart.
