@@ -12,8 +12,11 @@
 // twohop1e5 timers isolate that emission at ~10^5 answers (a full CQ, so
 // the merge adopts the input's dictionary), and the proj2hop timers the
 // re-interning merge when ~2/3 of the bindings are repeats.
-// The skewtri1e5 timer is the serial triangle on a skewed 10^5-edge graph,
-// where the leapfrog's seeks, not emission, are the op.
+// The skewtri1e5 timers are the triangle on a skewed 10^5-edge graph, serial
+// and over the pool, where the intersections' seeks, not emission, are the
+// op: the hubs' child sets are heavy, so the deepest depth drives the
+// shorter child set and probes the other's rank bitmap. A table row pins
+// that instance's heavy sets, their bitmap bytes, seeks and bindings.
 //
 // The tables are deterministic: results, per-depth binding counts and the
 // AGM-envelope accounting are *identical* to the serial run's at every
@@ -33,6 +36,7 @@
 #include "cq/parser.h"
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
+#include "relation/trie_index.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -117,11 +121,11 @@ Query& ProjQ() {
   return q;
 }
 
-// The serial triangle on a skewed graph: Chung-Lu style, endpoint i of
-// 20000 drawn with weight (i+1)^-0.75, 10^5 distinct directed edges from a
-// fixed seed, so a few hubs carry most triangles. The op is 2.8*10^6
-// seeks for 2.3*10^5 bindings and 1.3*10^5 answers, so this timer isolates
-// the leapfrog's seek kernel.
+// The triangle on a skewed graph: Chung-Lu style, endpoint i of 20000
+// drawn with weight (i+1)^-0.75, 10^5 distinct directed edges from a fixed
+// seed, so a few hubs carry most triangles. The op is 1.7*10^6 seeks (2.8
+// *10^6 under the leapfrog alone) for 2.3*10^5 bindings and 1.3*10^5
+// answers, so these timers isolate the intersection kernel.
 constexpr int kSkewVertices = 20000;
 constexpr std::size_t kSkewEdges = 100000;
 Database SkewedGraph(std::uint64_t seed) {
@@ -231,6 +235,46 @@ void PrintTables() {
                "timed sections below and depends on the\nhost's cores: on a "
                "single-core machine the curve is honestly flat.\n\n";
 
+  // The skewed instance's heavy child sets: both tries the triangle reads
+  // (E by (X,Y) and by (Y,X)). Bitmap KB counts the words, the per-word
+  // ranks and the per-node slot index of every level that has a heavy node.
+  std::size_t heavy = 0;
+  std::size_t bytes = 0;
+  for (const std::vector<std::vector<int>>& layout :
+       {std::vector<std::vector<int>>{{0}, {1}},
+        std::vector<std::vector<int>>{{1}, {0}}}) {
+    const TrieIndex trie(*SkewDb().Find("E"), layout);
+    const std::size_t nodes = trie.RootRange().size();
+    std::size_t here = 0;
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const TrieIndex::RankBitmap* bits = trie.ChildRange(0, i).bits;
+      if (bits == nullptr) continue;
+      ++here;
+      bytes += bits->words.size() * sizeof(std::uint64_t) +
+               bits->before.size() * sizeof(std::uint32_t);
+    }
+    if (here > 0) bytes += nodes * sizeof(std::uint32_t);
+    heavy += here;
+  }
+  EvalStats skew;
+  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, nullptr, nullptr,
+                &skew)
+      .ValueOrDie();
+  std::string depths;
+  for (std::size_t d : skew.intermediate_sizes) {
+    depths += (depths.empty() ? "" : "/") + bench::Num(d);
+  }
+  std::cout << "The skewed triangle (the skewtri1e5 timers' instance, "
+               "serial):\n";
+  bench::Table skewed({"instance", "heavy sets", "bitmap KB", "seeks",
+                       "bindings per depth", "output"});
+  skewed.AddRow({"skewtri1e5", bench::Num(heavy),
+                 bench::Num((bytes + 512) / 1024),
+                 bench::Num(skew.intersection_seeks), depths,
+                 bench::Num(skew.output_size)});
+  skewed.Print();
+  std::cout << "\n";
+
   PrepareTimerFixtures();
 }
 
@@ -291,6 +335,12 @@ CQB_BENCH_TIMED("proj2hop/threads4", [] {
 
 CQB_BENCH_TIMED("skewtri1e5/threads1", [] {
   EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx())
+      .ValueOrDie();
+})
+
+CQB_BENCH_TIMED("skewtri1e5/threads4", [] {
+  EvaluateQuery(TriQ(), SkewDb(), PlanKind::kGenericJoin, &SkewCtx(),
+                &PoolOf(3), nullptr)
       .ValueOrDie();
 })
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -197,25 +198,43 @@ struct GenericJoinSearch {
   /// Per-depth leapfrog cursors (one per participating atom), allocated
   /// once -- Run visits thousands of nodes and must not allocate per node.
   std::vector<std::vector<std::size_t>> cursor_scratch;
+  /// Per-depth copies of the participating atoms' ranges, taken by value
+  /// on entry: `on_match` pushes onto range_stack, which may reallocate.
+  std::vector<std::vector<TrieIndex::Range>> range_scratch;
 
   GenericJoinSearch(EvalStats* st, const std::vector<int>& var_order)
       : stats(st), order(var_order) {}
 
-  /// The leapfrog intersection at `depth`: keeps one cursor per atom
-  /// holding order[depth] (cursor_scratch[depth]) and repeatedly seeks
-  /// every cursor up to the current maximum value until all agree (a match)
-  /// or one range is exhausted. Calls `on_match(value)` for each match in
-  /// increasing order, the cursors resting on it, and stops early when
-  /// `on_match` returns false. Every SeekGE is one counted seek.
+  /// The intersection at `depth` of the ranges of the atoms holding
+  /// order[depth]: calls `on_match(value)` for each common value in
+  /// increasing order, with every cursor (cursor_scratch[depth]) resting
+  /// on it, and stops early when `on_match` returns false.
+  ///
+  /// When a range other than the shortest carries a rank bitmap (the
+  /// children of a heavy node), the shortest range drives: each of its
+  /// values is probed in every bitmap in O(1) and galloped to in every
+  /// other range. Otherwise it is the leapfrog: every cursor seeks up to
+  /// the running maximum until all agree or one range runs dry. One
+  /// SeekGE, gallop or probe is one counted seek; advancing the lead range
+  /// is not.
   template <typename OnMatch>
   void Leapfrog(std::size_t depth, OnMatch&& on_match) {
     const std::vector<int>& atoms = atoms_at[depth];
     std::vector<std::size_t>& cursor = cursor_scratch[depth];
+    std::vector<TrieIndex::Range>& range = range_scratch[depth];
     const std::vector<int>& level = levels_at[depth];
+    std::size_t lead = 0;
+    std::size_t heavy = 0;
     for (std::size_t k = 0; k < atoms.size(); ++k) {
-      const int a = atoms[k];
-      cursor[k] = range_stack[a].back().begin;
-      if (cursor[k] >= range_stack[a].back().end) return;
+      range[k] = range_stack[atoms[k]].back();
+      if (range[k].empty()) return;
+      cursor[k] = range[k].begin;
+      if (range[k].size() < range[lead].size()) lead = k;
+      heavy += range[k].bits != nullptr;
+    }
+    if (heavy > (range[lead].bits != nullptr ? 1u : 0u)) {
+      DriveAndProbe(depth, lead, on_match);
+      return;
     }
     Value target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
     while (true) {
@@ -223,13 +242,13 @@ struct GenericJoinSearch {
       // each non-aligned round strictly advances some cursor.
       bool aligned = true;
       for (std::size_t k = 0; k < atoms.size(); ++k) {
-        const int a = atoms[k];
-        const TrieIndex::Range r{cursor[k], range_stack[a].back().end};
-        const std::size_t pos = tries[a]->SeekGE(level[k], r, target);
+        const TrieIndex& trie = *tries[atoms[k]];
+        const TrieIndex::Range r{cursor[k], range[k].end};
+        const std::size_t pos = trie.SeekGE(level[k], r, target);
         ++stats->intersection_seeks;
         if (pos >= r.end) return;  // range exhausted: no more matches
         cursor[k] = pos;
-        const Value found_value = tries[a]->ValueAt(level[k], pos);
+        const Value found_value = trie.ValueAt(level[k], pos);
         if (found_value != target) {
           target = found_value;  // overshoot: restart the round at the new max
           aligned = false;
@@ -239,8 +258,49 @@ struct GenericJoinSearch {
       if (!aligned) continue;
       if (!on_match(target)) return;
       // Advance past the match; stop when the first atom's range runs dry.
-      if (++cursor[0] >= range_stack[atoms[0]].back().end) return;
+      if (++cursor[0] >= range[0].end) return;
       target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
+    }
+  }
+
+  /// Leapfrog's probe kernel: range `lead` (the shortest) drives, over the
+  /// ranges range_scratch[depth] holds.
+  template <typename OnMatch>
+  void DriveAndProbe(std::size_t depth, std::size_t lead,
+                     OnMatch& on_match) {
+    const std::vector<int>& atoms = atoms_at[depth];
+    std::vector<std::size_t>& cursor = cursor_scratch[depth];
+    const std::vector<TrieIndex::Range>& range = range_scratch[depth];
+    const std::vector<int>& level = levels_at[depth];
+    // No value past the smallest last element can match anywhere.
+    Value stop = std::numeric_limits<Value>::max();
+    for (std::size_t k = 0; k < atoms.size(); ++k) {
+      if (k == lead) continue;
+      stop = std::min(stop,
+                      tries[atoms[k]]->ValueAt(level[k], range[k].end - 1));
+    }
+    const TrieIndex& lead_trie = *tries[atoms[lead]];
+    for (std::size_t pos = range[lead].begin; pos < range[lead].end;
+         ++pos) {
+      const Value v = lead_trie.ValueAt(level[lead], pos);
+      if (v > stop) return;
+      // Bitmaps first: a miss there costs one bit test.
+      bool hit = true;
+      for (std::size_t k = 0; k < atoms.size() && hit; ++k) {
+        if (k == lead || range[k].bits == nullptr) continue;
+        ++stats->intersection_seeks;
+        hit = TrieIndex::Probe(range[k], v, &cursor[k]);
+      }
+      for (std::size_t k = 0; k < atoms.size() && hit; ++k) {
+        if (k == lead || range[k].bits != nullptr) continue;
+        const TrieIndex& trie = *tries[atoms[k]];
+        ++stats->intersection_seeks;
+        cursor[k] = trie.SeekGE(level[k], {cursor[k], range[k].end}, v);
+        hit = trie.ValueAt(level[k], cursor[k]) == v;
+      }
+      if (!hit) continue;
+      cursor[lead] = pos;
+      if (!on_match(v)) return;
     }
   }
 
@@ -518,8 +578,10 @@ Result<Relation> GenericJoinImpl(const Query& query,
 
   if (!empty_atom && !query.atoms().empty()) {
     search.cursor_scratch.resize(variable_order.size());
+    search.range_scratch.resize(variable_order.size());
     for (std::size_t d = 0; d < variable_order.size(); ++d) {
       search.cursor_scratch[d].resize(search.atoms_at[d].size());
+      search.range_scratch[d].resize(search.atoms_at[d].size());
     }
     // Parallel only with workers to hand work to, and only for heads with
     // at least one variable: a boolean (variable-free) head is decided by

@@ -99,8 +99,10 @@ struct EvalStats {
   /// plans, trie keys for the generic join). Guards the empty-join
   /// short-circuit: once no binding survives, later atoms are not indexed.
   std::size_t indexed_tuples = 0;
-  /// Generic join only: trie SeekGE calls issued by the leapfrog
-  /// intersection loops (the executor's unit of work).
+  /// Generic join only: the intersections' unit of work -- one per
+  /// SeekGE or gallop and one per rank-bitmap probe of a heavy node's
+  /// children; advancing the shortest range that drives a probed depth is
+  /// not counted.
   std::size_t intersection_seeks = 0;
   /// Tries served from the EvalContext cache without rebuilding.
   std::size_t trie_cache_hits = 0;

@@ -210,7 +210,63 @@ void TrieIndex::BuildFromFlatKeys(const std::vector<std::uint64_t>& keys,
   for (int l = 0; l + 1 < depth; ++l) {
     levels_[l].child_begin.push_back(levels_[l + 1].values.size());
   }
+  for (int l = 0; l + 1 < depth; ++l) {
+    for (std::size_t i = 0; i < levels_[l].values.size(); ++i) IndexNode(l, i);
+  }
   SetCounts(std::move(counts));
+}
+
+void TrieIndex::IndexNode(int level, std::size_t idx) {
+  Level& at = levels_[static_cast<std::size_t>(level)];
+  const std::vector<Value>& kids =
+      levels_[static_cast<std::size_t>(level) + 1].values;
+  const std::size_t first = at.child_begin[idx];
+  const std::size_t len = at.child_begin[idx + 1] - first;
+  const auto offset = [&](std::size_t i) {
+    return static_cast<std::uint64_t>(kids[i]) -
+           static_cast<std::uint64_t>(kids[first]);
+  };
+  if (len < kHeavyChildren || offset(first + len - 1) >= kHeavySpan * len) {
+    DropBitmap(&at, idx);
+    return;
+  }
+  if (at.bitmap_of.empty()) at.bitmap_of.assign(at.values.size(), kNoBitmap);
+  std::uint32_t& slot = at.bitmap_of[idx];
+  if (slot == kNoBitmap) {
+    if (at.free_bitmaps.empty()) {
+      slot = static_cast<std::uint32_t>(at.bitmaps.size());
+      at.bitmaps.emplace_back();
+    } else {
+      slot = at.free_bitmaps.back();
+      at.free_bitmaps.pop_back();
+    }
+  }
+  RankBitmap& bits = at.bitmaps[slot];
+  bits.lo = kids[first];
+  bits.words.assign(static_cast<std::size_t>(offset(first + len - 1) >> 6) + 1,
+                    0);
+  for (std::size_t i = first; i < first + len; ++i) {
+    bits.words[offset(i) >> 6] |= 1ull << (offset(i) & 63);
+  }
+  bits.before.resize(bits.words.size());
+  std::uint32_t below = 0;
+  for (std::size_t w = 0; w < bits.words.size(); ++w) {
+    bits.before[w] = below;
+    below += static_cast<std::uint32_t>(__builtin_popcountll(bits.words[w]));
+  }
+}
+
+void TrieIndex::DropBitmap(Level* at, std::size_t idx) {
+  if (at->bitmap_of.empty() || at->bitmap_of[idx] == kNoBitmap) return;
+  at->bitmaps[at->bitmap_of[idx]] = RankBitmap{};
+  at->free_bitmaps.push_back(at->bitmap_of[idx]);
+  at->bitmap_of[idx] = kNoBitmap;
+  if (at->free_bitmaps.size() == at->bitmaps.size()) {
+    // The level's last heavy node went: drop the per-node index too.
+    std::vector<std::uint32_t>().swap(at->bitmap_of);
+    std::vector<RankBitmap>().swap(at->bitmaps);
+    std::vector<std::uint32_t>().swap(at->free_bitmaps);
+  }
 }
 
 void TrieIndex::SetCounts(std::vector<std::uint32_t>&& counts) {
@@ -273,6 +329,15 @@ struct TrieIndex::Edit {
   std::size_t count;
 };
 
+/// An inner node whose child set the splice edits and that is or may turn
+/// heavy: base node `pos`, and the index of its own edit at its level
+/// (kNone when only its children change).
+struct TrieIndex::Remark {
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t pos;
+  std::size_t edit;
+};
+
 /// The splice's plan phase: walks one sorted net delta down the trie and
 /// records each level's edits, in node order, without writing to the trie.
 struct TrieIndex::SplicePlan {
@@ -283,6 +348,10 @@ struct TrieIndex::SplicePlan {
   const std::vector<std::int64_t>& nets;
   std::vector<std::vector<Edit>> edits;
   std::uint64_t visits = 0;
+  /// Per level: the nodes whose bitmaps the splice redoes, in node order,
+  /// and the inserts plus erases planned so far.
+  std::vector<std::vector<Remark>> remarks;
+  std::vector<std::size_t> reshapes;
 
   /// Plans delta keys [d, dend) -- all sharing the path to this sibling
   /// range -- into the sibling range `r` at `level`, and returns the
@@ -308,6 +377,8 @@ struct TrieIndex::SplicePlan {
       cur = found ? pos + 1 : pos;
       std::int64_t old_count;
       std::int64_t count;
+      bool reshaped = false;  // the node's child set changes
+      bool heavy = false;
       if (leaf) {
         // Leaf: keys are distinct, so the group is this one key.
         old_count = found ? trie.CountOf(pos) : 0;
@@ -323,14 +394,27 @@ struct TrieIndex::SplicePlan {
                                      : Range{at.child_begin[pos],
                                              at.child_begin[pos]};
         old_count = static_cast<std::int64_t>(children.size());
+        const std::size_t below = static_cast<std::size_t>(level) + 1;
+        const std::size_t shapes = reshapes[below];
         count = old_count + Walk(level + 1, children, d, group_end);
+        reshaped = reshapes[below] != shapes;
+        heavy = children.bits != nullptr;
       }
+      std::size_t edit = Remark::kNone;
       if (found ? count != old_count : count > 0) {
         const Edit::Kind kind =
             !found ? Edit::kInsert : (count == 0 ? Edit::kErase : Edit::kSet);
+        edit = out.size();
         out.push_back(Edit{pos, kind, v, static_cast<std::size_t>(count)});
         change += (kind == Edit::kInsert) - (kind == Edit::kErase);
+        reshapes[static_cast<std::size_t>(level)] += kind != Edit::kSet;
         ++visits;
+      }
+      // Only a node that is heavy or has enough children to turn heavy is
+      // re-examined, so a trie without heavy nodes pays nothing here.
+      if (reshaped && count > 0 &&
+          (heavy || static_cast<std::size_t>(count) >= kHeavyChildren)) {
+        remarks[static_cast<std::size_t>(level)].push_back(Remark{pos, edit});
       }
       d = group_end;
     }
@@ -341,6 +425,12 @@ struct TrieIndex::SplicePlan {
 void TrieIndex::ApplyEdits(int level, const std::vector<Edit>& edits) {
   if (edits.empty()) return;
   Level& at = levels_[static_cast<std::size_t>(level)];
+  // An erased node's bitmap goes first; what is left of the per-node
+  // bitmap index then moves with the runs.
+  for (const Edit& edit : edits) {
+    if (edit.kind == Edit::kErase) DropBitmap(&at, edit.pos);
+  }
+  const bool indexed = !at.bitmap_of.empty();
   const bool leaf = level + 1 == num_levels();
   const std::size_t n = at.values.size();
   const std::size_t from = edits.front().pos;
@@ -396,6 +486,7 @@ void TrieIndex::ApplyEdits(int level, const std::vector<Edit>& edits) {
   at.values.resize(room);
   if (!leaf) begins.resize(room + 1);
   if (supports) counts_.resize(room);
+  if (indexed) at.bitmap_of.resize(room);
   const auto move = [&](const Run& run) {
     const auto shift_run = [&run](auto* column) {
       const auto at_index = [column](std::size_t i) {
@@ -411,6 +502,7 @@ void TrieIndex::ApplyEdits(int level, const std::vector<Edit>& edits) {
     shift_run(&at.values);
     if (!leaf) shift_run(&begins);
     if (supports) shift_run(&counts_);
+    if (indexed) shift_run(&at.bitmap_of);
   };
   // A run's destination never reaches a run not yet moved: left-moving runs
   // go front to back, right-moving ones back to front.
@@ -424,7 +516,10 @@ void TrieIndex::ApplyEdits(int level, const std::vector<Edit>& edits) {
     const Edit& edit = edits[e];
     if (edit.kind == Edit::kErase) continue;
     const std::size_t slot = slots[e];
-    if (edit.kind == Edit::kInsert) at.values[slot] = edit.value;
+    if (edit.kind == Edit::kInsert) {
+      at.values[slot] = edit.value;
+      if (indexed) at.bitmap_of[slot] = kNoBitmap;
+    }
     if (!leaf) {
       begins[slot] = edit.count;
     } else if (supports) {
@@ -433,6 +528,7 @@ void TrieIndex::ApplyEdits(int level, const std::vector<Edit>& edits) {
   }
   at.values.resize(size);
   if (supports) counts_.resize(size);
+  if (indexed) at.bitmap_of.resize(size);
   if (!leaf) {
     begins.resize(size + 1);
     std::size_t offset = first_child;
@@ -442,6 +538,30 @@ void TrieIndex::ApplyEdits(int level, const std::vector<Edit>& edits) {
       offset += children;
     }
     begins[size] = offset;
+  }
+}
+
+void TrieIndex::ReindexNodes(int level, const std::vector<Edit>& edits,
+                             const std::vector<Remark>& marks) {
+  // A node's final index is its base index plus the inserts before it
+  // minus the erases before it; edits and marks are both in node order.
+  std::size_t e = 0;
+  std::size_t shift_up = 0;
+  std::size_t shift_down = 0;
+  const auto pass = [&] {
+    shift_up += edits[e].kind == Edit::kInsert;
+    shift_down += edits[e].kind == Edit::kErase;
+    ++e;
+  };
+  for (const Remark& mark : marks) {
+    std::size_t pos = mark.pos;
+    if (mark.edit != Remark::kNone) {
+      while (e < mark.edit) pass();
+      pos = edits[mark.edit].pos;
+    } else {
+      while (e < edits.size() && edits[e].pos <= mark.pos) pass();
+    }
+    IndexNode(level, pos + shift_up - shift_down);
   }
 }
 
@@ -479,13 +599,22 @@ void TrieIndex::Splice(const RowView& appended, const RowView& removed,
 
   // Plan every level's edits first: the support checks all run there, so
   // a failed one leaves the trie as it was.
-  SplicePlan plan{*this, delta, nets,
-                  std::vector<std::vector<Edit>>(
-                      static_cast<std::size_t>(depth)),
-                  0};
+  const auto levels = static_cast<std::size_t>(depth);
+  SplicePlan plan{*this,
+                  delta,
+                  nets,
+                  std::vector<std::vector<Edit>>(levels),
+                  0,
+                  std::vector<std::vector<Remark>>(levels),
+                  std::vector<std::size_t>(levels, 0)};
   plan.Walk(0, RootRange(), 0, nets.size());
   for (int l = 0; l < depth; ++l) {
     ApplyEdits(l, plan.edits[static_cast<std::size_t>(l)]);
+  }
+  // Bitmaps read the final children, so they come once every level is in.
+  for (int l = 0; l + 1 < depth; ++l) {
+    ReindexNodes(l, plan.edits[static_cast<std::size_t>(l)],
+                 plan.remarks[static_cast<std::size_t>(l)]);
   }
   num_tuples_ = levels_.back().values.size();
   g_delta_nodes_visited.fetch_add(plan.visits, std::memory_order_relaxed);
@@ -511,6 +640,17 @@ bool TrieIndex::operator==(const TrieIndex& other) const {
     if (levels_[l].values != other.levels_[l].values ||
         levels_[l].child_begin != other.levels_[l].child_begin) {
       return false;
+    }
+    if (levels_[l].bitmap_of.empty() && other.levels_[l].bitmap_of.empty()) {
+      continue;
+    }
+    for (std::size_t i = 0; i < levels_[l].values.size(); ++i) {
+      const RankBitmap* mine = ChildRange(static_cast<int>(l), i).bits;
+      const RankBitmap* theirs = other.ChildRange(static_cast<int>(l), i).bits;
+      if (mine == nullptr || theirs == nullptr ? mine != theirs
+                                               : !(*mine == *theirs)) {
+        return false;
+      }
     }
   }
   for (std::size_t i = 0; i < num_tuples_; ++i) {

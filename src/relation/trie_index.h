@@ -48,6 +48,15 @@ TrieBuildStats GetTrieBuildStats();
 /// by the caller to follow one global variable order shared by every atom of
 /// the query; see docs/EVALUATION.md.
 ///
+/// A *heavy* node -- at least kHeavyChildren children, spanning at most
+/// kHeavySpan values per child -- also carries a RankBitmap over its
+/// children: ChildRange hands it out with the range, and Probe finds a
+/// value's index among them in O(1), so an intersection that meets a hub's
+/// child set can drive the shorter range and probe the hub's. The span rule
+/// bounds bitmap plus ranks at 12x the node's own 8-byte keys, and a level
+/// carries a per-node bitmap index only while one of its nodes is heavy.
+/// Bitmaps are derived data: a splice keeps them equal to a fresh build's.
+///
 /// Storage is flat vectors per level (value, first-child offset), not
 /// pointer-chased nodes. Construction reads key columns straight out of the
 /// relation's ColumnStore into a packed flat key buffer, LSD-radix-sorts a
@@ -59,10 +68,33 @@ TrieBuildStats GetTrieBuildStats();
 /// copied first (SpliceOrCopy).
 class TrieIndex {
  public:
+  /// A node at a non-last level is *heavy* when it has at least
+  /// kHeavyChildren children spanning at most kHeavySpan values per child
+  /// ((last - first + 1) <= kHeavySpan * count).
+  static constexpr std::size_t kHeavyChildren = 64;
+  static constexpr std::size_t kHeavySpan = 512;
+
+  /// The rank bitmap over a heavy node's children: bit (v - lo) is set iff
+  /// v is a child, and before[w] counts the set bits of words[0, w), so the
+  /// child v sits before[w] + (set bits below it in words[w]) places past
+  /// its first sibling.
+  struct RankBitmap {
+    Value lo = 0;
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint32_t> before;
+
+    bool operator==(const RankBitmap& other) const {
+      return lo == other.lo && words == other.words && before == other.before;
+    }
+  };
+
   /// A contiguous run of sibling nodes at one level: indices [begin, end).
+  /// `bits` is the run's rank bitmap when the run is all the children of a
+  /// heavy node (as ChildRange returns it), null otherwise.
   struct Range {
     std::size_t begin = 0;
     std::size_t end = 0;
+    const RankBitmap* bits = nullptr;
 
     std::size_t size() const { return end - begin; }
     bool empty() const { return begin >= end; }
@@ -114,10 +146,14 @@ class TrieIndex {
   /// to back, then right-moving runs back to front, so no run overwrites
   /// one not yet moved -- and the inserted nodes land in their final
   /// slots; first-child offsets are edited as child counts and
-  /// prefix-summed back. Cost: O(k log k) to sort k delta rows, O(k *
-  /// depth) probes of O(log gap) each (TrieBuildStats::
-  /// delta_nodes_visited), plus a memmove-speed shift of each level's
-  /// suffix past its first edit.
+  /// prefix-summed back. A level's bitmap index moves with its runs, and
+  /// once every level is applied, each inner node whose child set changed
+  /// and that has a bitmap or at least kHeavyChildren children gets its
+  /// bitmap rebuilt or dropped (the plan marks them; a trie without heavy
+  /// nodes pays nothing more). Cost: O(k log k) to sort k delta rows,
+  /// O(k * depth) probes of O(log gap) each (TrieBuildStats::
+  /// delta_nodes_visited), a memmove-speed shift of each level's suffix
+  /// past its first edit, plus one bitmap rebuild per marked heavy node.
   ///
   /// Readers of this trie must not overlap the splice: a trie someone else
   /// may still read is spliced through SpliceOrCopy, which copies it first.
@@ -125,10 +161,10 @@ class TrieIndex {
   void Splice(const RowView& appended, const RowView& removed,
               const std::vector<std::vector<int>>& level_positions);
 
-  /// Structural equality: same levels, child offsets, per-key support
-  /// counts (an absent counts vector equals all ones) and root support. A
-  /// spliced trie equals the from-scratch build of the post-window
-  /// relation.
+  /// Structural equality: same levels, child offsets, rank bitmaps (node
+  /// by node), per-key support counts (an absent counts vector equals all
+  /// ones) and root support. A spliced trie equals the from-scratch build
+  /// of the post-window relation.
   bool operator==(const TrieIndex& other) const;
 
   /// Number of key levels (the atom's distinct-variable count).
@@ -147,12 +183,34 @@ class TrieIndex {
     return levels_[level].values[idx];
   }
 
-  /// Children (at level+1) of node `idx` at `level`; empty at the last
-  /// level.
+  /// Children (at level+1) of node `idx` at `level`, carrying the node's
+  /// rank bitmap when it is heavy; empty at the last level.
   Range ChildRange(int level, std::size_t idx) const {
     if (level + 1 >= num_levels()) return Range{0, 0};
-    const std::vector<std::size_t>& begins = levels_[level].child_begin;
-    return Range{begins[idx], begins[idx + 1]};
+    const Level& at = levels_[static_cast<std::size_t>(level)];
+    Range r{at.child_begin[idx], at.child_begin[idx + 1]};
+    if (!at.bitmap_of.empty() && at.bitmap_of[idx] != kNoBitmap) {
+      r.bits = &at.bitmaps[at.bitmap_of[idx]];
+    }
+    return r;
+  }
+
+  /// Looks `v` up among the children `r` of a heavy node (r.bits set): on
+  /// a hit sets `*pos` to v's index -- SeekGE's answer -- and returns true.
+  /// O(1): one bit test, plus a popcount on a hit.
+  static bool Probe(const Range& r, Value v, std::size_t* pos) {
+    const RankBitmap& b = *r.bits;
+    if (v < b.lo) return false;
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(b.lo);
+    const std::uint64_t w = off >> 6;
+    if (w >= b.words.size()) return false;
+    // v's bit on top, the bits below it under it.
+    const std::uint64_t upto = b.words[w] << (63 - (off & 63));
+    if ((upto >> 63) == 0) return false;
+    *pos = r.begin + b.before[w] +
+           static_cast<std::size_t>(__builtin_popcountll(upto)) - 1;
+    return true;
   }
 
   /// First index in [r.begin, r.end) whose value is >= v, or r.end if none.
@@ -186,7 +244,15 @@ class TrieIndex {
     /// child_begin[i]..child_begin[i+1] delimit node i's children at the
     /// next level (size values.size()+1); empty for the last level.
     std::vector<std::size_t> child_begin;
+    /// bitmap_of[i]: the slot in `bitmaps` of heavy node i's rank bitmap,
+    /// kNoBitmap for a light node. Empty while no node of the level is
+    /// heavy, so a level without one carries nothing per node.
+    std::vector<std::uint32_t> bitmap_of;
+    std::vector<RankBitmap> bitmaps;
+    /// Slots of `bitmaps` a splice released, reused before growing it.
+    std::vector<std::uint32_t> free_bitmaps;
   };
+  static constexpr std::uint32_t kNoBitmap = ~0u;
 
   /// Packed key extraction: appends the sign-biased key words of every
   /// self-consistent row of `view` (or all LIVE rows of `store` when `view`
@@ -218,12 +284,25 @@ class TrieIndex {
   /// (the dense common case costs nothing).
   void SetCounts(std::vector<std::uint32_t>&& counts);
 
+  /// Gives node `idx` at inner level `level` the rank bitmap of its
+  /// current children if it is heavy, and takes it away otherwise.
+  void IndexNode(int level, std::size_t idx);
+  /// Frees node `idx`'s bitmap slot, if it has one; a level left without
+  /// heavy nodes drops its per-node index too.
+  static void DropBitmap(Level* at, std::size_t idx);
+
   /// One planned change to a level at base node `pos` (defined in
-  /// trie_index.cc), and the read-only walk that plans a splice.
+  /// trie_index.cc), a node whose bitmap a splice must redo, and the
+  /// read-only walk that plans a splice.
   struct Edit;
+  struct Remark;
   struct SplicePlan;
   /// Applies one level's sorted edits (Splice's apply phase).
   void ApplyEdits(int level, const std::vector<Edit>& edits);
+  /// Redoes the bitmaps of the nodes `marks` names at `level` once every
+  /// level is applied (`edits` maps base positions to final ones).
+  void ReindexNodes(int level, const std::vector<Edit>& edits,
+                    const std::vector<Remark>& marks);
 
   std::vector<Level> levels_;
   std::size_t num_tuples_ = 0;

@@ -326,6 +326,94 @@ TEST(GenericJoinGoldenTest, SeeksIntermediatesAndRowOrderArePinned) {
   }
 }
 
+/// A directed graph with hubs on both sides of TrieIndex::kHeavyChildren,
+/// from integer draws only: endpoint id U(U(U(n) + 1) + 1) piles edges on
+/// low ids, so a dozen vertices have 64 to ~130 out-neighbours, a few
+/// more fall just short of 64, and the rest have a handful.
+Database HubEdges(std::uint64_t vertices, std::size_t edges,
+                  std::uint64_t seed) {
+  Rng rng(seed);
+  auto draw = [&] {
+    return static_cast<Value>(
+        rng.NextBelow(rng.NextBelow(rng.NextBelow(vertices) + 1) + 1));
+  };
+  Database db;
+  Relation* e = db.AddRelation("E", 2);
+  while (e->size() < edges) {
+    const Value u = draw();
+    const Value v = draw();
+    if (u != v) e->Insert({u, v});
+  }
+  return db;
+}
+
+// The probe kernel pinned on a graph with heavy nodes: the intermediates
+// and row sequences were recorded by the leapfrog-only executor, so the
+// kernel changes the work (seeks), never the answer or its order. The
+// triangle and K4 probe a heavy child set at their deeper depths; two-hop
+// intersects nothing there and keeps the leapfrog's seek count.
+TEST(GenericJoinGoldenTest, HubSeeksIntermediatesAndRowOrderArePinned) {
+  const Database db = HubEdges(1500, 8000, 7919);
+  // Both tries the triangle reads hold heavy nodes, and light nodes with
+  // 48 to 63 children sit just under the threshold.
+  std::size_t heavy = 0;
+  std::size_t near = 0;
+  for (const std::vector<std::vector<int>>& layout :
+       {std::vector<std::vector<int>>{{0}, {1}},
+        std::vector<std::vector<int>>{{1}, {0}}}) {
+    const TrieIndex trie(*db.Find("E"), layout);
+    std::size_t heavy_here = 0;
+    for (std::size_t i = 0; i < trie.RootRange().end; ++i) {
+      const TrieIndex::Range kids = trie.ChildRange(0, i);
+      const bool big = kids.size() >= TrieIndex::kHeavyChildren;
+      EXPECT_EQ(kids.bits != nullptr, big) << i;
+      heavy_here += big;
+      near += !big && kids.size() >= 48;
+    }
+    EXPECT_GE(heavy_here, 10u);
+    heavy += heavy_here;
+  }
+  EXPECT_EQ(heavy, 23u);
+  EXPECT_GE(near, 10u);
+
+  struct Golden {
+    const char* query;
+    std::uint64_t serial_seeks;
+    std::uint64_t pooled_seeks;
+    std::vector<std::size_t> intermediates;
+    std::size_t rows;
+    std::uint64_t row_hash;
+  };
+  const Golden goldens[] = {
+      {"T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).", 195032, 196626,
+       {797, 7613, 16725}, 16725, 15695678420578406063ull},
+      {"P(X,Y,Z) :- E(X,Y), E(Y,Z).", 226387, 227981, {797, 7816, 216773},
+       216773, 747358374540555635ull},
+      {"K(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D).",
+       812133, 814929, {932, 7816, 16899, 23120}, 23120,
+       1679688789838189824ull},
+  };
+  ThreadPool pool(3);
+  for (const Golden& g : goldens) {
+    const Query q = ParseQuery(g.query).ValueOrDie();
+    EvalStats serial, pooled;
+    auto serial_out =
+        EvaluateQuery(q, db, PlanKind::kGenericJoin, nullptr, nullptr, &serial);
+    auto pooled_out =
+        EvaluateQuery(q, db, PlanKind::kGenericJoin, nullptr, &pool, &pooled);
+    ASSERT_TRUE(serial_out.ok()) << serial_out.status();
+    ASSERT_TRUE(pooled_out.ok()) << pooled_out.status();
+    EXPECT_EQ(serial.intersection_seeks, g.serial_seeks) << g.query;
+    EXPECT_EQ(pooled.intersection_seeks, g.pooled_seeks) << g.query;
+    EXPECT_EQ(serial.intermediate_sizes, g.intermediates) << g.query;
+    EXPECT_EQ(pooled.intermediate_sizes, g.intermediates) << g.query;
+    EXPECT_EQ(serial_out->size(), g.rows) << g.query;
+    EXPECT_EQ(RowSequenceHash(*serial_out), g.row_hash) << g.query;
+    EXPECT_EQ(RowSequenceHash(*pooled_out), g.row_hash) << g.query;
+    EXPECT_EQ(pooled.parallel_workers, 4u) << g.query;
+  }
+}
+
 // --- Executor correctness --------------------------------------------------
 
 void ExpectSameRelation(const Relation& a, const Relation& b,

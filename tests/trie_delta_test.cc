@@ -338,6 +338,129 @@ TEST(TrieDeltaPropertyTest, ChainedUnpatchesStayExact) {
   }
 }
 
+/// Whether node `idx` at `level` carries a rank bitmap.
+bool Heavy(const TrieIndex& trie, int level, std::size_t idx) {
+  return trie.ChildRange(level, idx).bits != nullptr;
+}
+
+TEST(TrieDeltaPropertyTest, HeavyNodesFollowTheirChildren) {
+  // Node 5 starts one child short of heavy. Each step splices one window
+  // and must equal the fresh build, bitmaps included (operator== compares
+  // them node by node).
+  const Layout layout = {{0}, {1}};
+  Relation r("R", 2);
+  for (Value x = 0; x < 63; ++x) r.Insert({5, 2 * x});
+  r.Insert({9, 0});
+  TrieIndex trie(r, layout);
+  std::uint64_t gen = r.generation();
+  ASSERT_FALSE(Heavy(trie, 0, 0));
+
+  // Crossing 64 upwards gives node 5 its bitmap.
+  r.Insert({5, 1});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "up"));
+  EXPECT_TRUE(Heavy(trie, 0, 0));
+  // Same child count, other children: the bitmap is redone.
+  r.Insert({5, 3});
+  r.Remove({5, 0});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "same count"));
+  EXPECT_TRUE(Heavy(trie, 0, 0));
+  // A parent-level insert before node 5 shifts its index, and its bitmap
+  // with it; an erase shifts both back.
+  r.Insert({1, 7});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "insert before"));
+  EXPECT_FALSE(Heavy(trie, 0, 0));
+  EXPECT_TRUE(Heavy(trie, 0, 1));
+  r.Remove({1, 7});
+  r.Insert({7, 7});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "erase before"));
+  EXPECT_TRUE(Heavy(trie, 0, 0));
+  EXPECT_FALSE(Heavy(trie, 0, 1));
+  // A child far away keeps the count past 64 but breaks the span rule.
+  r.Insert({5, 1000000});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "span"));
+  EXPECT_FALSE(Heavy(trie, 0, 0));
+  r.Remove({5, 1000000});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "span back"));
+  EXPECT_TRUE(Heavy(trie, 0, 0));
+  // Back down under 64: the bitmap goes, and with it the level's index.
+  r.Remove({5, 1});
+  r.Remove({5, 3});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "down"));
+  EXPECT_FALSE(Heavy(trie, 0, 0));
+  // A heavy node erased outright.
+  for (Value x = 0; x < 70; ++x) r.Insert({8, x});
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "new heavy node"));
+  EXPECT_TRUE(Heavy(trie, 0, 2));
+  RemoveWhere(&r, 0, 8);
+  ASSERT_TRUE(SpliceAndCheck(r, layout, &trie, &gen, "erase heavy node"));
+  EXPECT_EQ(trie.RootRange().size(), 3u);
+}
+
+/// Heavy nodes of `trie` at levels 0 and 1.
+std::size_t HeavyNodes(const TrieIndex& trie) {
+  std::size_t heavy = 0;
+  const std::size_t inner = trie.num_levels() == 3 ? 2 : 1;
+  std::size_t nodes = trie.RootRange().size();
+  for (std::size_t level = 0; level < inner; ++level) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      heavy += Heavy(trie, static_cast<int>(level), i);
+    }
+    if (nodes > 0) {
+      nodes = trie.ChildRange(static_cast<int>(level), nodes - 1).end;
+    }
+  }
+  return heavy;
+}
+
+TEST(TrieDeltaPropertyTest, HeavyNodeSplicesEqualFreshBuildOnRandomWindows) {
+  // Hubs 10, 20 and 30 random-walk around 64 children (the x column), at
+  // level 0 or, in the last layout, at level 1; light nodes before,
+  // between and after them come and go, shifting their indexes.
+  Rng rng(20261022);
+  for (const Layout& layout : {Layout{{0}, {1}}, Layout{{0}, {1}, {2}},
+                               Layout{{2}, {0}, {1}}}) {
+    Relation r("R", 3);
+    const auto grow_hub = [&] {
+      const Value hub = 10 * (1 + static_cast<Value>(rng.NextBelow(3)));
+      while (!r.Insert({hub, rng.NextInRange(0, 99), 0})) {
+      }
+    };
+    for (int i = 0; i < 3 * 62; ++i) grow_hub();
+    TrieIndex trie(r, layout);
+    std::uint64_t gen = r.generation();
+    std::size_t changes = 0;
+    std::size_t heavy = HeavyNodes(trie);
+    for (int window = 0; window < 60; ++window) {
+      const std::string context = "window " + std::to_string(window);
+      for (int op = 0; op < 5; ++op) {
+        const std::vector<Tuple> live = r.tuples();
+        const Tuple pick = live[rng.NextBelow(live.size())];
+        switch (rng.NextBelow(5)) {
+          case 0:
+          case 1:
+            grow_hub();
+            break;
+          case 2:
+          case 3:
+            r.Remove(pick);
+            break;
+          default:
+            if (pick[0] % 10 != 0) {
+              RemoveWhere(&r, 0, pick[0]);
+            } else {
+              r.Insert({rng.NextInRange(0, 40), 5, rng.NextInRange(0, 1)});
+            }
+        }
+      }
+      if (!SpliceAndCheck(r, layout, &trie, &gen, context)) continue;
+      const std::size_t now = HeavyNodes(trie);
+      changes += now != heavy;
+      heavy = now;
+    }
+    EXPECT_GE(changes, 3u) << layout.size();
+  }
+}
+
 TEST(TrieDeltaDeathTest, RemovalTheBaseNeverSupportedAborts) {
   const Layout layout = {{0}, {1}};
   const Relation r = Build("R", 2, {{1, 2}});
